@@ -1,7 +1,9 @@
 """Exact subtree counting: totals, per-vertex counts, joint containment.
 
 A subtree always means a nonempty connected induced subgraph.  All counts
-are exact Python integers, so nothing overflows for any tree size.
+are exact Python integers, so nothing overflows for any tree size.  One
+bottom-up DP, ``_rooted_counts``, runs over the breadth-first ``parent``
+and ``order`` lists of ``trees._bfs``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptySet, InvalidVertex
-from .trees import RootedView, Tree, root_at
+from .trees import RootedView, Tree, _bfs, root_at
 
 __all__ = [
     "FVector",
@@ -34,6 +36,19 @@ class FVector:
     argmax: tuple[int, ...]
 
 
+def _rooted_counts(parent: Sequence[int | None], order: Sequence[int]) -> list[int]:
+    """Rooted subtree counts g over a breadth-first order, children first.
+
+    Each vertex's finished count multiplies into its parent's as the
+    factor (1 + g), so g(v) ends as the product over v's children.  The
+    root's parent entry is never read.
+    """
+    g = [1] * len(parent)
+    for v in order[:0:-1]:
+        g[parent[v]] *= 1 + g[v]  # type: ignore[index]
+    return g
+
+
 def count_rooted(view: RootedView) -> tuple[int, ...]:
     """For each vertex v, the number of subtrees rooted at v.
 
@@ -41,13 +56,7 @@ def count_rooted(view: RootedView) -> tuple[int, ...]:
     contains v.  Each child's branch can contribute any of its own rooted
     subtrees or stay out, hence the product of (1 + child count).
     """
-    g = [1] * view.tree.n
-    for v in reversed(view.order):
-        acc = 1
-        for c in view.children[v]:
-            acc *= 1 + g[c]
-        g[v] = acc
-    return tuple(g)
+    return tuple(_rooted_counts(view.parent, view.order))
 
 
 def count_subtrees(tree: Tree) -> int:
@@ -56,28 +65,7 @@ def count_subtrees(tree: Tree) -> int:
     Rooting at vertex 0 and summing the rooted counts over all vertices
     counts every subtree once, at its unique vertex closest to the root.
     """
-    view = root_at(tree, 0)
-    return sum(count_rooted(view))
-
-
-def _count_subtrees_adjacency(n: int, adjacency: Sequence[Sequence[int]]) -> int:
-    """count_subtrees for a raw adjacency structure (enumeration hot path)."""
-    parent = [-1] * n
-    order = [0]
-    parent[0] = 0
-    for v in order:
-        for w in adjacency[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                order.append(w)
-    g = [1] * n
-    for v in reversed(order):
-        acc = 1
-        for w in adjacency[v]:
-            if parent[w] == v and w != 0:
-                acc *= 1 + g[w]
-        g[v] = acc
-    return sum(g)
+    return sum(_rooted_counts(*_bfs(tree.adjacency, 0)))
 
 
 def f_vector(tree: Tree) -> FVector:

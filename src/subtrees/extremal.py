@@ -18,8 +18,9 @@ from .errors import IndexOutOfRange, InvalidCut, InvalidVertex
 from .trees import (
     RootedView,
     Tree,
+    _bfs,
+    _branch_codes,
     path_between,
-    root_at,
     tree_from_edges,
     validate_degree_sequence,
 )
@@ -111,15 +112,6 @@ def build_greedy_bfs(pi: Sequence[int]) -> tuple[Tree, BfsLabeling]:
     return tree, BfsLabeling(order=tuple(range(n)), layer_sizes=tuple(sizes))
 
 
-def _subtree_codes(view: RootedView) -> list[bytes]:
-    """Canonical code of each vertex's rooted branch, bottom-up."""
-    code: list[bytes] = [b""] * view.tree.n
-    for v in reversed(view.order):
-        kids = sorted(code[c] for c in view.children[v])
-        code[v] = b"(" + b"".join(kids) + b")"
-    return code
-
-
 def _satisfies_bfs_ordering(view: RootedView, order: Sequence[int]) -> bool:
     """Check an explicit ordering against both BFS-ordering conditions.
 
@@ -199,73 +191,69 @@ def has_bfs_ordering(view: RootedView) -> tuple[bool, tuple[int, ...] | None]:
     overall.  The search fixes each block's order degree-descending and
     backtracks only over ties, trying one representative per distinct
     sequence of branch codes; equal-code siblings are interchangeable, so
-    the pruning loses nothing.
+    the pruning loses nothing.  The backtracking keeps one iterator of
+    candidate orders per layer on an explicit stack, so tall trees need
+    no deep recursion.
     """
     tree = view.tree
     n = tree.n
     deg = [tree.degree(v) for v in range(n)]
     if deg[view.root] != max(deg):
         return False, None
-    codes = _subtree_codes(view)
+    codes = _branch_codes(view.parent, view.order)
 
-    def extend(layer_order: tuple[int, ...], acc: tuple[int, ...]) -> tuple[int, ...] | None:
+    def next_layers(layer_order: tuple[int, ...]) -> Iterator[tuple[int, ...]] | None:
+        """Candidate orders of the next layer; None when there is none."""
         blocks = [view.children[p] for p in layer_order if view.children[p]]
         if not blocks:
-            return acc
+            return None
         flat_degrees = []
         for b in blocks:
             flat_degrees.extend(sorted((deg[c] for c in b), reverse=True))
         if flat_degrees[0] > deg[layer_order[-1]]:
-            return None
+            return iter(())
         if any(flat_degrees[i] < flat_degrees[i + 1] for i in range(len(flat_degrees) - 1)):
-            return None
+            return iter(())
         per_block = [_block_arrangements(b, deg, codes) for b in blocks]
-        for combo in product(*per_block):
-            layer = tuple(v for part in combo for v in part)
-            result = extend(layer, acc + layer)
-            if result is not None:
-                return result
-        return None
+        return (tuple(v for part in combo for v in part) for combo in product(*per_block))
 
-    witness = extend((view.root,), (view.root,))
-    if witness is None:
-        return False, None
-    return True, witness
+    layers = [(view.root,)]
+    pending: list[Iterator[tuple[int, ...]]] = []
+    while True:
+        options = next_layers(layers[-1])
+        if options is None:
+            return True, tuple(v for layer in layers for v in layer)
+        pending.append(options)
+        while (layer := next(pending[-1], None)) is None:
+            pending.pop()
+            layers.pop()
+            if not pending:
+                return False, None
+        layers.append(layer)
 
 
 def decompose_path(tree: Tree, u: int, v: int) -> PathDecomposition:
     """Split the tree along the u-v path into its hanging components.
 
     The path is written x_m .. x_1 (z) y_1 .. y_m with u = x_m and
-    v = y_m; an odd-length path contributes the middle vertex z.  Each
-    path vertex's component is found by searching from it with every
-    path edge removed.
+    v = y_m; an odd-length path contributes the middle vertex z.  With
+    the tree rooted at u, each path vertex owns itself and every other
+    vertex inherits its parent's owner, so the owners' classes are the
+    components left once the path edges are removed.
     """
     path = path_between(tree, u, v)
+    parent, order = _bfs(tree.adjacency, u)
+    owner = [-1] * tree.n
+    for p in path:
+        owner[p] = p
+    members: dict[int, list[int]] = {p: [] for p in path}
+    for w in order:
+        if owner[w] < 0:
+            owner[w] = owner[parent[w]]
+        members[owner[w]].append(w)
     length = len(path)
-    on_path = set(path)
-    forbidden = {(path[i], path[i + 1]) for i in range(length - 1)}
-    forbidden |= {(b, a) for a, b in forbidden}
-
-    def component(p: int) -> frozenset[int]:
-        seen = {p}
-        stack = [p]
-        while stack:
-            w = stack.pop()
-            for nb in tree.adjacency[w]:
-                if (w, nb) in forbidden or nb in seen:
-                    continue
-                seen.add(nb)
-                stack.append(nb)
-        return frozenset(seen)
-
     m = length // 2
-    if length % 2:
-        z = path[m]
-        z_comp = component(z)
-    else:
-        z = None
-        z_comp = None
+    z = path[m] if length % 2 else None
     x_side = tuple(reversed(path[:m]))  # innermost first
     y_side = tuple(path[length - m :])
     return PathDecomposition(
@@ -273,9 +261,9 @@ def decompose_path(tree: Tree, u: int, v: int) -> PathDecomposition:
         x=x_side,
         y=y_side,
         z=z,
-        x_components=tuple(component(p) for p in x_side),
-        y_components=tuple(component(p) for p in y_side),
-        z_component=z_comp,
+        x_components=tuple(frozenset(members[p]) for p in x_side),
+        y_components=tuple(frozenset(members[p]) for p in y_side),
+        z_component=None if z is None else frozenset(members[z]),
     )
 
 

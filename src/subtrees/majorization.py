@@ -26,14 +26,16 @@ __all__ = [
 
 
 def majorizes(a: Sequence[int], b: Sequence[int]) -> str:
-    """Compare two nonincreasing sequences in the majorization order.
+    """Compare two sequences in the majorization order.
 
+    Both are sorted nonincreasing first, so only their multisets matter.
     Returns "greater" when a majorizes b strictly, "less" for the reverse,
-    "equal" for identical sequences and "incomparable" when the prefix-sum
+    "equal" for equal multisets and "incomparable" when the prefix-sum
     differences change sign.  Raises LengthMismatch or SumMismatch when the
-    sequences are not comparable in principle.  Entries are assumed sorted
-    nonincreasing; this is not rechecked.
+    sequences are not comparable in principle.
     """
+    a = sorted(a, reverse=True)
+    b = sorted(b, reverse=True)
     if len(a) != len(b):
         raise LengthMismatch(f"lengths differ: {len(a)} vs {len(b)}")
     if sum(a) != sum(b):
@@ -85,22 +87,25 @@ def _chain_step(a: list[int], b: Sequence[int]) -> tuple[int, int]:
 def majorization_chain(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, ...]]:
     """A chain of unit transfers from the smaller sequence up to the larger.
 
-    Both sequences must be comparable with equal lengths and sums; the
-    chain starts at the majorized one and ends at the other, each step
-    adding 1 to an earlier entry and subtracting 1 from a later one.  All
-    intermediate sequences are nonincreasing with positive entries, hence
-    realizable as tree degree sequences whenever the endpoints are.
+    Both sequences are sorted nonincreasing first and must be comparable
+    with equal lengths and sums; the chain starts at the majorized one and
+    ends at the other, each step adding 1 to an earlier entry and
+    subtracting 1 from a later one.  All intermediate sequences are
+    nonincreasing with positive entries, hence realizable as tree degree
+    sequences whenever the endpoints are.
     Raises NotComparable for incomparable inputs.
     """
+    a = tuple(sorted(a, reverse=True))
+    b = tuple(sorted(b, reverse=True))
     relation = majorizes(a, b)
     if relation == "incomparable":
         raise NotComparable("sequences are incomparable in the majorization order")
     if relation == "equal":
-        return [tuple(a)]
+        return [a]
     low, high = (a, b) if relation == "less" else (b, a)
     current = list(low)
     chain = [tuple(current)]
-    while tuple(current) != tuple(high):
+    while tuple(current) != high:
         _chain_step(current, high)
         chain.append(tuple(current))
     return chain

@@ -12,11 +12,12 @@ import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .counting import _count_subtrees_adjacency
+from .counting import count_subtrees
 from .errors import EmptySet, InvalidVertex, NotRealizable, TooLarge
 from .trees import (
     Tree,
     _code_from_adjacency,
+    canonical_code,
     tree_from_edges,
     validate_degree_sequence,
 )
@@ -263,12 +264,8 @@ def extremal_by_enumeration(pi: Sequence[int], limit: int = 10) -> TreeClassSumm
     pi = validate_degree_sequence(pi)
     if len(pi) > limit:
         raise TooLarge(f"exhaustive search capped at {limit} vertices, got {len(pi)}")
-    classes = sorted(
-        (_code_from_adjacency(t.n, t.adjacency), t) for t in enumerate_trees(pi)
-    )
-    triples = tuple(
-        (code, t, _count_subtrees_adjacency(t.n, t.adjacency)) for code, t in classes
-    )
+    classes = sorted((canonical_code(t), t) for t in enumerate_trees(pi))
+    triples = tuple((code, t, count_subtrees(t)) for code, t in classes)
     best = max(phi for _, _, phi in triples)
     return TreeClassSummary(
         pi=pi,

@@ -3,11 +3,15 @@
 Vertices are dense integers 0..n-1.  Every value is immutable after
 construction; operations return new objects and never mutate their inputs,
 so values can be shared freely between threads or processes.
+
+One breadth-first primitive, ``_bfs``, walks every rooted tree in the
+package: the connectivity check, ``root_at``, ``path_between``, the
+canonical code here, and the subtree DP and path decomposition elsewhere
+all read its flat ``parent`` and ``order`` lists.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -88,18 +92,7 @@ def tree_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Tree:
     for u, v in norm:
         adj[u].append(v)
         adj[v].append(u)
-    seen = bytearray(n)
-    seen[0] = 1
-    queue = deque([0])
-    reached = 1
-    while queue:
-        w = queue.popleft()
-        for x in adj[w]:
-            if not seen[x]:
-                seen[x] = 1
-                reached += 1
-                queue.append(x)
-    if reached != n:
+    if len(_bfs(adj, 0)[1]) != n:
         raise NotATree("edge set is not connected")
     norm.sort()
     return Tree(n=n, edges=tuple(norm), adjacency=tuple(tuple(sorted(a)) for a in adj))
@@ -133,6 +126,25 @@ def degree_sequence_of(tree: Tree) -> tuple[int, ...]:
     return tuple(sorted((len(a) for a in tree.adjacency), reverse=True))
 
 
+def _bfs(adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first parent links and visit order of the part reached from root.
+
+    The root is its own parent and unreached vertices keep parent -1.
+    Each visited vertex's children, its unvisited neighbors in adjacency
+    order, form one contiguous run of ``order``, and the runs follow their
+    parents' positions in ``order``.
+    """
+    parent = [-1] * len(adjacency)
+    parent[root] = root
+    order = [root]
+    for v in order:
+        for w in adjacency[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                order.append(w)
+    return parent, order
+
+
 def root_at(tree: Tree, r: int) -> RootedView:
     """Root the tree at r by breadth-first traversal.
 
@@ -142,29 +154,22 @@ def root_at(tree: Tree, r: int) -> RootedView:
     n = tree.n
     if not (0 <= r < n):
         raise InvalidVertex(f"root {r} outside 0..{n - 1}")
-    parent: list[int | None] = [None] * n
+    parent, order = _bfs(tree.adjacency, r)
     children: list[tuple[int, ...]] = [()] * n
     height = [0] * n
-    order = []
-    queue = deque([r])
-    visited = bytearray(n)
-    visited[r] = 1
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        kids = []
-        for w in tree.adjacency[v]:
-            if not visited[w]:
-                visited[w] = 1
-                parent[w] = v
-                height[w] = height[v] + 1
-                kids.append(w)
-                queue.append(w)
-        children[v] = tuple(kids)
+    start = 1
+    for v in order:
+        stop = start + len(tree.adjacency[v]) - (v != r)
+        children[v] = tuple(order[start:stop])
+        start = stop
+    for v in order[1:]:
+        height[v] = height[parent[v]] + 1
+    rooted_parent: list[int | None] = list(parent)
+    rooted_parent[r] = None
     return RootedView(
         tree=tree,
         root=r,
-        parent=tuple(parent),
+        parent=tuple(rooted_parent),
         children=tuple(children),
         height=tuple(height),
         order=tuple(order),
@@ -177,23 +182,10 @@ def path_between(tree: Tree, u: int, v: int) -> tuple[int, ...]:
     for w in (u, v):
         if not (0 <= w < n):
             raise InvalidVertex(f"vertex {w} outside 0..{n - 1}")
-    if u == v:
-        return (u,)
-    prev: list[int | None] = [None] * n
-    prev[u] = u
-    queue = deque([u])
-    while queue:
-        w = queue.popleft()
-        if w == v:
-            break
-        for x in tree.adjacency[w]:
-            if prev[x] is None:
-                prev[x] = w
-                queue.append(x)
-    path = [v]
-    while path[-1] != u:
-        path.append(prev[path[-1]])  # type: ignore[arg-type]
-    path.reverse()
+    parent, _ = _bfs(tree.adjacency, v)
+    path = [u]
+    while path[-1] != v:
+        path.append(parent[path[-1]])
     return tuple(path)
 
 
@@ -218,26 +210,26 @@ def _centers(n: int, adjacency: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(sorted(layer))
 
 
-def _rooted_code(n: int, adjacency: Sequence[Sequence[int]], root: int) -> bytes:
-    """Canonical byte code of the rooted tree: sorted child codes in parens."""
-    parent = [-1] * n
-    order = [root]
-    parent[root] = root
-    for v in order:
-        for w in adjacency[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                order.append(w)
-    code: list[bytes] = [b""] * n
+def _branch_codes(parent: Sequence[int | None], order: Sequence[int]) -> list[bytes]:
+    """Canonical byte code of every vertex's branch, bottom-up.
+
+    A branch's code is its children's codes, sorted, inside parentheses;
+    each finished code is pushed to its parent.  The root's parent entry
+    is never read.
+    """
+    root = order[0]
+    kids: list[list[bytes]] = [[] for _ in parent]
+    code = [b""] * len(parent)
     for v in reversed(order):
-        kids = sorted(code[w] for w in adjacency[v] if parent[w] == v and w != root)
-        code[v] = b"(" + b"".join(kids) + b")"
-    return code[root]
+        kids[v].sort()
+        code[v] = b"(" + b"".join(kids[v]) + b")"
+        if v != root:
+            kids[parent[v]].append(code[v])  # type: ignore[index]
+    return code
 
 
 def _code_from_adjacency(n: int, adjacency: Sequence[Sequence[int]]) -> bytes:
-    codes = [_rooted_code(n, adjacency, c) for c in _centers(n, adjacency)]
-    return min(codes)
+    return min(_branch_codes(*_bfs(adjacency, c))[c] for c in _centers(n, adjacency))
 
 
 def canonical_code(tree: Tree) -> bytes:

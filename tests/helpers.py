@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from hypothesis import strategies as st
 
 from subtrees.counting import f_vector
 from subtrees.oracle import tree_from_prufer
-from subtrees.trees import Tree, tree_from_edges
+from subtrees.trees import Tree, _centers, tree_from_edges
 
 
 def path(n: int) -> Tree:
@@ -54,3 +56,30 @@ def random_trees(draw, min_n: int = 1, max_n: int = 12) -> Tree:
         return tree_from_edges(1, [])
     code = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
     return tree_from_prufer(tuple(code), n)
+
+
+def reference_rooted_code(n: int, adjacency: Sequence[Sequence[int]], root: int) -> bytes:
+    """Rooted byte code with its own traversal: sorted child codes in parens.
+
+    The first implementation of the canonical code, one BFS and one
+    bottom-up pass per root, kept as the reference that the package's
+    shared-BFS code must match byte for byte.
+    """
+    parent = [-1] * n
+    order = [root]
+    parent[root] = root
+    for v in order:
+        for w in adjacency[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                order.append(w)
+    code: list[bytes] = [b""] * n
+    for v in reversed(order):
+        kids = sorted(code[w] for w in adjacency[v] if parent[w] == v and w != root)
+        code[v] = b"(" + b"".join(kids) + b")"
+    return code[root]
+
+
+def reference_code(n: int, adjacency: Sequence[Sequence[int]]) -> bytes:
+    """The smaller reference rooted code over the tree's one or two centers."""
+    return min(reference_rooted_code(n, adjacency, c) for c in _centers(n, adjacency))

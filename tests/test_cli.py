@@ -136,6 +136,45 @@ def test_verify_all_n_jobs_agree(capsys):
     )
 
 
+def test_verify_jobs_clamped_and_validated(capsys, monkeypatch):
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    _, serial, _ = run(capsys, "verify", "--all-n", "6", "--json")
+    assert pools == []
+    code, out, _ = run(capsys, "verify", "--all-n", "6", "--jobs", "64", "--json")
+    assert code == 0 and pools == [4]  # capped by the CPU count
+    assert json.loads(out)["inputs"]["jobs"] == 64
+    assert json.loads(out)["outputs"] == json.loads(serial)["outputs"]
+    run(capsys, "verify", "--all-n", "5", "--jobs", "64")
+    assert pools == [4, 3]  # capped by the 3 sequences of length 5
+    run(capsys, "verify", "--all-n", "6", "--jobs", "2")
+    assert pools == [4, 3, 2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    run(capsys, "verify", "--all-n", "6", "--jobs", "64")
+    assert pools == [4, 3, 2]  # unknown CPU count runs serially
+    for bad in ("0", "-2"):
+        code, _, err = run(capsys, "verify", "--all-n", "6", "--jobs", bad)
+        assert code == 3 and "--jobs" in err
+        code, _, _ = run(capsys, "verify", "--pi", "3,2,2,1,1,1", "--jobs", bad)
+        assert code == 3
+    assert pools == [4, 3, 2]
+
+
 def test_verify_limits(capsys):
     assert run(capsys, "verify", "--all-n", "11")[0] == 5
     assert run(capsys, "verify", "--all-n", "0")[0] == 3

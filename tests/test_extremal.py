@@ -105,6 +105,14 @@ def test_bfs_ordering_spider_cases():
     assert not has_bfs_ordering(root_at(good, 1))[0]
 
 
+def test_bfs_ordering_on_deep_path():
+    # 1501 layers below the middle vertex; the search must not recurse per layer.
+    p = path(3001)
+    view = root_at(p, 1500)
+    ok, witness = has_bfs_ordering(view)
+    assert ok and _satisfies_bfs_ordering(view, witness)
+
+
 @settings(max_examples=50)
 @given(random_trees(min_n=2, max_n=9), st.data())
 def test_bfs_ordering_witness_is_valid(t, data):
@@ -153,6 +161,12 @@ def test_decompose_path_partitions_vertices(t, data):
         assert anchor in comp
     for comp, anchor in zip(dec.y_components, dec.y):
         assert anchor in comp
+    on_path = path_between(t, u, v)
+    assert all(len(p & set(on_path)) == 1 for p in parts)
+    path_edges = {frozenset(e) for e in zip(on_path, on_path[1:])}
+    owner = {w: i for i, p in enumerate(parts) for w in p}
+    for a, b in t.edges:
+        assert (owner[a] != owner[b]) == (frozenset((a, b)) in path_edges)
 
 
 def test_swap_components_p5_reversal():

@@ -31,6 +31,17 @@ def test_majorizes_tri_state():
     assert majorizes((2, 2, 1, 1), (2, 2, 1, 1)) == "equal"
 
 
+def test_majorizes_and_chain_sort_their_input():
+    assert majorizes((1, 2), (2, 1)) == "equal"
+    assert majorizes((1, 1, 3, 1), (2, 2, 1, 1)) == "greater"
+    assert majorization_chain((1, 2, 3), (3, 2, 1)) == [(3, 2, 1)]
+    assert majorization_chain((1, 1, 2, 2, 2), (1, 4, 1, 1, 1)) == [
+        (2, 2, 2, 1, 1),
+        (3, 2, 1, 1, 1),
+        (4, 1, 1, 1, 1),
+    ]
+
+
 def test_majorizes_incomparable_pairs():
     # Graphic but not tree-realizable at n=6; prefix sums cross at index 1.
     assert majorizes((3, 3, 3, 1, 1, 1), (4, 2, 2, 2, 1, 1)) == "incomparable"

@@ -5,9 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import path, random_trees, spider, star
+from helpers import path, random_trees, reference_code, spider, star
 from subtrees.errors import InvalidVertex, NotATree, NotRealizable, ParseError
+from subtrees.oracle import _edges_from_prufer, prufer_sequences, realizable_sequences
 from subtrees.trees import (
+    _code_from_adjacency,
     canonical_code,
     degree_sequence_of,
     format_edge_list,
@@ -88,6 +90,25 @@ def test_root_at_children_ascending():
         root_at(t, 5)
 
 
+@given(random_trees(max_n=30), st.data())
+def test_root_at_structure(t, data):
+    r = data.draw(st.integers(0, t.n - 1))
+    view = root_at(t, r)
+    assert view.parent[r] is None and view.height[r] == 0 and view.order[0] == r
+    assert sorted(view.order) == list(range(t.n))
+    pos = {v: i for i, v in enumerate(view.order)}
+    start = 1
+    for v in view.order:
+        kids = view.children[v]
+        assert kids == tuple(w for w in t.adjacency[v] if w != view.parent[v])
+        assert view.order[start : start + len(kids)] == kids
+        start += len(kids)
+        for c in kids:
+            assert view.parent[c] == v and view.height[c] == view.height[v] + 1
+            assert pos[c] > pos[v]
+    assert start == t.n
+
+
 def test_path_between():
     p = path(6)
     assert path_between(p, 0, 5) == (0, 1, 2, 3, 4, 5)
@@ -118,6 +139,27 @@ def test_canonical_code_bicentral():
     assert canonical_code(path(4)) == canonical_code(
         tree_from_edges(4, [(1, 3), (3, 0), (0, 2)])
     )
+
+
+def test_canonical_code_matches_reference_on_every_small_tree():
+    # Every labeled tree of every degree sequence up to n = 9, both through
+    # the raw adjacency the enumeration dedupes on and through a Tree.
+    for n in range(2, 10):
+        for pi in realizable_sequences(n):
+            for code in prufer_sequences(pi):
+                edges = _edges_from_prufer(code, n)
+                adj: list[list[int]] = [[] for _ in range(n)]
+                for u, v in edges:
+                    adj[u].append(v)
+                    adj[v].append(u)
+                expected = reference_code(n, adj)
+                assert _code_from_adjacency(n, adj) == expected
+                assert canonical_code(tree_from_edges(n, edges)) == expected
+
+
+@given(random_trees(max_n=40))
+def test_canonical_code_matches_reference_on_random_trees(t):
+    assert canonical_code(t) == reference_code(t.n, t.adjacency)
 
 
 @given(random_trees(max_n=10), st.randoms(use_true_random=False))
