@@ -10,7 +10,7 @@ exposes the two rewiring moves that push any tree toward the optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .counting import count_subtrees
@@ -20,6 +20,7 @@ from .trees import (
     Tree,
     _bfs,
     _branch_codes,
+    degree_sequence_of,
     path_between,
     tree_from_edges,
     validate_degree_sequence,
@@ -136,100 +137,32 @@ def _satisfies_bfs_ordering(view: RootedView, order: Sequence[int]) -> bool:
     return all(parent_pos[i] <= parent_pos[i + 1] for i in range(len(parent_pos) - 1))
 
 
-def _group_arrangements(
-    group: list[int], codes: list[bytes]
-) -> Iterator[tuple[int, ...]]:
-    """Distinct orders of equal-degree siblings, up to equal branch codes.
-
-    Siblings with identical rooted codes are interchangeable (swapping
-    them is an automorphism of the rooted tree), so only one order per
-    code sequence is tried.
-    """
-    buckets: dict[bytes, list[int]] = {}
-    for v in group:
-        buckets.setdefault(codes[v], []).append(v)
-
-    def emit(counts: dict[bytes, int], left: int) -> Iterator[tuple[bytes, ...]]:
-        if left == 0:
-            yield ()
-            return
-        for code in sorted(k for k, c in counts.items() if c > 0):
-            counts[code] -= 1
-            for rest in emit(counts, left - 1):
-                yield (code, *rest)
-            counts[code] += 1
-
-    counts = {k: len(vs) for k, vs in buckets.items()}
-    for code_seq in emit(counts, len(group)):
-        taken = {k: 0 for k in buckets}
-        out = []
-        for code in code_seq:
-            out.append(buckets[code][taken[code]])
-            taken[code] += 1
-        yield tuple(out)
-
-
-def _block_arrangements(
-    block: Sequence[int], deg: Sequence[int], codes: list[bytes]
-) -> list[tuple[int, ...]]:
-    """Orders of one sibling block: degree-nonincreasing, ties branched."""
-    groups: list[list[int]] = []
-    for v in sorted(block, key=lambda v: (-deg[v], codes[v], v)):
-        if groups and deg[groups[-1][0]] == deg[v]:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    options = [list(_group_arrangements(g, codes)) for g in groups]
-    return [tuple(v for part in combo for v in part) for combo in product(*options)]
-
-
 def has_bfs_ordering(view: RootedView) -> tuple[bool, tuple[int, ...] | None]:
     """Whether the rooted tree admits a BFS-ordering, with a witness.
 
-    Any valid ordering must list the layers in turn, with each layer's
-    sibling blocks in their parents' order and degrees nonincreasing
-    overall.  The search fixes each block's order degree-descending and
-    backtracks only over ties, trying one representative per distinct
-    sequence of branch codes; equal-code siblings are interchangeable, so
-    the pruning loses nothing.  The backtracking keeps one iterator of
-    candidate orders per layer on an explicit stack, so tall trees need
-    no deep recursion.
+    Along any BFS-ordering v_1 .. v_n the degrees are nonincreasing, so
+    deg(v_i) = pi_i for the degree sequence pi, and parent positions never
+    decrease, so v_1's children are the next pi_1 vertices and each later
+    v_i's children the next pi_i - 1.  That is the greedy BFS tree of pi
+    with v_i as vertex i - 1, and the greedy order 0..n-1 is a
+    BFS-ordering that any rooted isomorphism carries over.  So the view
+    has one exactly when it is rooted-isomorphic to the greedy tree rooted
+    at 0.  The witness maps each greedy vertex, parents first, onto an
+    unused child of its parent's image with the same branch code.
     """
-    tree = view.tree
-    n = tree.n
-    deg = [tree.degree(v) for v in range(n)]
-    if deg[view.root] != max(deg):
-        return False, None
+    greedy, _ = build_greedy_bfs(degree_sequence_of(view.tree))
+    g_parent, g_order = _bfs(greedy.adjacency, 0)
+    g_codes = _branch_codes(g_parent, g_order)
     codes = _branch_codes(view.parent, view.order)
-
-    def next_layers(layer_order: tuple[int, ...]) -> Iterator[tuple[int, ...]] | None:
-        """Candidate orders of the next layer; None when there is none."""
-        blocks = [view.children[p] for p in layer_order if view.children[p]]
-        if not blocks:
-            return None
-        flat_degrees = []
-        for b in blocks:
-            flat_degrees.extend(sorted((deg[c] for c in b), reverse=True))
-        if flat_degrees[0] > deg[layer_order[-1]]:
-            return iter(())
-        if any(flat_degrees[i] < flat_degrees[i + 1] for i in range(len(flat_degrees) - 1)):
-            return iter(())
-        per_block = [_block_arrangements(b, deg, codes) for b in blocks]
-        return (tuple(v for part in combo for v in part) for combo in product(*per_block))
-
-    layers = [(view.root,)]
-    pending: list[Iterator[tuple[int, ...]]] = []
-    while True:
-        options = next_layers(layers[-1])
-        if options is None:
-            return True, tuple(v for layer in layers for v in layer)
-        pending.append(options)
-        while (layer := next(pending[-1], None)) is None:
-            pending.pop()
-            layers.pop()
-            if not pending:
-                return False, None
-        layers.append(layer)
+    if g_codes[0] != codes[view.root]:
+        return False, None
+    unused: dict[tuple[int | None, bytes], list[int]] = {}
+    for v in view.order[1:]:
+        unused.setdefault((view.parent[v], codes[v]), []).append(v)
+    image = [view.root] * greedy.n
+    for g in g_order[1:]:
+        image[g] = unused[image[g_parent[g]], g_codes[g]].pop()
+    return True, tuple(image)
 
 
 def decompose_path(tree: Tree, u: int, v: int) -> PathDecomposition:
@@ -267,11 +200,6 @@ def decompose_path(tree: Tree, u: int, v: int) -> PathDecomposition:
     )
 
 
-def _toward(tree: Tree, a: int, b: int) -> int:
-    """The neighbor of a on the path to b (a != b)."""
-    return path_between(tree, a, b)[1]
-
-
 def swap_components(
     tree: Tree,
     x: int,
@@ -298,8 +226,8 @@ def swap_components(
     yc = list(y_child_set)
     if len(set(xc)) != len(xc) or len(set(yc)) != len(yc):
         raise InvalidCut("repeated neighbor in a detachment set")
-    toward_y = _toward(tree, x, y)
-    toward_x = _toward(tree, y, x)
+    path = path_between(tree, x, y)
+    toward_y, toward_x = path[1], path[-2]
     for c in xc:
         if c not in tree.adjacency[x]:
             raise InvalidCut(f"{c} is not a neighbor of {x}")
@@ -339,6 +267,23 @@ def swap_path_edges(tree: Tree, decomposition: PathDecomposition, k: int) -> Tre
     return tree_from_edges(tree.n, edges)
 
 
+def _first_steps(tree: Tree) -> list[list[int]]:
+    """``step[x][y]``: the neighbor of x on the path to y, one BFS per x.
+
+    Rooted at x, a child of x is its own first step and every deeper
+    vertex inherits its parent's; ``step[x][x]`` is x.
+    """
+    steps = []
+    for x in range(tree.n):
+        parent, order = _bfs(tree.adjacency, x)
+        step = [x] * tree.n
+        for w in order[1:]:
+            p = parent[w]
+            step[w] = w if p == x else step[p]
+        steps.append(step)
+    return steps
+
+
 def _candidate_moves(tree: Tree) -> Iterator[Tree]:
     """Degree-preserving rewritings of the tree, in a fixed scan order.
 
@@ -354,24 +299,21 @@ def _candidate_moves(tree: Tree) -> Iterator[Tree]:
         dec = decompose_path(tree, u, v)
         for k in range(1, dec.m):
             yield swap_path_edges(tree, dec, k)
+    step = _first_steps(tree)
     for x, y in combinations(range(n), 2):
-        path = path_between(tree, x, y)
-        toward_y, toward_x = path[1], path[-2]
         for c in tree.adjacency[x]:
-            if c == toward_y:
+            if c == step[x][y]:
                 continue
             for d in tree.adjacency[y]:
-                if d == toward_x:
+                if d == step[y][x]:
                     continue
                 yield swap_components(tree, x, y, (c,), (d,))
     for x in range(n):
         for y in range(n):
             if x == y or tree.degree(x) != tree.degree(y) + 1:
                 continue
-            path = path_between(tree, x, y)
-            toward_y = path[1]
             for c in tree.adjacency[x]:
-                if c == toward_y:
+                if c == step[x][y]:
                     continue
                 yield swap_components(tree, x, y, (c,), ())
 

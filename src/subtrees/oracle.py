@@ -179,33 +179,27 @@ def connected_subsets(tree: Tree, anchor: int | None = None) -> Iterator[frozens
     """Every nonempty connected vertex set, each exactly once.
 
     Sets are grouped by their smallest vertex: for each anchor a, the sets
-    whose minimum is a are grown by an include/exclude recursion over the
-    neighbors above a.  With ``anchor`` given, only that group is produced.
+    whose minimum is a are grown by include/exclude branching over the
+    neighbors above a, kept on an explicit stack of (chosen, frontier)
+    pairs.  With ``anchor`` given, only that group is produced.
     """
     n = tree.n
     anchors = range(n) if anchor is None else (anchor,)
-
-    def grow(
-        chosen: list[int], frontier: list[int], used: set[int], floor: int
-    ) -> Iterator[frozenset[int]]:
-        if not frontier:
-            yield frozenset(chosen)
-            return
-        v = frontier[-1]
-        rest = frontier[:-1]
-        # Excluding v is final: in a tree no other chosen vertex can ever
-        # be adjacent to v again without closing a cycle.
-        yield from grow(chosen, rest, used, floor)
-        chosen.append(v)
-        used.add(v)
-        extended = rest + [w for w in tree.adjacency[v] if w > floor and w not in used]
-        yield from grow(chosen, extended, used, floor)
-        used.remove(v)
-        chosen.pop()
-
     for a in anchors:
-        start = [w for w in tree.adjacency[a] if w > a]
-        yield from grow([a], start, {a}, a)
+        stack = [(frozenset((a,)), tuple(w for w in tree.adjacency[a] if w > a))]
+        while stack:
+            chosen, frontier = stack.pop()
+            if not frontier:
+                yield chosen
+                continue
+            v, rest = frontier[-1], frontier[:-1]
+            # Excluding v is final: in a tree no other chosen vertex can ever
+            # be adjacent to v again without closing a cycle.  The exclude
+            # branch is pushed last so it is explored first.
+            grown = chosen | {v}
+            extended = rest + tuple(w for w in tree.adjacency[v] if w > a and w not in grown)
+            stack.append((grown, extended))
+            stack.append((chosen, rest))
 
 
 def count_subtrees_bruteforce(tree: Tree, limit: int | None = None) -> int:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Sequence
 
 from hypothesis import strategies as st
 
 from subtrees.counting import f_vector
+from subtrees.extremal import _satisfies_bfs_ordering
 from subtrees.oracle import tree_from_prufer
-from subtrees.trees import Tree, _centers, tree_from_edges
+from subtrees.trees import RootedView, Tree, _centers, tree_from_edges
 
 
 def path(n: int) -> Tree:
@@ -83,3 +85,14 @@ def reference_rooted_code(n: int, adjacency: Sequence[Sequence[int]], root: int)
 def reference_code(n: int, adjacency: Sequence[Sequence[int]]) -> bytes:
     """The smaller reference rooted code over the tree's one or two centers."""
     return min(reference_rooted_code(n, adjacency, c) for c in _centers(n, adjacency))
+
+
+def reference_has_bfs_ordering(view: RootedView) -> bool:
+    """Whether any vertex order with the root first is a BFS-ordering.
+
+    Tries all (n-1)! orders, so keep n small.
+    """
+    rest = [v for v in range(view.tree.n) if v != view.root]
+    return any(
+        _satisfies_bfs_ordering(view, (view.root, *perm)) for perm in permutations(rest)
+    )

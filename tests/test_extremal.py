@@ -5,10 +5,18 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import f_within, path, random_trees, spider, star
+from helpers import (
+    f_within,
+    path,
+    random_trees,
+    reference_has_bfs_ordering,
+    spider,
+    star,
+)
 from subtrees.counting import count_subtrees
 from subtrees.errors import IndexOutOfRange, InvalidCut, InvalidVertex
 from subtrees.extremal import (
+    _first_steps,
     _satisfies_bfs_ordering,
     build_greedy_bfs,
     decompose_path,
@@ -113,8 +121,37 @@ def test_bfs_ordering_on_deep_path():
     assert ok and _satisfies_bfs_ordering(view, witness)
 
 
+def test_bfs_ordering_on_wide_star():
+    # 3000 tied leaves under the root; no search over their orders.
+    view = root_at(star(3001), 0)
+    ok, witness = has_bfs_ordering(view)
+    assert ok and _satisfies_bfs_ordering(view, witness)
+
+
+def test_bfs_ordering_spider_with_distinct_legs():
+    # Twelve pairwise distinct legs: 12! orders of the root's children.
+    assert has_bfs_ordering(root_at(spider(*range(1, 13)), 0)) == (False, None)
+
+
+def test_bfs_ordering_matches_reference_on_every_small_view():
+    views = 0
+    for n in range(1, 8):
+        for pi in realizable_sequences(n):
+            for t in enumerate_trees(pi):
+                for r in range(n):
+                    view = root_at(t, r)
+                    ok, witness = has_bfs_ordering(view)
+                    assert ok == reference_has_bfs_ordering(view)
+                    if ok:
+                        assert _satisfies_bfs_ordering(view, witness)
+                    else:
+                        assert witness is None
+                    views += 1
+    assert views == 142
+
+
 @settings(max_examples=50)
-@given(random_trees(min_n=2, max_n=9), st.data())
+@given(random_trees(min_n=2, max_n=40), st.data())
 def test_bfs_ordering_witness_is_valid(t, data):
     root = data.draw(st.integers(0, t.n - 1))
     view = root_at(t, root)
@@ -328,6 +365,15 @@ def test_path_swap_inequality_property(t, data):
     before = count_subtrees(t)
     assert after >= before
     assert (after == before) == equality
+
+
+@given(random_trees(min_n=1, max_n=30))
+def test_first_steps_match_path_between(t):
+    step = _first_steps(t)
+    for x in range(t.n):
+        for y in range(t.n):
+            if x != y:
+                assert step[x][y] == path_between(t, x, y)[1]
 
 
 def test_local_search_fixed_point():

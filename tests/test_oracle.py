@@ -119,6 +119,15 @@ def test_connected_subsets_anchor_partition():
     assert sorted(map(sorted, by_anchor)) == sorted(map(sorted, total))
 
 
+def test_connected_subsets_on_long_path():
+    # One set per prefix {0..k}; a recursive grower overflows the stack here.
+    sizes = []
+    for s in connected_subsets(path(2000), anchor=0):
+        assert s == frozenset(range(len(s)))
+        sizes.append(len(s))
+    assert sorted(sizes) == list(range(1, 2001))
+
+
 def test_count_subtrees_bruteforce_examples():
     assert count_subtrees_bruteforce(path(4)) == 10
     assert count_subtrees_bruteforce(star(5)) == 20
