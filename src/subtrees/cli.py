@@ -38,12 +38,10 @@ from .formulas import (
     max_degree_extremal,
 )
 from .majorization import majorization_chain, majorizes
-from .oracle import extremal_by_enumeration, realizable_sequences
+from .oracle import _ENUMERATION_LIMIT, extremal_by_enumeration, realizable_sequences
 from .trees import canonical_code, parse_degree_sequence, parse_edge_list
 
 __all__ = ["build_parser", "main"]
-
-_SWEEP_LIMIT = 10
 
 
 def _sequence_argument(text: str) -> tuple[int, ...]:
@@ -52,6 +50,21 @@ def _sequence_argument(text: str) -> tuple[int, ...]:
         return parse_degree_sequence(text)
     except ParseError as exc:
         raise NotRealizable(str(exc)) from exc
+
+
+def _decimal(x: int) -> str:
+    """Exact decimal text of a nonnegative count of any size.
+
+    ``str`` refuses ints above the interpreter's digit limit (4300 digits
+    by default); such values are split by a power of ten and converted
+    piece by piece.  Parsing keeps the limit.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        half = x.bit_length() * 30103 // 200000
+        high, low = divmod(x, 10**half)
+        return _decimal(high) + _decimal(low).zfill(half)
 
 
 def _fmt_seq(seq: Sequence[int]) -> str:
@@ -90,15 +103,15 @@ def cmd_count(args: argparse.Namespace) -> int:
         "count",
         {"treefile": args.treefile, "n": tree.n},
         {
-            "phi": str(phi),
-            "f": [str(x) for x in fv.values],
+            "phi": _decimal(phi),
+            "f": [_decimal(x) for x in fv.values],
             "argmax": list(fv.argmax),
         },
     )
     human = [
         f"n: {tree.n}",
-        f"phi: {phi}",
-        "f: " + " ".join(str(x) for x in fv.values),
+        f"phi: {_decimal(phi)}",
+        "f: " + " ".join(_decimal(x) for x in fv.values),
         "argmax: " + " ".join(str(v) for v in fv.argmax),
     ]
     _emit(args, report, human)
@@ -116,13 +129,13 @@ def cmd_build(args: argparse.Namespace) -> int:
         {
             "edges": [list(e) for e in tree.edges],
             "layer_sizes": list(labeling.layer_sizes),
-            "phi": str(phi),
+            "phi": _decimal(phi),
         },
     )
     human = [str(tree.n)]
     human.extend(f"{u} {v}" for u, v in tree.edges)
     human.append("layer_sizes: " + _fmt_seq(labeling.layer_sizes))
-    human.append(f"phi: {phi}")
+    human.append(f"phi: {_decimal(phi)}")
     _emit(args, report, human)
     return 0
 
@@ -167,8 +180,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n = args.all_n
     if n < 1:
         raise NotRealizable(f"need n >= 1, got {n}")
-    if n > _SWEEP_LIMIT:
-        raise TooLarge(f"full sweeps capped at n = {_SWEEP_LIMIT}, got {n}")
+    if n > _ENUMERATION_LIMIT:
+        raise TooLarge(f"full sweeps capped at n = {_ENUMERATION_LIMIT}, got {n}")
     sequences = realizable_sequences(n)
     workers = min(args.jobs, os.cpu_count() or 1, len(sequences))
     if workers > 1:
@@ -233,10 +246,10 @@ def cmd_order(args: argparse.Namespace) -> int:
             tree, _ = build_greedy_bfs(pi)
             phis.append(count_subtrees(tree))
         outputs["chain"] = [list(pi) for pi in chain]
-        outputs["phi_star"] = [str(p) for p in phis]
+        outputs["phi_star"] = [_decimal(p) for p in phis]
         human.append(f"chain_length: {len(chain)}")
         for pi, phi in zip(chain, phis):
-            human.append(f"{_fmt_seq(pi)} phi={phi}")
+            human.append(f"{_fmt_seq(pi)} phi={_decimal(phi)}")
     _emit(args, _report("order", {"a": list(a), "b": list(b)}, outputs), human)
     return 0
 
@@ -259,8 +272,8 @@ def cmd_class(args: argparse.Namespace) -> int:
         {
             "pi": list(answer.extremal_pi),
             "edges": [list(e) for e in answer.extremal_tree.edges],
-            "phi": str(answer.phi),
-            "printed_formula_value": None if printed is None else str(printed),
+            "phi": _decimal(answer.phi),
+            "printed_formula_value": None if printed is None else _decimal(printed),
             "discrepancy_flag": answer.discrepancy_flag,
             "details": {k: answer.details[k] for k in sorted(answer.details)},
         },
@@ -272,9 +285,9 @@ def cmd_class(args: argparse.Namespace) -> int:
         f"pi: {_fmt_seq(answer.extremal_pi)}",
     ]
     human.extend(f"{u} {v}" for u, v in answer.extremal_tree.edges)
-    human.append(f"phi: {answer.phi}")
+    human.append(f"phi: {_decimal(answer.phi)}")
     if printed is not None:
-        human.append(f"printed_formula: {printed}")
+        human.append(f"printed_formula: {_decimal(printed)}")
     human.append(f"discrepancy: {str(answer.discrepancy_flag).lower()}")
     _emit(args, report, human)
     return 0

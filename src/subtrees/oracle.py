@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the fast counting code so
 the two can check each other.  Trees with a fixed degree sequence are
-enumerated through their Pruefer sequences; subtrees are counted by
-explicit enumeration of connected vertex sets.
+generated directly, one per isomorphism class, by growing smaller trees
+leaf by leaf; Pruefer sequences give the labeled trees and their count.
+Subtrees are counted by explicit enumeration of connected vertex sets.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ __all__ = [
 
 _LIMIT_VARIABLE = "SUBTREE_ORACLE_LIMIT"
 _DEFAULT_LIMIT = 16
+# Vertex cap for exhaustive class enumeration and full sweeps: at n = 14 a
+# sweep of all 3,159 classes takes a few seconds.
+_ENUMERATION_LIMIT = 14
 
 
 def oracle_limit() -> int:
@@ -151,28 +155,39 @@ def prufer_sequences(
 def enumerate_trees(pi: Sequence[int]) -> Iterator[Tree]:
     """One representative per isomorphism class with degree sequence pi.
 
-    Exhausts every Pruefer sequence for the (nonincreasing) sequence in
-    lexicographic order and yields the first tree seen of each canonical
-    code, so the stream is deterministic.
+    Grows free trees leaf by leaf from the 2-vertex tree.  At each size a
+    new leaf goes on every vertex of every kept tree, and the result is kept
+    when its sorted degrees fit under pi entry by entry and its canonical
+    code is new.  Deleting the leaves of a tree with degrees pi one at a
+    time passes only through trees that fit, so every class is reached; at
+    size n, fitting means having degrees exactly pi.  The stream is
+    deterministic.
     """
     pi = validate_degree_sequence(pi)
     n = len(pi)
     if n == 1:
         yield tree_from_edges(1, [])
         return
-    seen: set[bytes] = set()
-    for code in prufer_sequences(pi):
-        # Lean decode straight to adjacency; a full Tree is built only for
-        # codes not seen before, which keeps million-decode sweeps cheap.
-        edges = _edges_from_prufer(code, n)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        key = _code_from_adjacency(n, adj)
-        if key not in seen:
-            seen.add(key)
-            yield tree_from_edges(n, edges)
+    level: list[list[list[int]]] = [[[1], [0]]]
+    for k in range(2, n):
+        seen: set[bytes] = set()
+        grown = []
+        for adj in level:
+            degrees = [len(a) for a in adj] + [1]
+            for v in range(k):
+                degrees[v] += 1
+                fits = all(d <= p for d, p in zip(sorted(degrees, reverse=True), pi))
+                degrees[v] -= 1
+                if not fits:
+                    continue
+                child = [*adj[:v], [*adj[v], k], *adj[v + 1 :], [v]]
+                key = _code_from_adjacency(k + 1, child)
+                if key not in seen:
+                    seen.add(key)
+                    grown.append(child)
+        level = grown
+    for adj in level:
+        yield tree_from_edges(n, [(u, w) for u in range(n) for w in adj[u] if u < w])
 
 
 def connected_subsets(tree: Tree, anchor: int | None = None) -> Iterator[frozenset[int]]:
@@ -248,7 +263,9 @@ class TreeClassSummary:
     maximizers: tuple[tuple[bytes, Tree, int], ...]
 
 
-def extremal_by_enumeration(pi: Sequence[int], limit: int = 10) -> TreeClassSummary:
+def extremal_by_enumeration(
+    pi: Sequence[int], limit: int = _ENUMERATION_LIMIT
+) -> TreeClassSummary:
     """Find the maximum subtree count over all trees with degrees pi.
 
     Fully enumerates the class, so it refuses sequences longer than

@@ -257,7 +257,10 @@ def relabel(tree: Tree, perm: Sequence[int]) -> Tree:
 def _parse_uint(token: str, what: str) -> int:
     if not token or any(c not in "0123456789" for c in token):
         raise ParseError(f"expected a nonnegative decimal {what}, got {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError as exc:  # longer than the interpreter's int-digit limit
+        raise ParseError(f"{what} of {len(token)} digits is too large") from exc
 
 
 def parse_edge_list(text: str) -> Tree:

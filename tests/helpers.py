@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from hypothesis import strategies as st
 
 from subtrees.counting import f_vector
 from subtrees.extremal import _satisfies_bfs_ordering
-from subtrees.oracle import tree_from_prufer
-from subtrees.trees import RootedView, Tree, _centers, tree_from_edges
+from subtrees.oracle import _edges_from_prufer, prufer_sequences, tree_from_prufer
+from subtrees.trees import (
+    RootedView,
+    Tree,
+    _centers,
+    _code_from_adjacency,
+    tree_from_edges,
+    validate_degree_sequence,
+)
 
 
 def path(n: int) -> Tree:
@@ -96,3 +103,28 @@ def reference_has_bfs_ordering(view: RootedView) -> bool:
     return any(
         _satisfies_bfs_ordering(view, (view.root, *perm)) for perm in permutations(rest)
     )
+
+
+def reference_enumerate_trees(pi: Sequence[int]) -> Iterator[Tree]:
+    """One tree per isomorphism class with degrees pi, by decode and dedupe.
+
+    The first implementation of ``enumerate_trees``: decode every Pruefer
+    sequence of the class and keep the first tree of each canonical code.
+    It visits all (n-2)!/prod (pi[v]-1)! labeled trees, so keep n small.
+    """
+    pi = validate_degree_sequence(pi)
+    n = len(pi)
+    if n == 1:
+        yield tree_from_edges(1, [])
+        return
+    seen: set[bytes] = set()
+    for code in prufer_sequences(pi):
+        edges = _edges_from_prufer(code, n)
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        key = _code_from_adjacency(n, adj)
+        if key not in seen:
+            seen.add(key)
+            yield tree_from_edges(n, edges)

@@ -97,6 +97,35 @@ def test_build_bad_sequences(capsys):
     assert run(capsys, "build", "--pi", "")[0] == 3
 
 
+def test_huge_integer_tokens_exit_cleanly(capsys, tmp_path):
+    # Tokens longer than the interpreter's int-digit limit are parse errors.
+    huge = "9" * 5000
+    f = tmp_path / "huge.txt"
+    f.write_text(f"3\n0 1\n1 {huge}\n")
+    code, _, err = run(capsys, "count", str(f))
+    assert code == 2 and "too large" in err
+    code, _, err = run(capsys, "build", "--pi", f"{huge},1")
+    assert code == 3 and "too large" in err
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_phi_beyond_int_digit_limit(capsys, as_json):
+    # A star on 14301 vertices has phi = 2^14300 + 14300, 4305 digits.
+    n = 14301
+    pi = ",".join([str(n - 1)] + ["1"] * (n - 1))
+    code, out, err = run(capsys, "build", "--pi", pi, *(["--json"] if as_json else []))
+    assert code == 0 and err == ""
+    last = out.splitlines()[-1]
+    text = json.loads(out)["outputs"]["phi"] if as_json else last.removeprefix("phi: ")
+    assert len(text) == 4305
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert text == str(2**14300 + 14300)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_verify_single_sequence(capsys):
     code, out, _ = run(capsys, "verify", "--pi", "3,2,2,1,1,1")
     assert code == 0 and "PASS" in out
@@ -176,10 +205,12 @@ def test_verify_jobs_clamped_and_validated(capsys, monkeypatch):
 
 
 def test_verify_limits(capsys):
-    assert run(capsys, "verify", "--all-n", "11")[0] == 5
+    assert run(capsys, "verify", "--all-n", "15")[0] == 5
     assert run(capsys, "verify", "--all-n", "0")[0] == 3
-    eleven_path = ",".join(["2"] * 9 + ["1", "1"])
-    assert run(capsys, "verify", "--pi", eleven_path)[0] == 5
+    fifteen_path = ",".join(["2"] * 13 + ["1", "1"])
+    assert run(capsys, "verify", "--pi", fifteen_path)[0] == 5
+    fourteen_path = ",".join(["2"] * 12 + ["1", "1"])
+    assert run(capsys, "verify", "--pi", fourteen_path)[0] == 0
 
 
 def test_order_comparable(capsys):

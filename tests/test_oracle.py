@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import path, random_trees, spider, star
+from helpers import path, random_trees, reference_enumerate_trees, spider, star
 from subtrees.counting import count_subtrees
 from subtrees.errors import InvalidVertex, NotRealizable, TooLarge
 from subtrees.oracle import (
@@ -74,15 +74,27 @@ def test_enumerate_trees_examples():
     assert codes == {canonical_code(spider(1, 2, 2)), canonical_code(spider(1, 1, 3))}
 
 
-@given(st.sampled_from(realizable_sequences(7) + realizable_sequences(8)))
+@given(st.sampled_from([pi for n in range(1, 13) for pi in realizable_sequences(n)]))
 def test_enumerate_trees_degree_sequences(pi):
     for t in enumerate_trees(pi):
         assert degree_sequence_of(t) == pi
 
 
+def test_enumerate_trees_matches_pruefer_reference():
+    # Leaf-by-leaf growth against decoding and deduping every labeled tree.
+    for n in range(1, 11):
+        for pi in realizable_sequences(n):
+            codes = [canonical_code(t) for t in enumerate_trees(pi)]
+            assert len(codes) == len(set(codes))
+            reference = list(reference_enumerate_trees(pi))
+            assert set(codes) == {canonical_code(t) for t in reference}
+            assert extremal_by_enumeration(pi).max_phi == max(map(count_subtrees, reference))
+
+
 def test_iso_class_totals_match_published_tree_counts():
     # Number of unlabeled trees per order (OEIS A000055 for n >= 1).
     known = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
+    known.update({10: 106, 11: 235, 12: 551, 13: 1301, 14: 3159})
     for n, want in known.items():
         got = sum(len(list(enumerate_trees(pi))) for pi in realizable_sequences(n))
         assert got == want
@@ -90,7 +102,7 @@ def test_iso_class_totals_match_published_tree_counts():
 
 def test_iso_classes_match_networkx():
     nx = pytest.importorskip("networkx")
-    for n in range(4, 10):
+    for n in range(4, 13):
         ours = set()
         for pi in realizable_sequences(n):
             for t in enumerate_trees(pi):
@@ -176,9 +188,9 @@ def test_extremal_by_enumeration_trivial_classes():
 
 def test_extremal_by_enumeration_limit():
     with pytest.raises(TooLarge):
-        extremal_by_enumeration((2,) * 9 + (1, 1))
+        extremal_by_enumeration((2,) * 13 + (1, 1))
     # Explicit limit admits larger sweeps.
-    assert extremal_by_enumeration((2,) * 9 + (1, 1), limit=11).max_phi == 11 * 12 // 2
+    assert extremal_by_enumeration((2,) * 13 + (1, 1), limit=15).max_phi == 15 * 16 // 2
 
 
 def test_realizable_sequences():
