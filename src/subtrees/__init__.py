@@ -64,7 +64,6 @@ from .oracle import (
     enumerate_trees,
     extremal_by_enumeration,
     labeled_tree_count,
-    oracle_limit,
     prufer_sequences,
     realizable_sequences,
     tree_from_prufer,
@@ -140,7 +139,6 @@ __all__ = [
     "labeled_tree_count",
     "extremal_by_enumeration",
     "realizable_sequences",
-    "oracle_limit",
     "SubtreeError",
     "ParseError",
     "NotATree",

@@ -39,7 +39,7 @@ from .formulas import (
 )
 from .majorization import majorization_chain, majorizes
 from .oracle import _ENUMERATION_LIMIT, extremal_by_enumeration, realizable_sequences
-from .trees import canonical_code, parse_degree_sequence, parse_edge_list
+from .trees import _decimal, canonical_code, parse_degree_sequence, parse_edge_list
 
 __all__ = ["build_parser", "main"]
 
@@ -50,21 +50,6 @@ def _sequence_argument(text: str) -> tuple[int, ...]:
         return parse_degree_sequence(text)
     except ParseError as exc:
         raise NotRealizable(str(exc)) from exc
-
-
-def _decimal(x: int) -> str:
-    """Exact decimal text of a nonnegative count of any size.
-
-    ``str`` refuses ints above the interpreter's digit limit (4300 digits
-    by default); such values are split by a power of ten and converted
-    piece by piece.  Parsing keeps the limit.
-    """
-    try:
-        return str(x)
-    except ValueError:
-        half = x.bit_length() * 30103 // 200000
-        high, low = divmod(x, 10**half)
-        return _decimal(high) + _decimal(low).zfill(half)
 
 
 def _fmt_seq(seq: Sequence[int]) -> str:

@@ -249,8 +249,10 @@ def swap_path_edges(tree: Tree, decomposition: PathDecomposition, k: int) -> Tre
     """Rewire the decomposed path at depth k, preserving all degrees.
 
     Deletes the edges x_k x_{k+1} and y_k y_{k+1} and adds x_{k+1} y_k
-    and y_{k+1} x_k, which reverses the inner part of the path.  Requires
-    1 <= k <= m-1; anything else raises IndexOutOfRange.
+    and y_{k+1} x_k, which reverses the inner part of the path.  That is
+    the one-for-one branch exchange of x_{k+1} at x_k with y_{k+1} at y_k:
+    both sit off the x_k-y_k path.  Requires 1 <= k <= m-1; anything else
+    raises IndexOutOfRange.
     """
     if decomposition.tree != tree:
         raise InvalidCut("decomposition was built from a different tree")
@@ -258,13 +260,7 @@ def swap_path_edges(tree: Tree, decomposition: PathDecomposition, k: int) -> Tre
     if not 1 <= k <= m - 1:
         raise IndexOutOfRange(f"k must satisfy 1 <= k <= m-1 = {m - 1}, got {k}")
     xs, ys = decomposition.x, decomposition.y
-    xk, xk1 = xs[k - 1], xs[k]
-    yk, yk1 = ys[k - 1], ys[k]
-    drop = {(min(xk, xk1), max(xk, xk1)), (min(yk, yk1), max(yk, yk1))}
-    edges = [e for e in tree.edges if e not in drop]
-    edges.append((xk1, yk))
-    edges.append((yk1, xk))
-    return tree_from_edges(tree.n, edges)
+    return swap_components(tree, xs[k - 1], ys[k - 1], (xs[k],), (ys[k],))
 
 
 def _first_steps(tree: Tree) -> list[list[int]]:
@@ -287,18 +283,13 @@ def _first_steps(tree: Tree) -> list[list[int]]:
 def _candidate_moves(tree: Tree) -> Iterator[Tree]:
     """Degree-preserving rewritings of the tree, in a fixed scan order.
 
-    Three families: path rewirings between every leaf pair (endpoint
-    pairs lexicographic, k ascending), one-for-one branch exchanges
-    between every vertex pair, and single-branch relocations from a
-    vertex of degree d+1 to one of degree d (which leave the degree
-    multiset unchanged).
+    Two families: one-for-one branch exchanges between every vertex pair,
+    and single-branch relocations from a vertex of degree d+1 to one of
+    degree d (which leave the degree multiset unchanged).  The paper's
+    path rewirings need no family of their own: each one is the branch
+    exchange at (x_k, y_k) that ``swap_path_edges`` performs.
     """
     n = tree.n
-    leaves = [v for v in range(n) if tree.degree(v) == 1]
-    for u, v in combinations(leaves, 2):
-        dec = decompose_path(tree, u, v)
-        for k in range(1, dec.m):
-            yield swap_path_edges(tree, dec, k)
     step = _first_steps(tree)
     for x, y in combinations(range(n), 2):
         for c in tree.adjacency[x]:

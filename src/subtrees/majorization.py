@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import InfeasibleConstraint, LengthMismatch, NotComparable, SumMismatch
+from .trees import _decimal
 
 __all__ = [
     "majorizes",
@@ -39,7 +40,7 @@ def majorizes(a: Sequence[int], b: Sequence[int]) -> str:
     if len(a) != len(b):
         raise LengthMismatch(f"lengths differ: {len(a)} vs {len(b)}")
     if sum(a) != sum(b):
-        raise SumMismatch(f"sums differ: {sum(a)} vs {sum(b)}")
+        raise SumMismatch(f"sums differ: {_decimal(sum(a))} vs {_decimal(sum(b))}")
     seen_pos = seen_neg = False
     run_a = run_b = 0
     for x, y in zip(a, b):

@@ -9,7 +9,6 @@ Subtrees are counted by explicit enumeration of connected vertex sets.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -33,25 +32,13 @@ __all__ = [
     "labeled_tree_count",
     "extremal_by_enumeration",
     "realizable_sequences",
-    "oracle_limit",
 ]
 
-_LIMIT_VARIABLE = "SUBTREE_ORACLE_LIMIT"
-_DEFAULT_LIMIT = 16
+# Vertex cap for brute-force subtree counting.
+_BRUTEFORCE_LIMIT = 16
 # Vertex cap for exhaustive class enumeration and full sweeps: at n = 14 a
 # sweep of all 3,159 classes takes a few seconds.
 _ENUMERATION_LIMIT = 14
-
-
-def oracle_limit() -> int:
-    """The vertex cap for brute-force counting, from SUBTREE_ORACLE_LIMIT."""
-    raw = os.environ.get(_LIMIT_VARIABLE)
-    if raw is None:
-        return _DEFAULT_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        return _DEFAULT_LIMIT
 
 
 def _edges_from_prufer(code: Sequence[int], n: int) -> list[tuple[int, int]]:
@@ -116,40 +103,22 @@ def _next_permutation(seq: list[int]) -> bool:
     return True
 
 
-def prufer_sequences(
-    pi: Sequence[int], first: int | None = None
-) -> Iterator[tuple[int, ...]]:
+def prufer_sequences(pi: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All Pruefer sequences with vertex v appearing pi[v] - 1 times.
 
-    Sequences come out in lexicographic order.  With ``first`` set, only
-    the sequences starting with that symbol are produced, which partitions
-    the full enumeration for parallel work.
+    Sequences come out in lexicographic order.
     """
     pi = validate_degree_sequence(pi)
     n = len(pi)
     if n < 2:
         raise NotRealizable("Pruefer sequences need n >= 2")
-    if n == 2:
-        if first is None:
-            yield ()
-        return
     symbols = []
     for v in range(n):
         symbols.extend([v] * (pi[v] - 1))
-    if first is None:
-        current = sorted(symbols)
-        yield tuple(current)
-        while _next_permutation(current):
-            yield tuple(current)
-        return
-    if symbols.count(first) == 0:
-        return
-    rest = sorted(symbols)
-    rest.remove(first)
-    current = rest
-    yield (first, *current)
+    current = sorted(symbols)
+    yield tuple(current)
     while _next_permutation(current):
-        yield (first, *current)
+        yield tuple(current)
 
 
 def enumerate_trees(pi: Sequence[int]) -> Iterator[Tree]:
@@ -217,15 +186,14 @@ def connected_subsets(tree: Tree, anchor: int | None = None) -> Iterator[frozens
             stack.append((chosen, rest))
 
 
-def count_subtrees_bruteforce(tree: Tree, limit: int | None = None) -> int:
+def count_subtrees_bruteforce(tree: Tree, limit: int = _BRUTEFORCE_LIMIT) -> int:
     """Count subtrees by enumerating connected sets one by one.
 
-    Exponential on purpose; refuses trees above the cap (the
-    SUBTREE_ORACLE_LIMIT environment variable, default 16) with TooLarge.
+    Exponential on purpose; refuses trees above ``limit`` vertices
+    (default 16) with TooLarge.
     """
-    cap = oracle_limit() if limit is None else limit
-    if tree.n > cap:
-        raise TooLarge(f"brute force capped at {cap} vertices, tree has {tree.n}")
+    if tree.n > limit:
+        raise TooLarge(f"brute force capped at {limit} vertices, tree has {tree.n}")
     return sum(1 for _ in connected_subsets(tree))
 
 

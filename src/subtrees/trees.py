@@ -98,6 +98,23 @@ def tree_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Tree:
     return Tree(n=n, edges=tuple(norm), adjacency=tuple(tuple(sorted(a)) for a in adj))
 
 
+def _decimal(x: int) -> str:
+    """Exact decimal text of an integer of any size.
+
+    ``str`` refuses ints above the interpreter's digit limit (4300 digits
+    by default); such values are split by a power of ten and converted
+    piece by piece.  Parsing keeps the limit.
+    """
+    if x < 0:
+        return "-" + _decimal(-x)
+    try:
+        return str(x)
+    except ValueError:
+        half = x.bit_length() * 30103 // 200000
+        high, low = divmod(x, 10**half)
+        return _decimal(high) + _decimal(low).zfill(half)
+
+
 def validate_degree_sequence(degrees: Iterable[int]) -> tuple[int, ...]:
     """Sort a degree sequence nonincreasing and check tree realizability.
 
@@ -111,13 +128,13 @@ def validate_degree_sequence(degrees: Iterable[int]) -> tuple[int, ...]:
     n = len(seq)
     if n == 1:
         if seq[0] != 0:
-            raise NotRealizable(f"a single vertex has degree 0, got {seq[0]}")
+            raise NotRealizable(f"a single vertex has degree 0, got {_decimal(seq[0])}")
         return (0,)
     if seq[-1] < 1:
-        raise NotRealizable(f"degree {seq[-1]} is not positive")
+        raise NotRealizable(f"degree {_decimal(seq[-1])} is not positive")
     total = sum(seq)
     if total != 2 * (n - 1):
-        raise NotRealizable(f"degree sum {total} != 2(n-1) = {2 * (n - 1)}")
+        raise NotRealizable(f"degree sum {_decimal(total)} != 2(n-1) = {2 * (n - 1)}")
     return tuple(seq)
 
 

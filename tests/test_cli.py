@@ -106,6 +106,9 @@ def test_huge_integer_tokens_exit_cleanly(capsys, tmp_path):
     assert code == 2 and "too large" in err
     code, _, err = run(capsys, "build", "--pi", f"{huge},1")
     assert code == 3 and "too large" in err
+    # Each token parses, but their sum passes the limit.
+    code, _, err = run(capsys, "build", "--pi", ",".join(["9" * 4299] * 11))
+    assert code == 3 and "degree sum" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("as_json", [False, True])

@@ -278,6 +278,10 @@ def test_swap_path_edges_preserves_degrees(t, data):
     k = data.draw(st.integers(1, dec.m - 1))
     out = swap_path_edges(t, dec, k)
     assert degree_sequence_of(out) == degree_sequence_of(t)
+    xk, xk1, yk, yk1 = dec.x[k - 1], dec.x[k], dec.y[k - 1], dec.y[k]
+    edges = set(t.edges) - {tuple(sorted((xk, xk1))), tuple(sorted((yk, yk1)))}
+    edges |= {tuple(sorted((xk1, yk))), tuple(sorted((yk1, xk)))}
+    assert set(out.edges) == edges
 
 
 def test_component_swap_inequality_on_caterpillar():
@@ -390,13 +394,37 @@ def test_local_search_spider_upgrade():
 
 
 def test_local_search_reaches_optimum_small_n():
-    for n in (5, 6, 7):
+    for n in (10, 11):
         for pi in realizable_sequences(n):
             target, _ = build_greedy_bfs(pi)
             for t in enumerate_trees(pi):
                 out = local_search_optimize(t)
                 assert degree_sequence_of(out) == pi
                 assert is_isomorphic(out, target)
+
+
+def _assert_no_improving_path_rewiring(t: Tree) -> None:
+    phi = count_subtrees(t)
+    leaves = [v for v in range(t.n) if t.degree(v) == 1]
+    for i, u in enumerate(leaves):
+        for v in leaves[i + 1 :]:
+            dec = decompose_path(t, u, v)
+            for k in range(1, dec.m):
+                assert count_subtrees(swap_path_edges(t, dec, k)) <= phi
+
+
+def test_local_search_result_admits_no_improving_path_rewiring():
+    # The search scans branch exchanges only; every path rewiring is one.
+    for n in range(2, 10):
+        for pi in realizable_sequences(n):
+            for t in enumerate_trees(pi):
+                _assert_no_improving_path_rewiring(local_search_optimize(t))
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_trees(min_n=2, max_n=20))
+def test_local_search_result_admits_no_improving_path_rewiring_property(t):
+    _assert_no_improving_path_rewiring(local_search_optimize(t))
 
 
 @settings(max_examples=30)

@@ -54,6 +54,8 @@ def test_majorizes_rejects():
         majorizes((2, 1, 1), (1, 1))
     with pytest.raises(SumMismatch):
         majorizes((2, 2, 1, 1), (2, 1, 1, 1))
+    with pytest.raises(SumMismatch):
+        majorizes((10**5000, 1), (1, 1))  # a sum past the int-digit limit
 
 
 @given(st.sampled_from(realizable_sequences(8)), st.sampled_from(realizable_sequences(8)))

@@ -14,7 +14,6 @@ from subtrees.oracle import (
     enumerate_trees,
     extremal_by_enumeration,
     labeled_tree_count,
-    oracle_limit,
     prufer_sequences,
     realizable_sequences,
     tree_from_prufer,
@@ -48,19 +47,10 @@ def test_prufer_degree_multiset(n, data):
 def test_prufer_sequences_lexicographic():
     seqs = list(prufer_sequences((2, 2, 1, 1)))
     assert seqs == [(0, 1), (1, 0)]
+    assert list(prufer_sequences((1, 1))) == [()]
     seqs5 = list(prufer_sequences((2, 2, 2, 1, 1)))
     assert seqs5 == sorted(seqs5)
     assert len(seqs5) == 6  # 3!/1
-
-
-def test_prufer_sequences_partition_by_first_symbol():
-    pi = (3, 2, 2, 1, 1, 1)
-    full = list(prufer_sequences(pi))
-    merged = []
-    for first in range(len(pi)):
-        merged.extend(prufer_sequences(pi, first=first))
-    assert merged == full
-    assert len(full) == labeled_tree_count(pi)
 
 
 def test_enumerate_trees_examples():
@@ -146,16 +136,11 @@ def test_count_subtrees_bruteforce_examples():
     assert count_subtrees_bruteforce(spider(1, 1, 3)) == 24
 
 
-def test_bruteforce_limit(monkeypatch):
+def test_bruteforce_limit():
     big = path(17)
     with pytest.raises(TooLarge):
         count_subtrees_bruteforce(big)
     assert count_subtrees_bruteforce(big, limit=17) == 17 * 18 // 2
-    monkeypatch.setenv("SUBTREE_ORACLE_LIMIT", "17")
-    assert oracle_limit() == 17
-    assert count_subtrees_bruteforce(big) == 17 * 18 // 2
-    monkeypatch.setenv("SUBTREE_ORACLE_LIMIT", "junk")
-    assert oracle_limit() == 16
 
 
 @settings(max_examples=30)

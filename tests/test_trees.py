@@ -10,6 +10,7 @@ from subtrees.errors import InvalidVertex, NotATree, NotRealizable, ParseError
 from subtrees.oracle import _edges_from_prufer, prufer_sequences, realizable_sequences
 from subtrees.trees import (
     _code_from_adjacency,
+    _decimal,
     canonical_code,
     degree_sequence_of,
     format_edge_list,
@@ -70,6 +71,12 @@ def test_validate_degree_sequence():
         validate_degree_sequence([2, 1, 1, 0])
     with pytest.raises(NotRealizable):
         validate_degree_sequence([3, 3, 1, 1])  # sum 8 != 6
+    # The messages quote these values, which pass the int-digit limit.
+    huge = 10**5000
+    for bad in ([huge], [huge, 1], [-huge, 1]):
+        with pytest.raises(NotRealizable):
+            validate_degree_sequence(bad)
+    assert _decimal(-huge) == "-1" + "0" * 5000
 
 
 def test_degree_sequence_of():
