@@ -68,20 +68,15 @@ def count_subtrees(tree: Tree) -> int:
     return sum(_rooted_counts(*_bfs(tree.adjacency, 0)))
 
 
-def f_vector(tree: Tree) -> FVector:
-    """The number of subtrees containing each single vertex.
+def _rerooted_counts(tree: Tree) -> tuple[RootedView, tuple[int, ...], list[int]]:
+    """The view rooted at 0, its rooted counts g and its up-pass counts A.
 
-    Two passes over one rooted view.  The downward pass computes the rooted
-    counts g.  The upward pass pushes to each child c of v the count A(c)
-    of subtrees that contain c, stay outside c's branch otherwise, and is
-    computed from A(v) and the sibling products without division:
+    A(c) counts the subtrees that contain c's parent v and stay outside
+    c's branch: the rooted count of v's branch seen from c.  It comes
+    from A(v) and the sibling products without division:
 
         A(root) = 0
         A(c) = (1 + A(v)) * prod over siblings s of c of (1 + g(s))
-
-    Every subtree containing c splits into its part inside c's branch
-    (g(c) choices) and its part outside (1 + A(c) choices, the 1 being
-    the empty outside), so f(c) = g(c) * (1 + A(c)).
     """
     view = root_at(tree, 0)
     g = count_rooted(view)
@@ -97,6 +92,17 @@ def f_vector(tree: Tree) -> FVector:
         for i in range(len(kids) - 1, -1, -1):
             above[kids[i]] = (1 + above[v]) * prefix[i] * suffix
             suffix *= 1 + g[kids[i]]
+    return view, g, above
+
+
+def f_vector(tree: Tree) -> FVector:
+    """The number of subtrees containing each single vertex.
+
+    A subtree containing c is its part inside c's branch (g(c) choices)
+    and its part outside (1 + A(c) choices, counting the empty outside),
+    so f(c) = g(c) * (1 + A(c)) with g and A from ``_rerooted_counts``.
+    """
+    _, g, above = _rerooted_counts(tree)
     values = tuple(g[v] * (1 + above[v]) for v in range(tree.n))
     best = max(values)
     argmax = tuple(v for v in range(tree.n) if values[v] == best)

@@ -10,10 +10,9 @@ exposes the two rewiring moves that push any tree toward the optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Sequence
 
-from .counting import count_subtrees
+from .counting import _rerooted_counts
 from .errors import IndexOutOfRange, InvalidCut, InvalidVertex
 from .trees import (
     RootedView,
@@ -263,69 +262,104 @@ def swap_path_edges(tree: Tree, decomposition: PathDecomposition, k: int) -> Tre
     return swap_components(tree, xs[k - 1], ys[k - 1], (xs[k],), (ys[k],))
 
 
-def _first_steps(tree: Tree) -> list[list[int]]:
-    """``step[x][y]``: the neighbor of x on the path to y, one BFS per x.
+def _branch_tables(tree: Tree) -> tuple[list[int], list[dict[int, int]]]:
+    """f(v) per vertex and ``side[v][w]`` per directed edge, in one rerooting.
 
-    Rooted at x, a child of x is its own first step and every deeper
-    vertex inherits its parent's; ``step[x][x]`` is x.
+    ``side[v][w]`` is the rooted count of w's branch at v (w's component
+    once v is removed, rooted at w): g(w) when w is v's child in the view
+    rooted at 0, the up-pass count A(v) when w is v's parent.  The dicts
+    list v's neighbors in adjacency order.
     """
-    steps = []
-    for x in range(tree.n):
-        parent, order = _bfs(tree.adjacency, x)
-        step = [x] * tree.n
-        for w in order[1:]:
-            p = parent[w]
-            step[w] = w if p == x else step[p]
-        steps.append(step)
-    return steps
+    view, g, above = _rerooted_counts(tree)
+    f = [g[v] * (1 + above[v]) for v in range(tree.n)]
+    adj, parent = tree.adjacency, view.parent
+    side = [{w: g[w] if parent[w] == v else above[v] for w in adj[v]} for v in range(tree.n)]
+    return f, side
 
 
-def _candidate_moves(tree: Tree) -> Iterator[Tree]:
-    """Degree-preserving rewritings of the tree, in a fixed scan order.
+def _root_row(
+    tree: Tree, x: int, f: Sequence[int], side: Sequence[dict[int, int]]
+) -> tuple[list[int], list[int], list[int]]:
+    """``step``, ``back`` and ``both`` for root x, from one BFS.
 
-    Two families: one-for-one branch exchanges between every vertex pair,
-    and single-branch relocations from a vertex of degree d+1 to one of
-    degree d (which leave the degree multiset unchanged).  The paper's
-    path rewirings need no family of their own: each one is the branch
+    ``step[y]`` is x's neighbor toward y, ``back[y]`` y's neighbor toward
+    x (its BFS parent) and ``both[y]`` the number of subtrees containing
+    x and y.  Of the subtrees containing x and a vertex p, a fraction
+    g/(1 + g) also contain p's child w, with g = side(p->w), so
+    both[w] = both[p] * g / (1 + g) exactly, from both[x] = f(x).
+    """
+    back, order = _bfs(tree.adjacency, x)
+    step = [x] * tree.n
+    both = [0] * tree.n
+    both[x] = f[x]
+    for w in order[1:]:
+        p = back[w]
+        step[w] = w if p == x else step[p]
+        g = side[p][w]
+        both[w] = both[p] * g // (1 + g)
+    return step, back, both
+
+
+def _scored_moves(tree: Tree) -> Iterator[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]]:
+    """Every degree-preserving move with its exact change of phi, in scan order.
+
+    Yields (delta, x, y, xc, yc): ``swap_components(tree, x, y, xc, yc)``
+    has phi(tree) + delta subtrees.  First the one-for-one branch
+    exchanges, c at x for d at y, over the pairs x < y; then the
+    single-branch relocations of c from x to a y of one degree less,
+    which leave the degree multiset unchanged.  The paper's path
+    rewirings need no family of their own: each one is the branch
     exchange at (x_k, y_k) that ``swap_path_edges`` performs.
+
+    The exchange lemma gives delta without building the tree.  With g a
+    branch's rooted count and A (B) the number of subtrees of T - c - d
+    containing x but not y (y but not x),
+
+        delta = (g(c) - g(d)) * (B - A),
+
+    and a relocation is the case g(d) = 0.  A subtree of T with x but not
+    y extends into c's branch in 1 + g(c) ways, so A = (f(x) - both[y]) /
+    (1 + g(c)) and B = (f(y) - both[y]) / (1 + g(d)).  Memory is O(n) and
+    each move costs O(1) integer operations.
     """
-    n = tree.n
-    step = _first_steps(tree)
-    for x, y in combinations(range(n), 2):
-        for c in tree.adjacency[x]:
-            if c == step[x][y]:
-                continue
-            for d in tree.adjacency[y]:
-                if d == step[y][x]:
+    f, side = _branch_tables(tree)
+    inner = [v for v in range(tree.n) if tree.degree(v) > 1]  # a leaf's branch holds the rest
+    for i, x in enumerate(inner):
+        step, back, both = _root_row(tree, x, f, side)
+        for y in inner[i + 1 :]:
+            only_x, only_y = f[x] - both[y], f[y] - both[y]
+            at_y = [(d, gd, only_y // (1 + gd)) for d, gd in side[y].items() if d != back[y]]
+            for c, gc in side[x].items():
+                if c == step[y]:
                     continue
-                yield swap_components(tree, x, y, (c,), (d,))
-    for x in range(n):
-        for y in range(n):
+                a = only_x // (1 + gc)
+                for d, gd, b in at_y:
+                    yield (gc - gd) * (b - a), x, y, (c,), (d,)
+    for x in inner:
+        step, _, both = _root_row(tree, x, f, side)
+        for y in range(tree.n):
             if x == y or tree.degree(x) != tree.degree(y) + 1:
                 continue
-            for c in tree.adjacency[x]:
-                if c == step[x][y]:
-                    continue
-                yield swap_components(tree, x, y, (c,), ())
+            only_x, only_y = f[x] - both[y], f[y] - both[y]
+            for c, gc in side[x].items():
+                if c != step[y]:
+                    yield gc * (only_y - only_x // (1 + gc)), x, y, (c,), ()
 
 
 def local_search_optimize(tree: Tree) -> Tree:
-    """Greedily apply subtree-increasing rewirings until none remains.
+    """Greedily apply subtree-increasing exchange moves until none remains.
 
-    Scans the candidate moves in a fixed deterministic order, applies the
-    first one that strictly increases the subtree count, and restarts.
-    The count strictly grows with every step and is bounded, so this
-    terminates; the degree sequence never changes.
+    Scans ``_scored_moves`` in its fixed order, applies the first move
+    whose delta = (g(c) - g(d)) * (B - A) is positive (g(d) = 0 for a
+    single-branch relocation), building only that tree, through
+    ``swap_components`` with all its checks, and restarts.  phi strictly
+    grows and is bounded, so this terminates; degrees never change.
     """
     current = tree
-    best = count_subtrees(current)
-    improved = True
-    while improved:
-        improved = False
-        for candidate in _candidate_moves(current):
-            phi = count_subtrees(candidate)
-            if phi > best:
-                current, best = candidate, phi
-                improved = True
+    while True:
+        for delta, x, y, xc, yc in _scored_moves(current):
+            if delta > 0:
+                current = swap_components(current, x, y, xc, yc)
                 break
-    return current
+        else:
+            return current

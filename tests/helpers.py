@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
-from itertools import permutations
+import random
+from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 from hypothesis import strategies as st
 
-from subtrees.counting import f_vector
-from subtrees.extremal import _satisfies_bfs_ordering
+from subtrees.counting import count_subtrees, f_vector
+from subtrees.extremal import _satisfies_bfs_ordering, swap_components
 from subtrees.oracle import _edges_from_prufer, prufer_sequences, tree_from_prufer
 from subtrees.trees import (
     RootedView,
     Tree,
     _centers,
     _code_from_adjacency,
+    path_between,
     tree_from_edges,
     validate_degree_sequence,
 )
@@ -65,6 +67,12 @@ def random_trees(draw, min_n: int = 1, max_n: int = 12) -> Tree:
         return tree_from_edges(1, [])
     code = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
     return tree_from_prufer(tuple(code), n)
+
+
+def seeded_tree(seed: int, n: int) -> Tree:
+    """A uniform labeled tree on n >= 2 vertices from a seeded Pruefer code."""
+    rng = random.Random(seed)
+    return tree_from_prufer(tuple(rng.randrange(n) for _ in range(n - 2)), n)
 
 
 def reference_rooted_code(n: int, adjacency: Sequence[Sequence[int]], root: int) -> bytes:
@@ -128,3 +136,50 @@ def reference_enumerate_trees(pi: Sequence[int]) -> Iterator[Tree]:
         if key not in seen:
             seen.add(key)
             yield tree_from_edges(n, edges)
+
+
+def reference_moves(tree: Tree) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+    """The local search's moves as ``swap_components`` arguments, in scan order.
+
+    One-for-one branch exchanges over the pairs x < y, then single-branch
+    relocations from x to every y of one degree less; a branch holding the
+    other endpoint never moves.  Each pair walks its path again.
+    """
+    n = tree.n
+    for x, y in combinations(range(n), 2):
+        p = path_between(tree, x, y)
+        for c in tree.adjacency[x]:
+            if c == p[1]:
+                continue
+            for d in tree.adjacency[y]:
+                if d != p[-2]:
+                    yield x, y, (c,), (d,)
+    for x in range(n):
+        for y in range(n):
+            if x == y or tree.degree(x) != tree.degree(y) + 1:
+                continue
+            toward_y = path_between(tree, x, y)[1]
+            for c in tree.adjacency[x]:
+                if c != toward_y:
+                    yield x, y, (c,), ()
+
+
+def reference_local_search(tree: Tree) -> Tree:
+    """The first local search: build and recount every move of ``reference_moves``.
+
+    Applies the first move whose rebuilt tree has more subtrees, then
+    restarts the scan, until no move gains.
+    """
+    current = tree
+    best = count_subtrees(current)
+    improved = True
+    while improved:
+        improved = False
+        for move in reference_moves(current):
+            candidate = swap_components(current, *move)
+            phi = count_subtrees(candidate)
+            if phi > best:
+                current, best = candidate, phi
+                improved = True
+                break
+    return current

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import spider
 from subtrees import cli
@@ -294,3 +297,63 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "phi: 6" in proc.stdout
+
+
+# Fuzzing: every exit is a documented code and no traceback reaches stderr.
+EXIT_CODES = {0, 2, 3, 4, 5}
+HUGE = "9" * 5000
+TOKENS = st.one_of(
+    st.integers(-3, 15).map(str),
+    st.sampled_from(["", " ", "x", "1.5", "+2", "0x3", "\u0663", "\u00e9"]),
+    st.just(HUGE),
+)
+SEQUENCE_TEXT = st.one_of(
+    st.text(max_size=40), st.lists(TOKENS, min_size=1, max_size=12).map(",".join)
+)
+TREE_TEXT = st.one_of(
+    st.text(max_size=80),
+    st.tuples(TOKENS, st.lists(st.lists(TOKENS, max_size=3).map(" ".join), max_size=14)).map(
+        lambda head_lines: "\n".join([head_lines[0], *head_lines[1]])
+    ),
+)
+
+
+def assert_clean_exit(*argv: str) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejected the arguments
+            code = exc.code
+    assert code in EXIT_CODES and "Traceback" not in err.getvalue(), (argv, code)
+
+
+@settings(max_examples=100, deadline=None)
+@given(TREE_TEXT)
+def test_fuzz_count_tree_files(tmp_path_factory, text):
+    f = tmp_path_factory.getbasetemp() / "fuzz_tree.txt"
+    f.write_bytes(text.encode("utf-8", "surrogatepass"))
+    assert_clean_exit("count", str(f))
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEQUENCE_TEXT, SEQUENCE_TEXT)
+def test_fuzz_sequence_arguments(a, b):
+    assert_clean_exit("build", f"--pi={a}")
+    assert_clean_exit("verify", f"--pi={a}", "--json")
+    assert_clean_exit("order", f"--a={a}", f"--b={b}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(cli._CLASS_FUNCTIONS)), st.integers(-3, 30), st.integers(-3, 40))
+def test_fuzz_class_parameters(kind, n, k):
+    assert_clean_exit("class", "--type", kind, f"--n={n}", f"--k={k}")
+
+
+def test_out_of_range_arguments_exit_cleanly():
+    assert_clean_exit("verify", "--all-n", "0")
+    assert_clean_exit("verify", "--all-n", str(cli._ENUMERATION_LIMIT + 1))
+    assert_clean_exit("verify", "--all-n", HUGE)
+    assert_clean_exit("class", "--type", "maxdeg", "--n", HUGE, "--k", "3")
+    assert_clean_exit("class", "--type", "leaves", "--n", "7", "--k", HUGE)
+    assert_clean_exit("order", "--a", f"{HUGE},1", "--b", "1,1")

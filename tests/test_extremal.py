@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,14 +12,19 @@ from helpers import (
     path,
     random_trees,
     reference_has_bfs_ordering,
+    reference_local_search,
+    reference_moves,
+    seeded_tree,
     spider,
     star,
 )
-from subtrees.counting import count_subtrees
+from subtrees.counting import count_containing_all, count_rooted, count_subtrees
 from subtrees.errors import IndexOutOfRange, InvalidCut, InvalidVertex
 from subtrees.extremal import (
-    _first_steps,
+    _branch_tables,
+    _root_row,
     _satisfies_bfs_ordering,
+    _scored_moves,
     build_greedy_bfs,
     decompose_path,
     has_bfs_ordering,
@@ -371,13 +378,76 @@ def test_path_swap_inequality_property(t, data):
     assert (after == before) == equality
 
 
+def _every_class_tree(max_n: int):
+    for n in range(1, max_n + 1):
+        for pi in realizable_sequences(n):
+            yield from enumerate_trees(pi)
+
+
+@settings(max_examples=50, deadline=None)
 @given(random_trees(min_n=1, max_n=30))
-def test_first_steps_match_path_between(t):
-    step = _first_steps(t)
+def test_root_rows_match_paths_and_joint_counts(t):
+    f, side = _branch_tables(t)
     for x in range(t.n):
+        g = count_rooted(root_at(t, x))
+        assert side[x] == {w: g[w] for w in t.adjacency[x]}
+        step, back, both = _root_row(t, x, f, side)
+        assert both[x] == f[x] == count_containing_all(t, [x])
         for y in range(t.n):
-            if x != y:
-                assert step[x][y] == path_between(t, x, y)[1]
+            if y != x:
+                p = path_between(t, x, y)
+                assert (step[y], back[y]) == (p[1], p[-2])
+                assert both[y] == count_containing_all(t, [x, y])
+
+
+def _assert_scores_match_recounts(t: Tree) -> None:
+    phi = count_subtrees(t)
+    scored = list(_scored_moves(t))
+    assert [move[1:] for move in scored] == list(reference_moves(t))
+    for delta, x, y, xc, yc in scored:
+        assert delta == count_subtrees(swap_components(t, x, y, xc, yc)) - phi
+
+
+def test_scored_moves_match_recounts_on_every_small_class():
+    for t in _every_class_tree(9):
+        _assert_scores_match_recounts(t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_trees(min_n=1, max_n=30))
+def test_scored_moves_match_recounts_property(t):
+    _assert_scores_match_recounts(t)
+
+
+def test_local_search_matches_reference_on_every_small_class():
+    for t in _every_class_tree(9):
+        assert local_search_optimize(t) == reference_local_search(t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_trees(min_n=1, max_n=20))
+def test_local_search_matches_reference_property(t):
+    assert local_search_optimize(t) == reference_local_search(t)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_local_search_reaches_optimum_at_n_100(seed):
+    t = seeded_tree(seed, 100)
+    pi = degree_sequence_of(t)
+    out = local_search_optimize(t)
+    assert degree_sequence_of(out) == pi
+    assert count_subtrees(out) == count_subtrees(build_greedy_bfs(pi)[0])
+
+
+def test_first_scored_move_needs_linear_memory():
+    t = seeded_tree(7, 3000)
+    tracemalloc.start()
+    try:
+        next(_scored_moves(t))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_local_search_fixed_point():
@@ -415,10 +485,8 @@ def _assert_no_improving_path_rewiring(t: Tree) -> None:
 
 def test_local_search_result_admits_no_improving_path_rewiring():
     # The search scans branch exchanges only; every path rewiring is one.
-    for n in range(2, 10):
-        for pi in realizable_sequences(n):
-            for t in enumerate_trees(pi):
-                _assert_no_improving_path_rewiring(local_search_optimize(t))
+    for t in _every_class_tree(9):
+        _assert_no_improving_path_rewiring(local_search_optimize(t))
 
 
 @settings(max_examples=30, deadline=None)
