@@ -25,7 +25,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .counting import count_subtrees, f_vector
@@ -66,11 +66,14 @@ def _report(command: str, inputs: dict, outputs: dict) -> dict:
     }
 
 
-def _emit(args: argparse.Namespace, report: dict, human: list[str]) -> None:
+def _emit(
+    args: argparse.Namespace, report: Callable[[], dict], human: Callable[[], list[str]]
+) -> None:
+    """Print the JSON report or the human lines, building only the one printed."""
     if args.json:
-        print(json.dumps(report, sort_keys=True))
+        print(json.dumps(report(), sort_keys=True))
     else:
-        for line in human:
+        for line in human():
             print(line)
 
 
@@ -82,24 +85,22 @@ def cmd_count(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {args.treefile}: {exc}") from exc
     tree = parse_edge_list(text)
-    phi = count_subtrees(tree)
+    phi = _decimal(count_subtrees(tree))
     fv = f_vector(tree)
-    report = _report(
-        "count",
-        {"treefile": args.treefile, "n": tree.n},
-        {
-            "phi": _decimal(phi),
-            "f": [_decimal(x) for x in fv.values],
-            "argmax": list(fv.argmax),
-        },
+    _emit(
+        args,
+        lambda: _report(
+            "count",
+            {"treefile": args.treefile, "n": tree.n},
+            {"phi": phi, "f": [_decimal(x) for x in fv.values], "argmax": list(fv.argmax)},
+        ),
+        lambda: [
+            f"n: {tree.n}",
+            f"phi: {phi}",
+            "f: " + " ".join(map(_decimal, fv.values)),
+            "argmax: " + " ".join(str(v) for v in fv.argmax),
+        ],
     )
-    human = [
-        f"n: {tree.n}",
-        f"phi: {_decimal(phi)}",
-        "f: " + " ".join(_decimal(x) for x in fv.values),
-        "argmax: " + " ".join(str(v) for v in fv.argmax),
-    ]
-    _emit(args, report, human)
     return 0
 
 
@@ -107,21 +108,25 @@ def cmd_build(args: argparse.Namespace) -> int:
     """Build the greedy BFS tree of a degree sequence and print it."""
     pi = _sequence_argument(args.pi)
     tree, labeling = build_greedy_bfs(pi)
-    phi = count_subtrees(tree)
-    report = _report(
-        "build",
-        {"pi": list(pi)},
-        {
-            "edges": [list(e) for e in tree.edges],
-            "layer_sizes": list(labeling.layer_sizes),
-            "phi": _decimal(phi),
-        },
+    phi = _decimal(count_subtrees(tree))
+    _emit(
+        args,
+        lambda: _report(
+            "build",
+            {"pi": list(pi)},
+            {
+                "edges": [list(e) for e in tree.edges],
+                "layer_sizes": list(labeling.layer_sizes),
+                "phi": phi,
+            },
+        ),
+        lambda: [
+            str(tree.n),
+            *(f"{u} {v}" for u, v in tree.edges),
+            "layer_sizes: " + _fmt_seq(labeling.layer_sizes),
+            f"phi: {phi}",
+        ],
     )
-    human = [str(tree.n)]
-    human.extend(f"{u} {v}" for u, v in tree.edges)
-    human.append("layer_sizes: " + _fmt_seq(labeling.layer_sizes))
-    human.append(f"phi: {_decimal(phi)}")
-    _emit(args, report, human)
     return 0
 
 
@@ -150,16 +155,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         pi = _sequence_argument(args.pi)
         result = _verify_sequence(pi)
         ok = result["greedy_is_unique_max"]
-        report = _report("verify", {"pi": list(pi)}, {**result, "pass": ok})
-        human = [
-            f"pi: {_fmt_seq(pi)}",
-            f"iso_classes: {result['iso_classes']}",
-            f"labeled_count: {result['labeled_count']}",
-            f"max_phi: {result['max_phi']}",
-            f"maximizer_count: {result['maximizer_count']}",
-            "PASS" if ok else "FAIL: greedy tree is not the unique maximizer",
-        ]
-        _emit(args, report, human)
+        _emit(
+            args,
+            lambda: _report("verify", {"pi": list(pi)}, {**result, "pass": ok}),
+            lambda: [
+                f"pi: {_fmt_seq(pi)}",
+                f"iso_classes: {result['iso_classes']}",
+                f"labeled_count: {result['labeled_count']}",
+                f"max_phi: {result['max_phi']}",
+                f"maximizer_count: {result['maximizer_count']}",
+                "PASS" if ok else "FAIL: greedy tree is not the unique maximizer",
+            ],
+        )
         return 0 if ok else 4
 
     n = args.all_n
@@ -192,28 +199,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if relation == "less" and phi_i >= phi_j:
                 monotonic_ok = False
     ok = all_unique and monotonic_ok
-    report = _report(
-        "verify",
-        {"all_n": n, "jobs": args.jobs},
-        {
-            "sequences": results,
-            "comparable_pairs": checked_pairs,
-            "monotonic_ok": monotonic_ok,
-            "all_unique": all_unique,
-            "pass": ok,
-        },
+    _emit(
+        args,
+        lambda: _report(
+            "verify",
+            {"all_n": n, "jobs": args.jobs},
+            {
+                "sequences": results,
+                "comparable_pairs": checked_pairs,
+                "monotonic_ok": monotonic_ok,
+                "all_unique": all_unique,
+                "pass": ok,
+            },
+        ),
+        lambda: [
+            *(
+                f"pi={_fmt_seq(r['pi'])} classes={r['iso_classes']} "
+                f"max_phi={r['max_phi']} "
+                + ("ok" if r["greedy_is_unique_max"] else "VIOLATION")
+                for r in results
+            ),
+            f"comparable_pairs: {checked_pairs}",
+            f"monotonic_ok: {str(monotonic_ok).lower()}",
+            "PASS" if ok else "FAIL",
+        ],
     )
-    human = []
-    for r in results:
-        state = "ok" if r["greedy_is_unique_max"] else "VIOLATION"
-        human.append(
-            f"pi={_fmt_seq(r['pi'])} classes={r['iso_classes']} "
-            f"max_phi={r['max_phi']} {state}"
-        )
-    human.append(f"comparable_pairs: {checked_pairs}")
-    human.append(f"monotonic_ok: {str(monotonic_ok).lower()}")
-    human.append("PASS" if ok else "FAIL")
-    _emit(args, report, human)
     return 0 if ok else 4
 
 
@@ -222,20 +232,18 @@ def cmd_order(args: argparse.Namespace) -> int:
     a = _sequence_argument(args.a)
     b = _sequence_argument(args.b)
     relation = majorizes(a, b)
-    outputs: dict = {"relation": relation}
-    human = [f"relation: {relation}"]
-    if relation != "incomparable":
-        chain = majorization_chain(a, b)
-        phis = []
-        for pi in chain:
-            tree, _ = build_greedy_bfs(pi)
-            phis.append(count_subtrees(tree))
-        outputs["chain"] = [list(pi) for pi in chain]
-        outputs["phi_star"] = [_decimal(p) for p in phis]
-        human.append(f"chain_length: {len(chain)}")
-        for pi, phi in zip(chain, phis):
-            human.append(f"{_fmt_seq(pi)} phi={_decimal(phi)}")
-    _emit(args, _report("order", {"a": list(a), "b": list(b)}, outputs), human)
+    chain = [] if relation == "incomparable" else majorization_chain(a, b)
+    phis = [_decimal(count_subtrees(build_greedy_bfs(pi)[0])) for pi in chain]
+    found = {"chain": chain, "phi_star": phis} if chain else {}
+    _emit(
+        args,
+        lambda: _report("order", {"a": list(a), "b": list(b)}, {"relation": relation, **found}),
+        lambda: [
+            f"relation: {relation}",
+            *([f"chain_length: {len(chain)}"] if chain else []),
+            *(f"{_fmt_seq(pi)} phi={phi}" for pi, phi in zip(chain, phis)),
+        ],
+    )
     return 0
 
 
@@ -251,30 +259,31 @@ def cmd_class(args: argparse.Namespace) -> int:
     """Extremal answer for a constrained class of trees."""
     answer = _CLASS_FUNCTIONS[args.type](args.n, args.k)
     printed = answer.printed_formula_value
-    report = _report(
-        "class",
-        {"type": args.type, "n": args.n, "k": args.k},
-        {
-            "pi": list(answer.extremal_pi),
-            "edges": [list(e) for e in answer.extremal_tree.edges],
-            "phi": _decimal(answer.phi),
-            "printed_formula_value": None if printed is None else _decimal(printed),
-            "discrepancy_flag": answer.discrepancy_flag,
-            "details": {k: answer.details[k] for k in sorted(answer.details)},
-        },
+    _emit(
+        args,
+        lambda: _report(
+            "class",
+            {"type": args.type, "n": args.n, "k": args.k},
+            {
+                "pi": list(answer.extremal_pi),
+                "edges": [list(e) for e in answer.extremal_tree.edges],
+                "phi": _decimal(answer.phi),
+                "printed_formula_value": None if printed is None else _decimal(printed),
+                "discrepancy_flag": answer.discrepancy_flag,
+                "details": {k: answer.details[k] for k in sorted(answer.details)},
+            },
+        ),
+        lambda: [
+            f"type: {args.type}",
+            f"n: {args.n}",
+            f"k: {args.k}",
+            f"pi: {_fmt_seq(answer.extremal_pi)}",
+            *(f"{u} {v}" for u, v in answer.extremal_tree.edges),
+            f"phi: {_decimal(answer.phi)}",
+            *([] if printed is None else [f"printed_formula: {_decimal(printed)}"]),
+            f"discrepancy: {str(answer.discrepancy_flag).lower()}",
+        ],
     )
-    human = [
-        f"type: {args.type}",
-        f"n: {args.n}",
-        f"k: {args.k}",
-        f"pi: {_fmt_seq(answer.extremal_pi)}",
-    ]
-    human.extend(f"{u} {v}" for u, v in answer.extremal_tree.edges)
-    human.append(f"phi: {_decimal(answer.phi)}")
-    if printed is not None:
-        human.append(f"printed_formula: {_decimal(printed)}")
-    human.append(f"discrepancy: {str(answer.discrepancy_flag).lower()}")
-    _emit(args, report, human)
     return 0
 
 

@@ -40,12 +40,22 @@ def _rooted_counts(parent: Sequence[int | None], order: Sequence[int]) -> list[i
     """Rooted subtree counts g over a breadth-first order, children first.
 
     Each vertex's finished count multiplies into its parent's as the
-    factor (1 + g), so g(v) ends as the product over v's children.  The
-    root's parent entry is never read.
+    factor (1 + g), so g(v) ends as the product over v's children.  Each
+    vertex's children are one run of ``order``, so one run of equal factors
+    is pending at a time: ``factor**times``, flushed into ``owner`` when the
+    parent or factor changes, which is always before the owner's own g is
+    read.  A star's centre takes one power of 2, not n - 1 products.
     """
     g = [1] * len(parent)
+    owner, factor, times = order[0], 1, 0
     for v in order[:0:-1]:
-        g[parent[v]] *= 1 + g[v]  # type: ignore[index]
+        p = parent[v]
+        if p == owner and 1 + g[v] == factor:
+            times += 1
+            continue
+        g[owner] *= factor**times
+        owner, factor, times = p, 1 + g[v], 1
+    g[owner] *= factor**times
     return g
 
 
@@ -64,27 +74,32 @@ def count_subtrees(tree: Tree) -> int:
 
     Rooting at vertex 0 and summing the rooted counts over all vertices
     counts every subtree once, at its unique vertex closest to the root.
+    The sum runs children first, as counts grow toward the root: root
+    first, each of the n additions would copy a number as long as phi.
     """
-    return sum(_rooted_counts(*_bfs(tree.adjacency, 0)))
+    parent, order = _bfs(tree.adjacency, 0)
+    g = _rooted_counts(parent, order)
+    return sum(map(g.__getitem__, reversed(order)))
 
 
-def _rerooted_counts(tree: Tree) -> tuple[RootedView, tuple[int, ...], list[int]]:
-    """The view rooted at 0, its rooted counts g and its up-pass counts A.
+def _rerooted_counts(tree: Tree) -> tuple[list[int], list[int], list[int]]:
+    """BFS parents from root 0, the rooted counts g and the up-pass counts A.
 
-    A(c) counts the subtrees that contain c's parent v and stay outside
-    c's branch: the rooted count of v's branch seen from c.  It comes
-    from A(v) and the sibling products without division:
+    The root is its own parent, as in ``trees._bfs``.  A(c) counts the
+    subtrees that contain c's parent v and stay outside c's branch: the
+    rooted count of v's branch seen from c.  It comes from A(v) and the
+    sibling products without division:
 
         A(root) = 0
         A(c) = (1 + A(v)) * prod over siblings s of c of (1 + g(s))
     """
-    view = root_at(tree, 0)
-    g = count_rooted(view)
+    parent, order = _bfs(tree.adjacency, 0)
+    g = _rooted_counts(parent, order)
     above = [0] * tree.n
-    for v in view.order:
-        kids = view.children[v]
-        if not kids:
-            continue
+    start = 1
+    for v in order:
+        stop = start + len(tree.adjacency[v]) - (v != 0)
+        kids, start = order[start:stop], stop
         prefix = [1]
         for c in kids:
             prefix.append(prefix[-1] * (1 + g[c]))
@@ -92,7 +107,7 @@ def _rerooted_counts(tree: Tree) -> tuple[RootedView, tuple[int, ...], list[int]
         for i in range(len(kids) - 1, -1, -1):
             above[kids[i]] = (1 + above[v]) * prefix[i] * suffix
             suffix *= 1 + g[kids[i]]
-    return view, g, above
+    return parent, g, above
 
 
 def f_vector(tree: Tree) -> FVector:

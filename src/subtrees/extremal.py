@@ -270,9 +270,9 @@ def _branch_tables(tree: Tree) -> tuple[list[int], list[dict[int, int]]]:
     rooted at 0, the up-pass count A(v) when w is v's parent.  The dicts
     list v's neighbors in adjacency order.
     """
-    view, g, above = _rerooted_counts(tree)
+    parent, g, above = _rerooted_counts(tree)
     f = [g[v] * (1 + above[v]) for v in range(tree.n)]
-    adj, parent = tree.adjacency, view.parent
+    adj = tree.adjacency
     side = [{w: g[w] if parent[w] == v else above[v] for w in adj[v]} for v in range(tree.n)]
     return f, side
 

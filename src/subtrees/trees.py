@@ -12,6 +12,7 @@ all read its flat ``parent`` and ``order`` lists.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -83,19 +84,21 @@ def tree_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Tree:
             raise NotATree(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
         if u == v:
             raise NotATree(f"self-loop at vertex {u}")
-        norm.append((u, v) if u < v else (v, u))
+        # An ordered tuple is kept as is, so a parsed edge list is not copied.
+        norm.append((v, u) if u > v else e if type(e) is tuple else (u, v))
     if len(norm) != n - 1:
         raise NotATree(f"a tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
-    if len(set(norm)) != len(norm):
+    norm.sort()
+    if any(map(operator.eq, norm, norm[1:])):
         raise NotATree("duplicate edge")
+    # Sorted pairs u < v give each vertex its smaller neighbors, then its larger.
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in norm:
         adj[u].append(v)
         adj[v].append(u)
     if len(_bfs(adj, 0)[1]) != n:
         raise NotATree("edge set is not connected")
-    norm.sort()
-    return Tree(n=n, edges=tuple(norm), adjacency=tuple(tuple(sorted(a)) for a in adj))
+    return Tree(n=n, edges=tuple(norm), adjacency=tuple(map(tuple, adj)))
 
 
 def _decimal(x: int) -> str:
@@ -272,7 +275,7 @@ def relabel(tree: Tree, perm: Sequence[int]) -> Tree:
 
 
 def _parse_uint(token: str, what: str) -> int:
-    if not token or any(c not in "0123456789" for c in token):
+    if not (token.isascii() and token.isdigit()):
         raise ParseError(f"expected a nonnegative decimal {what}, got {token!r}")
     try:
         return int(token)
@@ -306,6 +309,7 @@ def parse_edge_list(text: str) -> Tree:
     for extra in lines[n:]:
         if extra.strip():
             raise ParseError(f"trailing garbage after the edge list: {extra!r}")
+    del lines
     return tree_from_edges(n, edges)
 
 

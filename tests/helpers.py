@@ -75,6 +75,14 @@ def seeded_tree(seed: int, n: int) -> Tree:
     return tree_from_prufer(tuple(rng.randrange(n) for _ in range(n - 2)), n)
 
 
+def reference_rooted_counts(parent: Sequence[int | None], order: Sequence[int]) -> list[int]:
+    """The first rooted subtree DP: one product (1 + g) per child, children first."""
+    g = [1] * len(parent)
+    for v in order[:0:-1]:
+        g[parent[v]] *= 1 + g[v]  # type: ignore[index]
+    return g
+
+
 def reference_rooted_code(n: int, adjacency: Sequence[Sequence[int]], root: int) -> bytes:
     """Rooted byte code with its own traversal: sorted child codes in parens.
 

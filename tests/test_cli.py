@@ -5,15 +5,18 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import spider
+from helpers import seeded_tree, spider
 from subtrees import cli
 from subtrees.cli import main
+from subtrees.trees import format_edge_list
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -281,6 +284,88 @@ def test_class_unknown_type_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["class", "--type", "girth", "--n", "5", "--k", "2"])
     assert exc.value.code == 2
+
+
+# Human lines and JSON fields carry the same values.
+def human_and_json(capsys, *argv: str) -> tuple[list[str], dict]:
+    code, human, err = run(capsys, *argv)
+    json_code, report, json_err = run(capsys, *argv, "--json")
+    assert code == json_code == 0 and err == json_err == ""
+    return human.splitlines(), json.loads(report)["outputs"]
+
+
+def field(lines: list[str], key: str) -> str | None:
+    return next((line[len(key) + 2 :] for line in lines if line.startswith(key + ": ")), None)
+
+
+def edge_lines(lines: list[str]) -> list[list[int]]:
+    return [[int(x) for x in line.split()] for line in lines if re.fullmatch(r"\d+ \d+", line)]
+
+
+def test_count_human_lines_match_json(capsys, tmp_path):
+    f = tmp_path / "spider.txt"
+    f.write_text(format_edge_list(spider(2, 3, 4, 4)))
+    lines, out = human_and_json(capsys, "count", str(f))
+    assert field(lines, "n") == "14"
+    assert field(lines, "phi") == out["phi"]
+    assert field(lines, "f").split() == out["f"]
+    assert field(lines, "argmax") == " ".join(map(str, out["argmax"]))
+
+
+def test_build_human_lines_match_json(capsys):
+    lines, out = human_and_json(capsys, "build", "--pi", "4,3,3,2,1,1,1,1,1,1")
+    assert lines[0] == "10"
+    assert edge_lines(lines[1:]) == out["edges"] and len(out["edges"]) == 9
+    assert field(lines, "layer_sizes") == ",".join(map(str, out["layer_sizes"]))
+    assert field(lines, "phi") == out["phi"]
+
+
+@pytest.mark.parametrize(
+    "kind, n, k", [("maxdeg", 30, 4), ("leaves", 7, 3), ("alpha", 30, 20), ("beta", 30, 7)]
+)
+def test_class_human_lines_match_json(capsys, kind, n, k):
+    lines, out = human_and_json(capsys, "class", "--type", kind, "--n", str(n), "--k", str(k))
+    assert field(lines, "pi") == ",".join(map(str, out["pi"]))
+    assert edge_lines(lines) == out["edges"] and len(out["edges"]) == n - 1
+    assert field(lines, "phi") == out["phi"]
+    assert field(lines, "printed_formula") == out["printed_formula_value"]
+    assert field(lines, "discrepancy") == str(out["discrepancy_flag"]).lower()
+
+
+def test_order_human_lines_match_json(capsys):
+    lines, out = human_and_json(capsys, "order", "--a", "2,2,2,2,1,1", "--b", "5,1,1,1,1,1")
+    assert field(lines, "relation") == out["relation"]
+    assert field(lines, "chain_length") == str(len(out["chain"])) and len(out["chain"]) > 2
+    assert lines[2:] == [
+        f"{','.join(map(str, pi))} phi={phi}" for pi, phi in zip(out["chain"], out["phi_star"])
+    ]
+
+
+def test_verify_human_lines_match_json(capsys):
+    lines, out = human_and_json(capsys, "verify", "--pi", "3,3,2,1,1,1,1")
+    for key in ("iso_classes", "labeled_count", "max_phi", "maximizer_count"):
+        assert field(lines, key) == str(out[key])
+    lines, out = human_and_json(capsys, "verify", "--all-n", "7")
+    assert lines[: len(out["sequences"])] == [
+        f"pi={','.join(map(str, r['pi']))} classes={r['iso_classes']} max_phi={r['max_phi']} ok"
+        for r in out["sequences"]
+    ]
+    assert field(lines, "comparable_pairs") == str(out["comparable_pairs"])
+
+
+def test_count_json_memory_on_a_10k_tree(tmp_path):
+    # Each f value (about 1,500 digits here) is formatted once, for the
+    # JSON report only; building the human lines too peaked near 70 MB.
+    f = tmp_path / "random.txt"
+    f.write_text(format_edge_list(seeded_tree(1, 10**4)))
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["count", str(f), "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 10**6
 
 
 def test_version_flag():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import path, random_trees, spider, star
+from helpers import path, random_trees, reference_rooted_counts, spider, star
 from subtrees.counting import (
     count_containing_all,
     count_rooted,
@@ -13,7 +13,9 @@ from subtrees.counting import (
     f_vector,
 )
 from subtrees.errors import EmptySet, InvalidVertex
-from subtrees.trees import root_at, tree_from_edges
+from subtrees.extremal import build_greedy_bfs
+from subtrees.oracle import enumerate_trees, realizable_sequences
+from subtrees.trees import Tree, relabel, root_at, tree_from_edges, validate_degree_sequence
 
 
 def test_count_rooted_small():
@@ -120,3 +122,56 @@ def test_pendant_vertex_strictly_increases_count(t, pick):
     attach = pick % t.n
     bigger = tree_from_edges(t.n + 1, list(t.edges) + [(attach, t.n)])
     assert count_subtrees(bigger) > count_subtrees(t)
+
+
+# Differential tests: the run-length DP against one product per child.
+def assert_dp_matches_reference(t: Tree) -> None:
+    """count_rooted at every root, count_subtrees and f_vector equal the reference DP."""
+    f = []
+    for r in range(t.n):
+        view = root_at(t, r)
+        want = reference_rooted_counts(view.parent, view.order)
+        assert count_rooted(view) == tuple(want), r
+        if r == 0:
+            assert count_subtrees(t) == sum(want)
+        f.append(want[r])
+    assert f_vector(t).values == tuple(f)
+
+
+def test_dp_matches_reference_on_every_small_class():
+    for n in range(1, 10):
+        for pi in realizable_sequences(n):
+            for t in enumerate_trees(pi):
+                assert_dp_matches_reference(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees(max_n=60))
+def test_dp_matches_reference_property(t):
+    assert_dp_matches_reference(t)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_dp_matches_reference_on_greedy_trees(rng):
+    # Greedy trees hold long runs of equal sibling branches; a relabelled
+    # copy visits the same runs in another order.
+    n = rng.randint(2, 300)
+    code = [rng.randrange(n) for _ in range(n - 2)]
+    pi = validate_degree_sequence([1 + code.count(v) for v in range(n)])
+    greedy, _ = build_greedy_bfs(pi)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    assert_dp_matches_reference(greedy)
+    assert_dp_matches_reference(relabel(greedy, perm))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 50])
+def test_dp_matches_reference_on_paths(n):
+    # Rooted at an end, each vertex's one child run is pending right
+    # before the vertex itself is read, so a late flush shows here.
+    assert_dp_matches_reference(path(n))
+    middle = spider(n // 2, n - 1 - n // 2)  # vertex 0 sits in the middle
+    assert_dp_matches_reference(middle)
+    assert count_subtrees(middle) == n * (n + 1) // 2
+

@@ -54,6 +54,33 @@ def test_tree_from_edges_rejects(n, edges):
         tree_from_edges(n, edges)
 
 
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (0, [(0, 0)], "vertex count must be at least 1, got 0"),
+        (3, [(0, 1), (1, 1), (0, 5)], "self-loop at vertex 1"),
+        (3, [(0, 5), (1, 1)], r"edge \(0, 5\) has a vertex outside 0..2"),
+        (3, [(0, 1), (0, 1), (1, 2)], "a tree on 3 vertices needs 2 edges, got 3"),
+        (4, [(0, 1), (1, 0), (2, 3)], "duplicate edge"),
+        (4, [(0, 1), (1, 2), (2, 0)], "edge set is not connected"),
+    ],
+)
+def test_tree_from_edges_messages_in_precedence(n, edges, message):
+    # Checks run in this order: vertex count, then each edge's range and
+    # self-loop in input order, edge count, duplicates, connectivity.
+    with pytest.raises(NotATree, match=f"^{message}$"):
+        tree_from_edges(n, edges)
+
+
+@given(random_trees(max_n=40), st.randoms(use_true_random=False))
+def test_tree_from_edges_ignores_edge_order_and_direction(t, rng):
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges]
+    rng.shuffle(edges)
+    assert tree_from_edges(t.n, edges) == t
+    assert tree_from_edges(t.n, [list(e) for e in edges]) == t
+    assert tree_from_edges(t.n, sorted(t.edges)) == t
+
+
 def test_disconnected_even_with_right_count():
     # 4 vertices, 3 edges, but one edge repeated leaves 2-3 unreachable.
     with pytest.raises(NotATree):
@@ -210,6 +237,15 @@ def test_parse_edge_list_allows_trailing_blank_lines():
 def test_parse_edge_list_rejects(text):
     with pytest.raises(ParseError):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize("token", ["\u00b2", "\u0663", "\uff15"])
+def test_parse_edge_list_rejects_non_ascii_digits(token):
+    # str.isdigit accepts superscript two, Arabic-Indic three and fullwidth five.
+    with pytest.raises(ParseError, match="expected a nonnegative decimal"):
+        parse_edge_list(f"3\n0 1\n1 {token}\n")
+    with pytest.raises(ParseError, match="expected a nonnegative decimal vertex count"):
+        parse_edge_list(f"{token}\n")
 
 
 def test_parse_edge_list_structural_errors_are_not_parse_errors():
