@@ -2,14 +2,16 @@
 
 A subtree always means a nonempty connected induced subgraph.  All counts
 are exact Python integers, so nothing overflows for any tree size.  One
-bottom-up DP, ``_rooted_counts``, runs over the breadth-first ``parent``
-and ``order`` lists of ``trees._bfs``.
+bottom-up DP, ``_rooted_counts``, and one top-down pass that turns its
+counts into f in place run over the breadth-first ``parent`` and
+``order`` lists of ``trees._bfs``, in ints or in exact decimals.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 from .errors import EmptySet, InvalidVertex
 from .trees import RootedView, Tree, _bfs, root_at
@@ -36,7 +38,7 @@ class FVector:
     argmax: tuple[int, ...]
 
 
-def _rooted_counts(parent: Sequence[int | None], order: Sequence[int]) -> list[int]:
+def _rooted_counts(parent: Sequence[int | None], order: Sequence[int], one: Any = 1) -> list:
     """Rooted subtree counts g over a breadth-first order, children first.
 
     Each vertex's finished count multiplies into its parent's as the
@@ -45,8 +47,9 @@ def _rooted_counts(parent: Sequence[int | None], order: Sequence[int]) -> list[i
     is pending at a time: ``factor**times``, flushed into ``owner`` when the
     parent or factor changes, which is always before the owner's own g is
     read.  A star's centre takes one power of 2, not n - 1 products.
+    The counts are in the ring of ``one``: ints, or exact decimals.
     """
-    g = [1] * len(parent)
+    g = [one] * len(parent)
     owner, factor, times = order[0], 1, 0
     for v in order[:0:-1]:
         p = parent[v]
@@ -82,46 +85,41 @@ def count_subtrees(tree: Tree) -> int:
     return sum(map(g.__getitem__, reversed(order)))
 
 
-def _rerooted_counts(tree: Tree) -> tuple[list[int], list[int], list[int]]:
-    """BFS parents from root 0, the rooted counts g and the up-pass counts A.
+def _rerooted_counts(parent: Sequence[int | None], order: Sequence[int], counts: list) -> list:
+    """Overwrite the rooted counts g from root ``order[0]`` with f, parents first.
 
-    The root is its own parent, as in ``trees._bfs``.  A(c) counts the
-    subtrees that contain c's parent v and stay outside c's branch: the
-    rooted count of v's branch seen from c.  It comes from A(v) and the
-    sibling products without division:
+    For a child c of v, a subtree containing v meets c's branch in one of
+    the g(c) subtrees rooted at c or not at all, and leaves outside it the
+    A(c) subtrees of v's branch seen from c.  So f(v) = (1 + g(c)) * A(c),
+    the floor division A(c) = f(v) // (1 + g(c)) is exact, and
 
-        A(root) = 0
-        A(c) = (1 + A(v)) * prod over siblings s of c of (1 + g(s))
+        f(c) = g(c) * (1 + A(c)) = g(c) * (1 + f(v) // (1 + g(c))).
+
+    f(v) is written before c is read, as v precedes c in ``order``.
     """
-    parent, order = _bfs(tree.adjacency, 0)
-    g = _rooted_counts(parent, order)
-    above = [0] * tree.n
-    start = 1
-    for v in order:
-        stop = start + len(tree.adjacency[v]) - (v != 0)
-        kids, start = order[start:stop], stop
-        prefix = [1]
-        for c in kids:
-            prefix.append(prefix[-1] * (1 + g[c]))
-        suffix = 1
-        for i in range(len(kids) - 1, -1, -1):
-            above[kids[i]] = (1 + above[v]) * prefix[i] * suffix
-            suffix *= 1 + g[kids[i]]
-    return parent, g, above
+    for c in itertools.islice(order, 1, None):
+        gc = counts[c]
+        counts[c] = gc * (1 + counts[parent[c]] // (1 + gc))  # type: ignore[index]
+    return counts
+
+
+def _argmax(values: Sequence[Any]) -> tuple[int, ...]:
+    """The positions of the largest value, ascending."""
+    best = max(values)
+    return tuple(v for v, x in enumerate(values) if x == best)
 
 
 def f_vector(tree: Tree) -> FVector:
     """The number of subtrees containing each single vertex.
 
-    A subtree containing c is its part inside c's branch (g(c) choices)
-    and its part outside (1 + A(c) choices, counting the empty outside),
-    so f(c) = g(c) * (1 + A(c)) with g and A from ``_rerooted_counts``.
+    One rooted DP from vertex 0 gives g and f(0) = g(0); the pass of
+    ``_rerooted_counts`` turns each g(c) into f(c) = g(c) * (1 + A(c)),
+    where A(c) = f(v) // (1 + g(c)) for c's parent v is exact because
+    f(v) = (1 + g(c)) * A(c).
     """
-    _, g, above = _rerooted_counts(tree)
-    values = tuple(g[v] * (1 + above[v]) for v in range(tree.n))
-    best = max(values)
-    argmax = tuple(v for v in range(tree.n) if values[v] == best)
-    return FVector(values=values, argmax=argmax)
+    parent, order = _bfs(tree.adjacency, 0)
+    values = tuple(_rerooted_counts(parent, order, _rooted_counts(parent, order)))
+    return FVector(values=values, argmax=_argmax(values))
 
 
 def count_containing_all(tree: Tree, vertices: Sequence[int]) -> int:

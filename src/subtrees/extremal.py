@@ -9,10 +9,11 @@ exposes the two rewiring moves that push any tree toward the optimum.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .counting import _rerooted_counts
+from .counting import _rerooted_counts, _rooted_counts
 from .errors import IndexOutOfRange, InvalidCut, InvalidVertex
 from .trees import (
     RootedView,
@@ -82,33 +83,35 @@ class PathDecomposition:
         return frozenset().union(*self.y_components[k - 1 :])
 
 
+def _greedy_parents(pi: Sequence[int]) -> list[int]:
+    """BFS parents of the greedy tree of a valid nonincreasing pi; root 0 is its own.
+
+    Ids are the BFS order: the root's children are the next pi[0] ids and
+    each later non-leaf v's the next pi[v] - 1, so parents never decrease.
+    """
+    parent = [0] * (1 + pi[0])
+    for v in range(1, len(pi) - pi.count(1)):
+        parent += [v] * (pi[v] - 1)
+    return parent
+
+
 def build_greedy_bfs(pi: Sequence[int]) -> tuple[Tree, BfsLabeling]:
     """The breadth-first greedy tree of a degree sequence, with its labeling.
 
     Degrees are handed out largest first: vertex 0 is the root with the
     top degree, and each later vertex, visited in breadth-first order,
     takes the next unused ids as its children until its degree is filled.
-    Vertex ids therefore coincide with the BFS order.
+    Vertex ids therefore coincide with the BFS order, and the layer after
+    ids start..stop - 1 ends where the parents reach stop.
     """
     pi = validate_degree_sequence(pi)
     n = len(pi)
-    if n == 1:
-        return tree_from_edges(1, []), BfsLabeling(order=(0,), layer_sizes=(1,))
-    edges = []
-    next_id = 1
-    layer = [0]
-    sizes = [1]
-    while next_id < n:
-        nxt = []
-        for v in layer:
-            want = pi[v] if v == 0 else pi[v] - 1
-            for _ in range(want):
-                edges.append((v, next_id))
-                nxt.append(next_id)
-                next_id += 1
-        sizes.append(len(nxt))
-        layer = nxt
-    tree = tree_from_edges(n, edges)
+    parent = _greedy_parents(pi)
+    sizes, stop = [1], 1
+    while stop < n:
+        start, stop = stop, bisect_left(parent, stop, stop)
+        sizes.append(stop - start)
+    tree = tree_from_edges(n, list(zip(parent[1:], range(1, n))))
     return tree, BfsLabeling(order=tuple(range(n)), layer_sizes=tuple(sizes))
 
 
@@ -267,13 +270,14 @@ def _branch_tables(tree: Tree) -> tuple[list[int], list[dict[int, int]]]:
 
     ``side[v][w]`` is the rooted count of w's branch at v (w's component
     once v is removed, rooted at w): g(w) when w is v's child in the view
-    rooted at 0, the up-pass count A(v) when w is v's parent.  The dicts
-    list v's neighbors in adjacency order.
+    rooted at 0, and A(v) = f(parent) // (1 + g(v)) when w is v's parent.
+    The dicts list v's neighbors in adjacency order.
     """
-    parent, g, above = _rerooted_counts(tree)
-    f = [g[v] * (1 + above[v]) for v in range(tree.n)]
-    adj = tree.adjacency
-    side = [{w: g[w] if parent[w] == v else above[v] for w in adj[v]} for v in range(tree.n)]
+    parent, order = _bfs(tree.adjacency, 0)
+    g = _rooted_counts(parent, order)
+    f = _rerooted_counts(parent, order, g.copy())
+    up = [f[parent[v]] // (1 + g[v]) for v in range(tree.n)]
+    side = [{w: g[w] if parent[w] == v else up[v] for w in tree.adjacency[v]} for v in range(tree.n)]
     return f, side
 
 

@@ -16,7 +16,9 @@ from subtrees.trees import (
     Tree,
     _centers,
     _code_from_adjacency,
+    _decimal,
     path_between,
+    root_at,
     tree_from_edges,
     validate_degree_sequence,
 )
@@ -81,6 +83,60 @@ def reference_rooted_counts(parent: Sequence[int | None], order: Sequence[int]) 
     for v in order[:0:-1]:
         g[parent[v]] *= 1 + g[v]  # type: ignore[index]
     return g
+
+
+def reference_rerooted_counts(tree: Tree) -> tuple[list[int], list[int], list[int]]:
+    """BFS parents from root 0, the rooted counts g and the up-pass counts A.
+
+    The first rerooting, without division.  A(c) counts the subtrees that
+    contain c's parent v and stay outside c's branch, from A(v) and the
+    sibling products:
+
+        A(root) = 0
+        A(c) = (1 + A(v)) * prod over siblings s of c of (1 + g(s))
+
+    so that f(c) = g(c) * (1 + A(c)).
+    """
+    view = root_at(tree, 0)
+    g = reference_rooted_counts(view.parent, view.order)
+    above = [0] * tree.n
+    for v in view.order:
+        kids = view.children[v]
+        prefix = [1]
+        for c in kids:
+            prefix.append(prefix[-1] * (1 + g[c]))
+        suffix = 1
+        for i in range(len(kids) - 1, -1, -1):
+            above[kids[i]] = (1 + above[v]) * prefix[i] * suffix
+            suffix *= 1 + g[kids[i]]
+    return list(view.parent), g, above
+
+
+def reference_greedy_bfs(pi: Sequence[int]) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
+    """The first greedy construction: edges and layer sizes, layer by layer.
+
+    Each vertex of a layer, in id order, takes the next unused ids as its
+    children: pi[0] for the root, pi[v] - 1 for any other v.
+    """
+    pi = validate_degree_sequence(pi)
+    edges: list[tuple[int, int]] = []
+    next_id, layer, sizes = 1, [0], [1]
+    while next_id < len(pi):
+        nxt = []
+        for v in layer:
+            for _ in range(pi[v] - (v != 0)):
+                edges.append((v, next_id))
+                nxt.append(next_id)
+                next_id += 1
+        sizes.append(len(nxt))
+        layer = nxt
+    return edges, tuple(sizes)
+
+
+def reference_phi_star(chain: Sequence[Sequence[int]]) -> list[str]:
+    """The first ``order`` loop: build each greedy tree and count its subtrees."""
+    trees = (tree_from_edges(len(pi), reference_greedy_bfs(pi)[0]) for pi in chain)
+    return [_decimal(count_subtrees(t)) for t in trees]
 
 
 def reference_rooted_code(n: int, adjacency: Sequence[Sequence[int]], root: int) -> bytes:

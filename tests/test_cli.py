@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -13,10 +14,13 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import seeded_tree, spider
+from helpers import path, random_trees, reference_phi_star, seeded_tree, spider, star
 from subtrees import cli
 from subtrees.cli import main
-from subtrees.trees import format_edge_list
+from subtrees.counting import count_subtrees, f_vector
+from subtrees.majorization import majorization_chain, majorizes
+from subtrees.oracle import enumerate_trees, realizable_sequences
+from subtrees.trees import Tree, _decimal, format_edge_list, parse_degree_sequence
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -353,19 +357,116 @@ def test_verify_human_lines_match_json(capsys):
     assert field(lines, "comparable_pairs") == str(out["comparable_pairs"])
 
 
-def test_count_json_memory_on_a_10k_tree(tmp_path):
-    # Each f value (about 1,500 digits here) is formatted once, for the
-    # JSON report only; building the human lines too peaked near 70 MB.
-    f = tmp_path / "random.txt"
-    f.write_text(format_edge_list(seeded_tree(1, 10**4)))
+def count_json_peak(tree: Tree, treefile) -> int:
+    """The tracemalloc peak of ``count --json`` on the tree, in bytes."""
+    treefile.write_text(format_edge_list(tree))
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["count", str(f), "--json"]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+            assert main(["count", str(treefile), "--json"]) == 0
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 60 * 10**6
+
+
+def test_count_json_memory_on_a_10k_tree(tmp_path):
+    # Each f value (about 1,500 digits here) is formatted once, for the
+    # JSON report only; building the human lines too peaked near 70 MB.
+    assert count_json_peak(seeded_tree(1, 10**4), tmp_path / "random.txt") < 60 * 10**6
+
+
+def test_count_json_memory_on_a_10e5_path(tmp_path):
+    # The Tree is dropped before the text is built: kept alive, it peaked
+    # near 41.5 MB; dropped, near 31 MB.
+    assert count_json_peak(path(10**5), tmp_path / "path.txt") < 36 * 10**6
+
+
+# The decimal counts of ``count`` print as the int API's values do.
+class Digest:
+    """A text sink that keeps only the sha256 of what is written to it."""
+
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.sha.update(text.encode())
+
+
+def expected_count_digests(tree: Tree, treefile: str) -> tuple[bytes, bytes]:
+    """Digests of the human and JSON output, from the int counts and ``_decimal``."""
+    phi, fv = count_subtrees(tree), f_vector(tree)
+    text = {x: _decimal(x) for x in {phi, *fv.values}}  # a star has 3 distinct values
+    f = [text[x] for x in fv.values]
+    human, report = Digest(), Digest()
+    human.write(f"n: {tree.n}\nphi: {text[phi]}\nf:")
+    for x in f:
+        human.write(" " + x)
+    human.write("\nargmax: " + " ".join(map(str, fv.argmax)) + "\n")
+    outputs = {"phi": text[phi], "f": f, "argmax": list(fv.argmax)}
+    for chunk in json.JSONEncoder(sort_keys=True).iterencode(
+        cli._report("count", {"treefile": treefile, "n": tree.n}, outputs)
+    ):
+        report.write(chunk)
+    report.write("\n")
+    return human.sha.digest(), report.sha.digest()
+
+
+def assert_count_text_matches_ints(tree: Tree, treefile) -> None:
+    treefile.write_text(format_edge_list(tree))
+    got = []
+    for extra in ([], ["--json"]):
+        sink = Digest()
+        with contextlib.redirect_stdout(sink):  # type: ignore[type-var]
+            assert main(["count", str(treefile), *extra]) == 0
+        got.append(sink.sha.digest())
+    assert tuple(got) == expected_count_digests(tree, str(treefile))
+
+
+def test_count_text_matches_ints_on_every_small_class(tmp_path):
+    for n in range(1, 10):
+        for pi in realizable_sequences(n):
+            for t in enumerate_trees(pi):
+                assert_count_text_matches_ints(t, tmp_path / "tree.txt")
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees(max_n=60))
+def test_count_text_matches_ints_property(tmp_path_factory, t):
+    assert_count_text_matches_ints(t, tmp_path_factory.getbasetemp() / "tree.txt")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: path(50),
+        lambda: spider(2, 3, 4, 4),
+        lambda: seeded_tree(1, 10**4),
+        lambda: star(20000),  # phi = 2^19999 + 19999 has 6,021 digits
+    ],
+    ids=["path", "spider", "random-10k", "star-20k"],
+)
+def test_count_text_matches_ints(tmp_path, make):
+    assert_count_text_matches_ints(make(), tmp_path / "tree.txt")
+
+
+def test_order_json_matches_build_and_count(capsys):
+    chain_ends = [
+        ("0", "0"),
+        ("1,1", "1,1"),
+        ("2,2,1,1", "3,1,1,1"),
+        ("5,1,1,1,1,1", "2,2,2,2,1,1"),
+        (",".join(["2"] * 198 + ["1", "1"]), ",".join(["199"] + ["1"] * 199)),
+    ]
+    sequences = [",".join(map(str, pi)) for pi in realizable_sequences(8)]
+    chain_ends += [(a, b) for a in sequences for b in sequences]
+    for a_text, b_text in chain_ends:
+        code, out, _ = run(capsys, "order", "--a", a_text, "--b", b_text, "--json")
+        a, b = parse_degree_sequence(a_text), parse_degree_sequence(b_text)
+        relation = majorizes(a, b)
+        chain = [] if relation == "incomparable" else majorization_chain(a, b)
+        found = {"chain": chain, "phi_star": reference_phi_star(chain)} if chain else {}
+        want = cli._report("order", {"a": list(a), "b": list(b)}, {"relation": relation, **found})
+        assert code == 0 and out == json.dumps(want, sort_keys=True) + "\n", (a_text, b_text)
 
 
 def test_version_flag():

@@ -11,6 +11,7 @@ from helpers import (
     f_within,
     path,
     random_trees,
+    reference_greedy_bfs,
     reference_has_bfs_ordering,
     reference_local_search,
     reference_moves,
@@ -22,6 +23,7 @@ from subtrees.counting import count_containing_all, count_rooted, count_subtrees
 from subtrees.errors import IndexOutOfRange, InvalidCut, InvalidVertex
 from subtrees.extremal import (
     _branch_tables,
+    _greedy_parents,
     _root_row,
     _satisfies_bfs_ordering,
     _scored_moves,
@@ -87,6 +89,27 @@ def test_greedy_degree_sequence_and_labeling(pi):
     assert degree_sequence_of(t) == pi
     view = root_at(t, 0)
     assert _satisfies_bfs_ordering(view, lab.order)
+
+
+def assert_greedy_matches_reference(pi) -> None:
+    edges, sizes = reference_greedy_bfs(pi)
+    t, lab = build_greedy_bfs(pi)
+    assert list(t.edges) == edges and lab.layer_sizes == sizes
+    assert _greedy_parents(sorted(pi, reverse=True)) == [0] + [u for u, _ in edges]
+
+
+def test_greedy_matches_reference_on_every_small_sequence():
+    for n in range(1, 13):
+        for pi in realizable_sequences(n):
+            assert_greedy_matches_reference(pi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_greedy_matches_reference_on_random_sequences(rng):
+    n = rng.randint(2, 2000)
+    code = [rng.randrange(n) for _ in range(n - 2)]
+    assert_greedy_matches_reference([1 + code.count(v) for v in range(n)])
 
 
 def test_bfs_ordering_path_cases():
