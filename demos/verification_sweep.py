@@ -3,7 +3,7 @@ Exhaustive verification at small orders
 =======================================
 
 For every degree sequence up to eight vertices, enumerate the whole
-isomorphism class through Pruefer sequences and confirm two things: the
+isomorphism class from the free-tree stream and confirm two things: the
 greedy BFS tree is the unique subtree-count maximizer, and the same tree
 minimizes the Wiener index (total pairwise distance) within its class.
 """

@@ -3,7 +3,7 @@
 Usage:
     subtrees count TREEFILE [--json]
     subtrees build --pi SEQ [--json]
-    subtrees verify (--pi SEQ | --all-n N) [--jobs J] [--json]
+    subtrees verify (--pi SEQ | --all-n N) [--json]
     subtrees order --a SEQ --b SEQ [--json]
     subtrees class --type {maxdeg,leaves,alpha,beta} --n N --k K [--json]
 
@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from decimal import DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
 from typing import Callable, Sequence
@@ -40,8 +38,8 @@ from .formulas import (
     max_degree_extremal,
 )
 from .majorization import majorization_chain, majorizes
-from .oracle import _ENUMERATION_LIMIT, extremal_by_enumeration, realizable_sequences
-from .trees import _bfs, _decimal, canonical_code, parse_degree_sequence, parse_edge_list
+from .oracle import _order_census, labeled_tree_count, realizable_sequences
+from .trees import _bfs, _decimal, parse_degree_sequence, parse_edge_list
 
 __all__ = ["build_parser", "main"]
 
@@ -152,30 +150,30 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_sequence(pi: tuple[int, ...]) -> dict:
-    """Exhaustively check one degree sequence: the greedy tree must be the
-    unique subtree-count maximizer among all realizations."""
-    summary = extremal_by_enumeration(pi)
+def _verify_sequence(pi: tuple[int, ...], census: dict) -> dict:
+    """Check one degree sequence against its order's census: the greedy tree
+    must be the unique subtree-count maximizer among all realizations."""
+    classes, max_phi, at_max = census[pi]
     greedy, _ = build_greedy_bfs(pi)
-    greedy_code = canonical_code(greedy)
-    max_codes = [code for code, _, _ in summary.maximizers]
     return {
         "pi": list(pi),
-        "iso_classes": len(summary.iso_classes),
-        "labeled_count": str(summary.labeled_count),
-        "max_phi": str(summary.max_phi),
-        "maximizer_count": len(summary.maximizers),
-        "greedy_is_unique_max": max_codes == [greedy_code],
+        "iso_classes": classes,
+        "labeled_count": str(labeled_tree_count(pi)),
+        "max_phi": str(max_phi),
+        "maximizer_count": at_max,
+        "greedy_is_unique_max": at_max == 1 and max_phi == count_subtrees(greedy),
     }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Verify extremality claims by exhaustive enumeration."""
-    if args.jobs < 1:
-        raise SubtreeError(f"--jobs must be at least 1, got {args.jobs}")
+    """Verify extremality claims by exhaustive enumeration.
+
+    One pass over the free trees of the order gives every sequence's
+    census, for one sequence as for all of them.
+    """
     if args.pi is not None:
         pi = _sequence_argument(args.pi)
-        result = _verify_sequence(pi)
+        result = _verify_sequence(pi, _order_census(len(pi)))
         ok = result["greedy_is_unique_max"]
         _emit(
             args,
@@ -194,15 +192,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n = args.all_n
     if n < 1:
         raise NotRealizable(f"need n >= 1, got {n}")
-    if n > _ENUMERATION_LIMIT:
-        raise TooLarge(f"full sweeps capped at n = {_ENUMERATION_LIMIT}, got {n}")
+    census = _order_census(n)
     sequences = realizable_sequences(n)
-    workers = min(args.jobs, os.cpu_count() or 1, len(sequences))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_sequence, sequences))
-    else:
-        results = [_verify_sequence(pi) for pi in sequences]
+    results = [_verify_sequence(pi, census) for pi in sequences]
     all_unique = all(r["greedy_is_unique_max"] for r in results)
     # Strict growth along the majorization order (distinct comparable
     # sequences must have distinct extremal counts, ordered the same way).
@@ -225,7 +217,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         args,
         lambda: _report(
             "verify",
-            {"all_n": n, "jobs": args.jobs},
+            {"all_n": n},
             {
                 "sequences": results,
                 "comparable_pairs": checked_pairs,
@@ -332,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--pi", help="verify one degree sequence")
     group.add_argument("--all-n", type=int, help="verify every sequence of length n")
-    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

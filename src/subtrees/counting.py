@@ -3,8 +3,8 @@
 A subtree always means a nonempty connected induced subgraph.  All counts
 are exact Python integers, so nothing overflows for any tree size.  One
 bottom-up DP, ``_rooted_counts``, and one top-down pass that turns its
-counts into f in place run over the breadth-first ``parent`` and
-``order`` lists of ``trees._bfs``, in ints or in exact decimals.
+counts into f in place run over ``parent`` and ``order`` lists (from
+``trees._bfs``, or the oracle's preorder), in ints or exact decimals.
 """
 
 from __future__ import annotations
@@ -39,14 +39,14 @@ class FVector:
 
 
 def _rooted_counts(parent: Sequence[int | None], order: Sequence[int], one: Any = 1) -> list:
-    """Rooted subtree counts g over a breadth-first order, children first.
+    """Rooted subtree counts g over any parents-first order, children first.
 
     Each vertex's finished count multiplies into its parent's as the
-    factor (1 + g), so g(v) ends as the product over v's children.  Each
-    vertex's children are one run of ``order``, so one run of equal factors
-    is pending at a time: ``factor**times``, flushed into ``owner`` when the
-    parent or factor changes, which is always before the owner's own g is
-    read.  A star's centre takes one power of 2, not n - 1 products.
+    factor (1 + g), so g(v) ends as the product over v's children.  One
+    run of equal factors is pending at a time: ``factor**times``, flushed
+    into ``owner`` when the parent or factor changes, which is always
+    before the owner's own g is read.  In a breadth-first order a vertex's
+    children are one run, so a star's centre takes one power of 2.
     The counts are in the ring of ``one``: ints, or exact decimals.
     """
     g = [one] * len(parent)

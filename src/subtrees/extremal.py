@@ -152,8 +152,8 @@ def has_bfs_ordering(view: RootedView) -> tuple[bool, tuple[int, ...] | None]:
     at 0.  The witness maps each greedy vertex, parents first, onto an
     unused child of its parent's image with the same branch code.
     """
-    greedy, _ = build_greedy_bfs(degree_sequence_of(view.tree))
-    g_parent, g_order = _bfs(greedy.adjacency, 0)
+    g_parent = _greedy_parents(degree_sequence_of(view.tree))
+    g_order = range(len(g_parent))  # greedy ids are the BFS order
     g_codes = _branch_codes(g_parent, g_order)
     codes = _branch_codes(view.parent, view.order)
     if g_codes[0] != codes[view.root]:
@@ -161,7 +161,7 @@ def has_bfs_ordering(view: RootedView) -> tuple[bool, tuple[int, ...] | None]:
     unused: dict[tuple[int | None, bytes], list[int]] = {}
     for v in view.order[1:]:
         unused.setdefault((view.parent[v], codes[v]), []).append(v)
-    image = [view.root] * greedy.n
+    image = [view.root] * len(g_parent)
     for g in g_order[1:]:
         image[g] = unused[image[g_parent[g]], g_codes[g]].pop()
     return True, tuple(image)

@@ -1,10 +1,11 @@
 """Brute-force ground truth: tree enumeration and direct subtree counting.
 
 Everything here is deliberately independent of the fast counting code so
-the two can check each other.  Trees with a fixed degree sequence are
-generated directly, one per isomorphism class, by growing smaller trees
-leaf by leaf; Pruefer sequences give the labeled trees and their count.
-Subtrees are counted by explicit enumeration of connected vertex sets.
+the two can check each other.  The free trees of an order come one per
+isomorphism class from the Wright-Richmond-Odlyzko-McKay stream, with no
+canonical codes and no dedupe; Pruefer sequences give the labeled trees
+and their count.  Subtrees are counted by explicit enumeration of
+connected vertex sets.
 """
 
 from __future__ import annotations
@@ -12,15 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .counting import count_subtrees
+from .counting import _rooted_counts, count_subtrees
 from .errors import EmptySet, InvalidVertex, NotRealizable, TooLarge
-from .trees import (
-    Tree,
-    _code_from_adjacency,
-    canonical_code,
-    tree_from_edges,
-    validate_degree_sequence,
-)
+from .trees import Tree, canonical_code, tree_from_edges, validate_degree_sequence
 
 __all__ = [
     "TreeClassSummary",
@@ -36,9 +31,9 @@ __all__ = [
 
 # Vertex cap for brute-force subtree counting.
 _BRUTEFORCE_LIMIT = 16
-# Vertex cap for exhaustive class enumeration and full sweeps: at n = 14 a
-# sweep of all 3,159 classes takes a few seconds.
-_ENUMERATION_LIMIT = 14
+# Vertex cap for the free-tree stream, so for class enumeration and full
+# sweeps: at n = 18 a sweep of all 123,867 classes takes a few seconds.
+_ENUMERATION_LIMIT = 18
 
 
 def _edges_from_prufer(code: Sequence[int], n: int) -> list[tuple[int, int]]:
@@ -121,42 +116,109 @@ def prufer_sequences(pi: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield tuple(current)
 
 
+def _next_rooted_tree(levels: list[int], p: int | None = None) -> bool:
+    """Step a level sequence to the next rooted tree in place (Beyer-Hedetniemi).
+
+    From p, by default the last vertex off level 1, the tail repeats the
+    block that starts at p's parent q.  False after the star.
+    """
+    if p is None:
+        p = len(levels) - 1
+        while levels[p] == 1:
+            p -= 1
+    if p == 0:
+        return False
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    for i in range(p, len(levels)):
+        levels[i] = levels[i - p + q]
+    return True
+
+
+def _split_levels(levels: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The root's first branch as a rooted tree, and the rest with the root."""
+    try:
+        m = levels.index(1, 2)
+    except ValueError:
+        m = len(levels)
+    return [x - 1 for x in levels[1:m]], [0, *levels[m:]]
+
+
+def _free_trees(n: int) -> Iterator[list[int]]:
+    """One parent array per free tree of order n: the WROM stream.
+
+    Wright, Richmond, Odlyzko and McKay (SIAM J. Comput. 15(2), 1986) walk
+    the Beyer-Hedetniemi order of rooted level sequences (SIAM J. Comput.
+    9(4), 1980) from the path rooted at its centre.  A tree is kept only
+    rooted at a centre, with its first branch no higher than the rest and,
+    at equal height, no larger, or no later at equal size; from any other
+    rooting the walk jumps to the next candidate.  Ids are the preorder,
+    so parent[v] < v, and the root 0 is its own parent.  Raises TooLarge
+    above the enumeration cap.
+    """
+    if n > _ENUMERATION_LIMIT:
+        raise TooLarge(f"exhaustive enumeration capped at {_ENUMERATION_LIMIT} vertices, got {n}")
+    if n == 1:
+        yield [0]
+        return
+    levels = [*range(n // 2 + 1), *range(1, (n + 1) // 2)]
+    while True:
+        left, rest = _split_levels(levels)
+        lh, rh = max(left), max(rest)
+        if lh > rh or lh == rh and (len(left), left) > (len(rest), rest):
+            p = len(left)
+            deep = levels[p] > 2
+            _next_rooted_tree(levels, p)
+            if deep:
+                h = max(_split_levels(levels)[0])
+                levels[n - h - 1 :] = range(1, h + 2)
+        last = [0] * n
+        parent = [0] * n
+        for v in range(1, n):
+            parent[v] = last[levels[v] - 1]
+            last[levels[v]] = v
+        yield parent
+        if not _next_rooted_tree(levels):
+            return
+
+
+def _degrees(parent: Sequence[int]) -> tuple[int, ...]:
+    """The nonincreasing degree sequence of a parent array rooted at 0."""
+    degree = [1] * len(parent)
+    degree[0] = 0
+    for p in parent[1:]:
+        degree[p] += 1
+    return tuple(sorted(degree, reverse=True))
+
+
+def _order_census(n: int) -> dict[tuple[int, ...], tuple[int, int, int]]:
+    """(classes, max phi, classes at the max) per degree sequence of order n.
+
+    One pass over the free-tree stream, bucketed by sorted degrees.
+    """
+    buckets: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    for parent in _free_trees(n):
+        key = _degrees(parent)
+        phi = sum(_rooted_counts(parent, range(n)))
+        classes, best, at_best = buckets.get(key, (0, phi, 0))
+        if phi > best:
+            best, at_best = phi, 0
+        buckets[key] = (classes + 1, best, at_best + (phi == best))
+    return buckets
+
+
 def enumerate_trees(pi: Sequence[int]) -> Iterator[Tree]:
     """One representative per isomorphism class with degree sequence pi.
 
-    Grows free trees leaf by leaf from the 2-vertex tree.  At each size a
-    new leaf goes on every vertex of every kept tree, and the result is kept
-    when its sorted degrees fit under pi entry by entry and its canonical
-    code is new.  Deleting the leaves of a tree with degrees pi one at a
-    time passes only through trees that fit, so every class is reached; at
-    size n, fitting means having degrees exactly pi.  The stream is
-    deterministic.
+    Filters the deterministic free-tree stream of order len(pi), so it
+    raises TooLarge above the enumeration cap.
     """
     pi = validate_degree_sequence(pi)
     n = len(pi)
-    if n == 1:
-        yield tree_from_edges(1, [])
-        return
-    level: list[list[list[int]]] = [[[1], [0]]]
-    for k in range(2, n):
-        seen: set[bytes] = set()
-        grown = []
-        for adj in level:
-            degrees = [len(a) for a in adj] + [1]
-            for v in range(k):
-                degrees[v] += 1
-                fits = all(d <= p for d, p in zip(sorted(degrees, reverse=True), pi))
-                degrees[v] -= 1
-                if not fits:
-                    continue
-                child = [*adj[:v], [*adj[v], k], *adj[v + 1 :], [v]]
-                key = _code_from_adjacency(k + 1, child)
-                if key not in seen:
-                    seen.add(key)
-                    grown.append(child)
-        level = grown
-    for adj in level:
-        yield tree_from_edges(n, [(u, w) for u in range(n) for w in adj[u] if u < w])
+    for parent in _free_trees(n):
+        if _degrees(parent) == pi:
+            yield tree_from_edges(n, list(zip(parent[1:], range(1, n))))
 
 
 def connected_subsets(tree: Tree, anchor: int | None = None) -> Iterator[frozenset[int]]:
@@ -231,18 +293,14 @@ class TreeClassSummary:
     maximizers: tuple[tuple[bytes, Tree, int], ...]
 
 
-def extremal_by_enumeration(
-    pi: Sequence[int], limit: int = _ENUMERATION_LIMIT
-) -> TreeClassSummary:
+def extremal_by_enumeration(pi: Sequence[int]) -> TreeClassSummary:
     """Find the maximum subtree count over all trees with degrees pi.
 
-    Fully enumerates the class, so it refuses sequences longer than
-    ``limit`` with TooLarge.  Subtree counts for the summary use the
+    Fully enumerates the class, so it refuses sequences longer than the
+    enumeration cap with TooLarge.  Subtree counts for the summary use the
     polynomial-time counter; the brute-force counter exists to check it.
     """
     pi = validate_degree_sequence(pi)
-    if len(pi) > limit:
-        raise TooLarge(f"exhaustive search capped at {limit} vertices, got {len(pi)}")
     classes = sorted((canonical_code(t), t) for t in enumerate_trees(pi))
     triples = tuple((code, t, count_subtrees(t)) for code, t in classes)
     best = max(phi for _, _, phi in triples)

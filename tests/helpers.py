@@ -9,14 +9,22 @@ from typing import Iterator, Sequence
 from hypothesis import strategies as st
 
 from subtrees.counting import count_subtrees, f_vector
-from subtrees.extremal import _satisfies_bfs_ordering, swap_components
-from subtrees.oracle import _edges_from_prufer, prufer_sequences, tree_from_prufer
+from subtrees.extremal import _satisfies_bfs_ordering, build_greedy_bfs, swap_components
+from subtrees.majorization import majorizes
+from subtrees.oracle import (
+    _edges_from_prufer,
+    labeled_tree_count,
+    prufer_sequences,
+    realizable_sequences,
+    tree_from_prufer,
+)
 from subtrees.trees import (
     RootedView,
     Tree,
     _centers,
     _code_from_adjacency,
     _decimal,
+    canonical_code,
     path_between,
     root_at,
     tree_from_edges,
@@ -200,6 +208,85 @@ def reference_enumerate_trees(pi: Sequence[int]) -> Iterator[Tree]:
         if key not in seen:
             seen.add(key)
             yield tree_from_edges(n, edges)
+
+
+def reference_grow_trees(pi: Sequence[int]) -> Iterator[Tree]:
+    """One tree per isomorphism class with degrees pi, grown leaf by leaf.
+
+    The second implementation of ``enumerate_trees``.  Free trees grow
+    from the 2-vertex tree: at each size a new leaf goes on every vertex
+    of every kept tree, and the result is kept when its sorted degrees fit
+    under pi entry by entry and its canonical code is new.  Deleting the
+    leaves of a tree with degrees pi one at a time passes only through
+    trees that fit, so every class is reached; at size n, fitting means
+    having degrees exactly pi.
+    """
+    pi = validate_degree_sequence(pi)
+    n = len(pi)
+    if n == 1:
+        yield tree_from_edges(1, [])
+        return
+    level: list[list[list[int]]] = [[[1], [0]]]
+    for k in range(2, n):
+        seen: set[bytes] = set()
+        grown = []
+        for adj in level:
+            degrees = [len(a) for a in adj] + [1]
+            for v in range(k):
+                degrees[v] += 1
+                fits = all(d <= p for d, p in zip(sorted(degrees, reverse=True), pi))
+                degrees[v] -= 1
+                if not fits:
+                    continue
+                child = [*adj[:v], [*adj[v], k], *adj[v + 1 :], [v]]
+                key = _code_from_adjacency(k + 1, child)
+                if key not in seen:
+                    seen.add(key)
+                    grown.append(child)
+        level = grown
+    for adj in level:
+        yield tree_from_edges(n, [(u, w) for u in range(n) for w in adj[u] if u < w])
+
+
+def reference_verify_outputs(n: int) -> dict:
+    """The ``outputs`` of ``verify --all-n n --json`` from the first per-sequence path.
+
+    Each sequence's classes come from ``reference_grow_trees``; the greedy
+    tree passes when its canonical code is the only maximizer's.
+    """
+    sequences = realizable_sequences(n)
+    results = []
+    for pi in sequences:
+        phis = {canonical_code(t): count_subtrees(t) for t in reference_grow_trees(pi)}
+        best = max(phis.values())
+        max_codes = [code for code, phi in phis.items() if phi == best]
+        results.append(
+            {
+                "pi": list(pi),
+                "iso_classes": len(phis),
+                "labeled_count": str(labeled_tree_count(pi)),
+                "max_phi": str(best),
+                "maximizer_count": len(max_codes),
+                "greedy_is_unique_max": max_codes == [canonical_code(build_greedy_bfs(pi)[0])],
+            }
+        )
+    pairs = 0
+    monotonic_ok = True
+    for i, j in combinations(range(len(sequences)), 2):
+        relation = majorizes(sequences[i], sequences[j])
+        if relation != "incomparable":
+            pairs += 1
+            bigger = int(results[i]["max_phi"]) > int(results[j]["max_phi"])
+            smaller = int(results[i]["max_phi"]) < int(results[j]["max_phi"])
+            monotonic_ok &= bigger if relation == "greater" else smaller
+    all_unique = all(r["greedy_is_unique_max"] for r in results)
+    return {
+        "sequences": results,
+        "comparable_pairs": pairs,
+        "monotonic_ok": monotonic_ok,
+        "all_unique": all_unique,
+        "pass": all_unique and monotonic_ok,
+    }
 
 
 def reference_moves(tree: Tree) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:

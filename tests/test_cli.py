@@ -14,12 +14,20 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import path, random_trees, reference_phi_star, seeded_tree, spider, star
+from helpers import (
+    path,
+    random_trees,
+    reference_phi_star,
+    reference_verify_outputs,
+    seeded_tree,
+    spider,
+    star,
+)
 from subtrees import cli
 from subtrees.cli import main
 from subtrees.counting import count_subtrees, f_vector
 from subtrees.majorization import majorization_chain, majorizes
-from subtrees.oracle import enumerate_trees, realizable_sequences
+from subtrees.oracle import _ENUMERATION_LIMIT, enumerate_trees, realizable_sequences
 from subtrees.trees import Tree, _decimal, format_edge_list, parse_degree_sequence
 
 
@@ -170,60 +178,28 @@ def test_verify_all_n(capsys):
     assert len(report["outputs"]["sequences"]) == 5
 
 
-def test_verify_all_n_jobs_agree(capsys):
-    _, serial, _ = run(capsys, "verify", "--all-n", "7", "--json")
-    _, parallel, _ = run(capsys, "verify", "--all-n", "7", "--jobs", "2", "--json")
-    assert json.loads(serial)["outputs"]["sequences"] == (
-        json.loads(parallel)["outputs"]["sequences"]
-    )
+def test_verify_all_n_inputs_and_no_jobs(capsys):
+    code, out, _ = run(capsys, "verify", "--all-n", "6", "--json")
+    assert code == 0 and json.loads(out)["inputs"] == {"all_n": 6}
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--all-n", "6", "--jobs", "2"])
+    assert exc.value.code == 2 and "--jobs" in capsys.readouterr().err
 
 
-def test_verify_jobs_clamped_and_validated(capsys, monkeypatch):
-    pools = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    _, serial, _ = run(capsys, "verify", "--all-n", "6", "--json")
-    assert pools == []
-    code, out, _ = run(capsys, "verify", "--all-n", "6", "--jobs", "64", "--json")
-    assert code == 0 and pools == [4]  # capped by the CPU count
-    assert json.loads(out)["inputs"]["jobs"] == 64
-    assert json.loads(out)["outputs"] == json.loads(serial)["outputs"]
-    run(capsys, "verify", "--all-n", "5", "--jobs", "64")
-    assert pools == [4, 3]  # capped by the 3 sequences of length 5
-    run(capsys, "verify", "--all-n", "6", "--jobs", "2")
-    assert pools == [4, 3, 2]
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    run(capsys, "verify", "--all-n", "6", "--jobs", "64")
-    assert pools == [4, 3, 2]  # unknown CPU count runs serially
-    for bad in ("0", "-2"):
-        code, _, err = run(capsys, "verify", "--all-n", "6", "--jobs", bad)
-        assert code == 3 and "--jobs" in err
-        code, _, _ = run(capsys, "verify", "--pi", "3,2,2,1,1,1", "--jobs", bad)
-        assert code == 3
-    assert pools == [4, 3, 2]
+def test_verify_all_n_matches_per_sequence_reference(capsys):
+    for n in range(1, 13):
+        code, out, _ = run(capsys, "verify", "--all-n", str(n), "--json")
+        assert code == 0
+        assert json.loads(out)["outputs"] == reference_verify_outputs(n)
 
 
 def test_verify_limits(capsys):
-    assert run(capsys, "verify", "--all-n", "15")[0] == 5
+    assert run(capsys, "verify", "--all-n", "19")[0] == 5
     assert run(capsys, "verify", "--all-n", "0")[0] == 3
-    fifteen_path = ",".join(["2"] * 13 + ["1", "1"])
-    assert run(capsys, "verify", "--pi", fifteen_path)[0] == 5
-    fourteen_path = ",".join(["2"] * 12 + ["1", "1"])
-    assert run(capsys, "verify", "--pi", fourteen_path)[0] == 0
+    nineteen_path = ",".join(["2"] * 17 + ["1", "1"])
+    assert run(capsys, "verify", "--pi", nineteen_path)[0] == 5
+    eighteen_path = ",".join(["2"] * 16 + ["1", "1"])
+    assert run(capsys, "verify", "--pi", eighteen_path)[0] == 0
 
 
 def test_order_comparable(capsys):
@@ -538,7 +514,7 @@ def test_fuzz_class_parameters(kind, n, k):
 
 def test_out_of_range_arguments_exit_cleanly():
     assert_clean_exit("verify", "--all-n", "0")
-    assert_clean_exit("verify", "--all-n", str(cli._ENUMERATION_LIMIT + 1))
+    assert_clean_exit("verify", "--all-n", str(_ENUMERATION_LIMIT + 1))
     assert_clean_exit("verify", "--all-n", HUGE)
     assert_clean_exit("class", "--type", "maxdeg", "--n", HUGE, "--k", "3")
     assert_clean_exit("class", "--type", "leaves", "--n", "7", "--k", HUGE)

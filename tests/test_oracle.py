@@ -5,10 +5,20 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import path, random_trees, reference_enumerate_trees, spider, star
+from helpers import (
+    path,
+    random_trees,
+    reference_enumerate_trees,
+    reference_grow_trees,
+    spider,
+    star,
+)
 from subtrees.counting import count_subtrees
 from subtrees.errors import InvalidVertex, NotRealizable, TooLarge
 from subtrees.oracle import (
+    _ENUMERATION_LIMIT,
+    _free_trees,
+    _order_census,
     connected_subsets,
     count_subtrees_bruteforce,
     enumerate_trees,
@@ -81,13 +91,43 @@ def test_enumerate_trees_matches_pruefer_reference():
             assert extremal_by_enumeration(pi).max_phi == max(map(count_subtrees, reference))
 
 
+def test_enumerate_trees_matches_leaf_growth_reference():
+    # The free-tree stream against growing every class leaf by leaf.
+    for n in range(1, 13):
+        for pi in realizable_sequences(n):
+            codes = [canonical_code(t) for t in enumerate_trees(pi)]
+            assert len(codes) == len(set(codes))
+            assert set(codes) == {canonical_code(t) for t in reference_grow_trees(pi)}
+
+
 def test_iso_class_totals_match_published_tree_counts():
-    # Number of unlabeled trees per order (OEIS A000055 for n >= 1).
+    # Number of unlabeled trees per order (OEIS A000055 for n >= 1), from
+    # one stream pass per order; every degree sequence has its bucket.
     known = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
     known.update({10: 106, 11: 235, 12: 551, 13: 1301, 14: 3159})
+    known.update({15: 7741, 16: 19320, 17: 48629, 18: 123867})
+    assert max(known) == _ENUMERATION_LIMIT
     for n, want in known.items():
-        got = sum(len(list(enumerate_trees(pi))) for pi in realizable_sequences(n))
-        assert got == want
+        census = _order_census(n)
+        assert sum(classes for classes, _, _ in census.values()) == want
+        assert sorted(census, reverse=True) == realizable_sequences(n)
+
+
+def test_free_tree_stream_is_preorder_and_distinct():
+    for n in range(1, 15):
+        codes = set()
+        for parent in _free_trees(n):
+            assert parent[0] == 0 and all(parent[v] < v for v in range(1, n))
+            codes.add(canonical_code(tree_from_edges(n, list(zip(parent[1:], range(1, n))))))
+        assert len(codes) == sum(classes for classes, _, _ in _order_census(n).values())
+
+
+def test_enumeration_cap():
+    too_long = (2,) * (_ENUMERATION_LIMIT - 1) + (1, 1)
+    with pytest.raises(TooLarge):
+        next(enumerate_trees(too_long))
+    with pytest.raises(TooLarge):
+        _order_census(_ENUMERATION_LIMIT + 1)
 
 
 def test_iso_classes_match_networkx():
@@ -173,9 +213,9 @@ def test_extremal_by_enumeration_trivial_classes():
 
 def test_extremal_by_enumeration_limit():
     with pytest.raises(TooLarge):
-        extremal_by_enumeration((2,) * 13 + (1, 1))
-    # Explicit limit admits larger sweeps.
-    assert extremal_by_enumeration((2,) * 13 + (1, 1), limit=15).max_phi == 15 * 16 // 2
+        extremal_by_enumeration((2,) * 17 + (1, 1))
+    # The 15-vertex path, past the first cap of 14, needs no knob.
+    assert extremal_by_enumeration((2,) * 13 + (1, 1)).max_phi == 15 * 16 // 2
 
 
 def test_realizable_sequences():
