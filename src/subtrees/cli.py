@@ -25,12 +25,12 @@ import json
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from decimal import DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import __version__
-from .counting import _argmax, _rerooted_counts, _rooted_counts, count_subtrees
+from .counting import _argmax, _phi_from_parents, _rerooted_counts, _rooted_counts, count_subtrees
 from .errors import NotRealizable, ParseError, SubtreeError, TooLarge
-from .extremal import _greedy_parents, build_greedy_bfs
+from .extremal import _greedy_parents, _layer_sizes, build_greedy_bfs
 from .formulas import (
     independence_extremal,
     leaves_extremal,
@@ -62,6 +62,11 @@ def _sequence_argument(text: str) -> tuple[int, ...]:
 
 def _fmt_seq(seq: Sequence[int]) -> str:
     return ",".join(str(d) for d in seq)
+
+
+def _edges(parent: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The edges (parent[v], v) of a parents-first array: sorted (u < v) pairs."""
+    return zip(parent[1:], range(1, len(parent)))
 
 
 def _report(command: str, inputs: dict, outputs: dict) -> dict:
@@ -125,25 +130,30 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    """Build the greedy BFS tree of a degree sequence and print it."""
+    """Build the greedy BFS tree of a degree sequence and print it.
+
+    The greedy parent array is the tree: ids are the BFS order and each
+    parent precedes its children, so no ``Tree`` is built and no BFS run.
+    """
     pi = _sequence_argument(args.pi)
-    tree, labeling = build_greedy_bfs(pi)
-    phi = _decimal(count_subtrees(tree))
+    parent = _greedy_parents(pi)
+    sizes = _layer_sizes(parent)
+    phi = _decimal(_phi_from_parents(parent))
     _emit(
         args,
         lambda: _report(
             "build",
             {"pi": list(pi)},
             {
-                "edges": [list(e) for e in tree.edges],
-                "layer_sizes": list(labeling.layer_sizes),
+                "edges": list(map(list, _edges(parent))),
+                "layer_sizes": list(sizes),
                 "phi": phi,
             },
         ),
         lambda: [
-            str(tree.n),
-            *(f"{u} {v}" for u, v in tree.edges),
-            "layer_sizes: " + _fmt_seq(labeling.layer_sizes),
+            str(len(pi)),
+            *(f"{u} {v}" for u, v in _edges(parent)),
+            "layer_sizes: " + _fmt_seq(sizes),
             f"phi: {phi}",
         ],
     )
@@ -169,11 +179,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Verify extremality claims by exhaustive enumeration.
 
     One pass over the free trees of the order gives every sequence's
-    census, for one sequence as for all of them.
+    census; for one sequence, trees of other sequences are skipped before
+    their subtrees are counted.
     """
     if args.pi is not None:
         pi = _sequence_argument(args.pi)
-        result = _verify_sequence(pi, _order_census(len(pi)))
+        result = _verify_sequence(pi, _order_census(len(pi), only=pi))
         ok = result["greedy_is_unique_max"]
         _emit(
             args,
@@ -247,8 +258,7 @@ def cmd_order(args: argparse.Namespace) -> int:
     b = _sequence_argument(args.b)
     relation = majorizes(a, b)
     chain = [] if relation == "incomparable" else majorization_chain(a, b)
-    parents = map(_greedy_parents, chain)  # ids are the BFS order, so no Tree is built
-    phis = [_decimal(sum(reversed(_rooted_counts(p, range(len(p)))))) for p in parents]
+    phis = [_decimal(_phi_from_parents(_greedy_parents(pi))) for pi in chain]
     found = {"chain": chain, "phi_star": phis} if chain else {}
     _emit(
         args,
@@ -271,8 +281,13 @@ _CLASS_FUNCTIONS = {
 
 
 def cmd_class(args: argparse.Namespace) -> int:
-    """Extremal answer for a constrained class of trees."""
+    """Extremal answer for a constrained class of trees.
+
+    The edges print from the greedy parent array of the answer's sequence,
+    so the answer's ``Tree`` is never built.
+    """
     answer = _CLASS_FUNCTIONS[args.type](args.n, args.k)
+    parent = _greedy_parents(answer.extremal_pi)
     printed = answer.printed_formula_value
     _emit(
         args,
@@ -281,7 +296,7 @@ def cmd_class(args: argparse.Namespace) -> int:
             {"type": args.type, "n": args.n, "k": args.k},
             {
                 "pi": list(answer.extremal_pi),
-                "edges": [list(e) for e in answer.extremal_tree.edges],
+                "edges": list(map(list, _edges(parent))),
                 "phi": _decimal(answer.phi),
                 "printed_formula_value": None if printed is None else _decimal(printed),
                 "discrepancy_flag": answer.discrepancy_flag,
@@ -293,7 +308,7 @@ def cmd_class(args: argparse.Namespace) -> int:
             f"n: {args.n}",
             f"k: {args.k}",
             f"pi: {_fmt_seq(answer.extremal_pi)}",
-            *(f"{u} {v}" for u, v in answer.extremal_tree.edges),
+            *(f"{u} {v}" for u, v in _edges(parent)),
             f"phi: {_decimal(answer.phi)}",
             *([] if printed is None else [f"printed_formula: {_decimal(printed)}"]),
             f"discrepancy: {str(answer.discrepancy_flag).lower()}",

@@ -62,6 +62,15 @@ def _rooted_counts(parent: Sequence[int | None], order: Sequence[int], one: Any 
     return g
 
 
+def _phi_from_parents(parent: Sequence[int]) -> int:
+    """The subtree count of a parent array whose ids are parents-first.
+
+    Root 0 and parent[v] < v make the ids an order, so no BFS is needed;
+    the sum runs children first, as in ``count_subtrees``.
+    """
+    return sum(reversed(_rooted_counts(parent, range(len(parent)))))
+
+
 def count_rooted(view: RootedView) -> tuple[int, ...]:
     """For each vertex v, the number of subtrees rooted at v.
 

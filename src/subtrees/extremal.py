@@ -95,24 +95,33 @@ def _greedy_parents(pi: Sequence[int]) -> list[int]:
     return parent
 
 
+def _layer_sizes(parent: Sequence[int]) -> tuple[int, ...]:
+    """Layer sizes of a greedy parent array, root layer first.
+
+    Parents never decrease, so the layer after ids start..stop - 1 ends
+    where the parents reach stop.
+    """
+    n = len(parent)
+    sizes, stop = [1], 1
+    while stop < n:
+        start, stop = stop, bisect_left(parent, stop, stop)
+        sizes.append(stop - start)
+    return tuple(sizes)
+
+
 def build_greedy_bfs(pi: Sequence[int]) -> tuple[Tree, BfsLabeling]:
     """The breadth-first greedy tree of a degree sequence, with its labeling.
 
     Degrees are handed out largest first: vertex 0 is the root with the
     top degree, and each later vertex, visited in breadth-first order,
     takes the next unused ids as its children until its degree is filled.
-    Vertex ids therefore coincide with the BFS order, and the layer after
-    ids start..stop - 1 ends where the parents reach stop.
+    Vertex ids therefore coincide with the BFS order.
     """
     pi = validate_degree_sequence(pi)
     n = len(pi)
     parent = _greedy_parents(pi)
-    sizes, stop = [1], 1
-    while stop < n:
-        start, stop = stop, bisect_left(parent, stop, stop)
-        sizes.append(stop - start)
     tree = tree_from_edges(n, list(zip(parent[1:], range(1, n))))
-    return tree, BfsLabeling(order=tuple(range(n)), layer_sizes=tuple(sizes))
+    return tree, BfsLabeling(order=tuple(range(n)), layer_sizes=_layer_sizes(parent))
 
 
 def _satisfies_bfs_ordering(view: RootedView, order: Sequence[int]) -> bool:

@@ -1,20 +1,22 @@
 """Closed-form subtree bounds, extremal-class answers and the Wiener index.
 
 Each class operation returns a ClassAnswer bundling the maximizing degree
-sequence, its greedy BFS tree, the exact subtree count and, where the
-literature states a closed form for that count, the published value with
-a discrepancy flag.  Several published expressions disagree with exact
-enumeration at small sizes; the answers report the published value
-verbatim next to the exact count instead of silently correcting it.
+sequence, its greedy BFS tree (built on first access), the exact subtree
+count and, where the literature states a closed form for that count, the
+published value with a discrepancy flag.  Several published expressions
+disagree with exact enumeration at small sizes; the answers report the
+published value verbatim next to the exact count instead of silently
+correcting it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .counting import count_subtrees
+from .counting import _phi_from_parents
 from .errors import InfeasibleConstraint
-from .extremal import build_greedy_bfs
+from .extremal import _greedy_parents, build_greedy_bfs
 from .majorization import Independence, Leaves, Matching, MaxDegree, class_max_sequence
 from .trees import Tree, root_at
 
@@ -35,10 +37,11 @@ __all__ = [
 class ClassAnswer:
     """The extremal answer for one constrained class of trees.
 
-    ``phi`` is always the exact subtree count of ``extremal_tree``.
-    ``printed_formula_value`` holds the published closed form when one
-    exists; ``discrepancy_flag`` is set exactly when that value differs
-    from the exact count.
+    ``phi`` is always the exact subtree count of ``extremal_tree``, the
+    greedy BFS tree of ``extremal_pi``; the tree is built on first access
+    from ``extremal_pi`` and kept.  ``printed_formula_value`` holds the
+    published closed form when one exists; ``discrepancy_flag`` is set
+    exactly when that value differs from the exact count.
     """
 
     kind: str
@@ -46,10 +49,13 @@ class ClassAnswer:
     param: int
     details: dict[str, int]
     extremal_pi: tuple[int, ...]
-    extremal_tree: Tree
     phi: int
     printed_formula_value: int | None
     discrepancy_flag: bool
+
+    @cached_property
+    def extremal_tree(self) -> Tree:
+        return build_greedy_bfs(self.extremal_pi)[0]
 
 
 def _answer(
@@ -60,15 +66,13 @@ def _answer(
     pi: tuple[int, ...],
     printed: int | None,
 ) -> ClassAnswer:
-    tree, _ = build_greedy_bfs(pi)
-    phi = count_subtrees(tree)
+    phi = _phi_from_parents(_greedy_parents(pi))
     return ClassAnswer(
         kind=kind,
         n=n,
         param=param,
         details=details,
         extremal_pi=pi,
-        extremal_tree=tree,
         phi=phi,
         printed_formula_value=printed,
         discrepancy_flag=printed is not None and printed != phi,

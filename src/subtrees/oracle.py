@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .counting import _rooted_counts, count_subtrees
+from .counting import _phi_from_parents, count_subtrees
 from .errors import EmptySet, InvalidVertex, NotRealizable, TooLarge
 from .trees import Tree, canonical_code, tree_from_edges, validate_degree_sequence
 
@@ -192,15 +192,21 @@ def _degrees(parent: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(degree, reverse=True))
 
 
-def _order_census(n: int) -> dict[tuple[int, ...], tuple[int, int, int]]:
+def _order_census(
+    n: int, only: tuple[int, ...] | None = None
+) -> dict[tuple[int, ...], tuple[int, int, int]]:
     """(classes, max phi, classes at the max) per degree sequence of order n.
 
-    One pass over the free-tree stream, bucketed by sorted degrees.
+    One pass over the free-tree stream, bucketed by sorted degrees.  With
+    ``only`` given, trees of any other sequence are skipped before their
+    phi is counted, and only that bucket is returned.
     """
     buckets: dict[tuple[int, ...], tuple[int, int, int]] = {}
     for parent in _free_trees(n):
         key = _degrees(parent)
-        phi = sum(_rooted_counts(parent, range(n)))
+        if only is not None and key != only:
+            continue
+        phi = _phi_from_parents(parent)
         classes, best, at_best = buckets.get(key, (0, phi, 0))
         if phi > best:
             best, at_best = phi, 0

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 from hypothesis import strategies as st
 
+from subtrees import cli
 from subtrees.counting import count_subtrees, f_vector
 from subtrees.extremal import _satisfies_bfs_ordering, build_greedy_bfs, swap_components
 from subtrees.majorization import majorizes
@@ -145,6 +147,65 @@ def reference_phi_star(chain: Sequence[Sequence[int]]) -> list[str]:
     """The first ``order`` loop: build each greedy tree and count its subtrees."""
     trees = (tree_from_edges(len(pi), reference_greedy_bfs(pi)[0]) for pi in chain)
     return [_decimal(count_subtrees(t)) for t in trees]
+
+
+def _rendered(command: str, inputs: dict, outputs: dict, lines: list[str]) -> tuple[str, str]:
+    report = json.dumps(cli._report(command, inputs, outputs), sort_keys=True)
+    return "\n".join(lines) + "\n", report + "\n"
+
+
+def reference_build_output(pi: Sequence[int]) -> tuple[str, str]:
+    """Human and JSON ``build`` output from a greedy ``Tree`` and ``count_subtrees``.
+
+    The first output path: build and validate the tree, run its BFS to
+    count, and read its sorted edges back.
+    """
+    tree, labeling = build_greedy_bfs(pi)
+    phi = _decimal(count_subtrees(tree))
+    outputs = {
+        "edges": [list(e) for e in tree.edges],
+        "layer_sizes": list(labeling.layer_sizes),
+        "phi": phi,
+    }
+    lines = [
+        str(tree.n),
+        *(f"{u} {v}" for u, v in tree.edges),
+        "layer_sizes: " + ",".join(map(str, labeling.layer_sizes)),
+        f"phi: {phi}",
+    ]
+    return _rendered("build", {"pi": list(validate_degree_sequence(pi))}, outputs, lines)
+
+
+def reference_class_output(kind: str, n: int, k: int) -> tuple[str, str]:
+    """Human and JSON ``class`` output from a greedy ``Tree`` and ``count_subtrees``.
+
+    The answer gives the sequence, details and published value; the
+    edges, phi and the discrepancy flag come from the first output path.
+    """
+    answer = cli._CLASS_FUNCTIONS[kind](n, k)
+    tree, _ = build_greedy_bfs(answer.extremal_pi)
+    phi = count_subtrees(tree)
+    printed = answer.printed_formula_value
+    flag = printed is not None and printed != phi
+    outputs = {
+        "pi": list(answer.extremal_pi),
+        "edges": [list(e) for e in tree.edges],
+        "phi": _decimal(phi),
+        "printed_formula_value": None if printed is None else _decimal(printed),
+        "discrepancy_flag": flag,
+        "details": dict(sorted(answer.details.items())),
+    }
+    lines = [
+        f"type: {kind}",
+        f"n: {n}",
+        f"k: {k}",
+        "pi: " + ",".join(map(str, answer.extremal_pi)),
+        *(f"{u} {v}" for u, v in tree.edges),
+        f"phi: {_decimal(phi)}",
+        *([] if printed is None else [f"printed_formula: {_decimal(printed)}"]),
+        f"discrepancy: {str(flag).lower()}",
+    ]
+    return _rendered("class", {"type": kind, "n": n, "k": k}, outputs, lines)
 
 
 def reference_rooted_code(n: int, adjacency: Sequence[Sequence[int]], root: int) -> bytes:

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -17,15 +18,18 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     path,
     random_trees,
+    reference_build_output,
+    reference_class_output,
     reference_phi_star,
     reference_verify_outputs,
     seeded_tree,
     spider,
     star,
 )
-from subtrees import cli
+from subtrees import cli, extremal
 from subtrees.cli import main
 from subtrees.counting import count_subtrees, f_vector
+from subtrees.errors import InfeasibleConstraint
 from subtrees.majorization import majorization_chain, majorizes
 from subtrees.oracle import _ENUMERATION_LIMIT, enumerate_trees, realizable_sequences
 from subtrees.trees import Tree, _decimal, format_edge_list, parse_degree_sequence
@@ -267,10 +271,15 @@ def test_class_unknown_type_rejected_by_parser(capsys):
 
 
 # Human lines and JSON fields carry the same values.
-def human_and_json(capsys, *argv: str) -> tuple[list[str], dict]:
+def both_outputs(capsys, *argv: str) -> tuple[str, str]:
     code, human, err = run(capsys, *argv)
     json_code, report, json_err = run(capsys, *argv, "--json")
     assert code == json_code == 0 and err == json_err == ""
+    return human, report
+
+
+def human_and_json(capsys, *argv: str) -> tuple[list[str], dict]:
+    human, report = both_outputs(capsys, *argv)
     return human.splitlines(), json.loads(report)["outputs"]
 
 
@@ -443,6 +452,70 @@ def test_order_json_matches_build_and_count(capsys):
         found = {"chain": chain, "phi_star": reference_phi_star(chain)} if chain else {}
         want = cli._report("order", {"a": list(a), "b": list(b)}, {"relation": relation, **found})
         assert code == 0 and out == json.dumps(want, sort_keys=True) + "\n", (a_text, b_text)
+
+
+# ``build`` and ``class`` print from the greedy parent array, byte for
+# byte as the greedy ``Tree`` and ``count_subtrees`` did.
+def assert_class_matches_reference(capsys, kind: str, n: int, k: int) -> None:
+    got = both_outputs(capsys, "class", "--type", kind, "--n", str(n), "--k", str(k))
+    assert got == reference_class_output(kind, n, k), (kind, n, k)
+
+
+def random_degree_sequence(seed: int, n: int) -> tuple[int, ...]:
+    """The degrees of a uniform random labeled tree: one per Pruefer entry, plus one."""
+    rng = random.Random(seed)
+    degrees = [1] * n
+    for _ in range(n - 2):
+        degrees[rng.randrange(n)] += 1
+    return tuple(sorted(degrees, reverse=True))
+
+
+def test_build_matches_reference_on_every_small_sequence(capsys):
+    for n in range(1, 10):
+        for pi in realizable_sequences(n):
+            got = both_outputs(capsys, "build", "--pi", ",".join(map(str, pi)))
+            assert got == reference_build_output(pi), pi
+
+
+def test_class_matches_reference_on_every_feasible_small_class(capsys):
+    feasible = 0
+    for n in range(1, 13):
+        for kind in sorted(cli._CLASS_FUNCTIONS):
+            for k in range(n + 1):
+                argv = ("class", "--type", kind, "--n", str(n), "--k", str(k))
+                try:
+                    cli._CLASS_FUNCTIONS[kind](n, k)
+                except InfeasibleConstraint:
+                    assert run(capsys, *argv)[0] == 3
+                    continue
+                assert_class_matches_reference(capsys, kind, n, k)
+                feasible += 1
+    assert feasible > 150
+
+
+def test_build_matches_reference_at_10e5(capsys):
+    pi = random_degree_sequence(7, 10**5)
+    got = both_outputs(capsys, "build", "--pi", ",".join(map(str, pi)))
+    assert got == reference_build_output(pi)
+
+
+@pytest.mark.parametrize(
+    "kind, k", [("maxdeg", 3), ("leaves", 700), ("alpha", 60000), ("beta", 40000)]
+)
+def test_class_matches_reference_at_10e5(capsys, kind, k):
+    assert_class_matches_reference(capsys, kind, 10**5, k)
+
+
+def test_build_and_class_build_no_tree(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the greedy tree prints from its parent array")
+
+    monkeypatch.setattr(extremal, "tree_from_edges", refuse)
+    monkeypatch.setattr(cli, "count_subtrees", refuse)
+    n = 2000
+    both_outputs(capsys, "build", "--pi", ",".join(map(str, random_degree_sequence(3, n))))
+    for kind, k in [("maxdeg", 3), ("leaves", 40), ("alpha", 1200), ("beta", 800)]:
+        both_outputs(capsys, "class", "--type", kind, "--n", str(n), "--k", str(k))
 
 
 def test_version_flag():

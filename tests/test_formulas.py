@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import path, random_trees, spider, star
 from subtrees.counting import count_subtrees
 from subtrees.errors import InfeasibleConstraint
+from subtrees.extremal import build_greedy_bfs
 from subtrees.formulas import (
     bound_path_star,
     independence_extremal,
@@ -32,6 +33,27 @@ def best_phi_in_class(n: int, keep) -> int:
             if keep(t):
                 best = max(best, count_subtrees(t))
     return best
+
+
+@pytest.mark.parametrize(
+    "make, n, k",
+    [
+        (max_degree_extremal, 30, 4),
+        (leaves_extremal, 30, 7),
+        (independence_extremal, 30, 20),
+        (matching_extremal, 30, 7),
+    ],
+)
+def test_extremal_tree_is_built_once_on_first_access(make, n, k):
+    answer = make(n, k)
+    assert "extremal_tree" not in vars(answer)
+    tree = answer.extremal_tree
+    assert tree == build_greedy_bfs(answer.extremal_pi)[0]
+    assert answer.extremal_tree is tree
+    assert count_subtrees(tree) == answer.phi
+    # The kept tree is no field: answers with equal (kind, n, param) stay equal.
+    assert answer == make(n, k) and make(n, k) == answer
+    assert answer != make(n, k + 1)
 
 
 def test_bound_path_star_values():

@@ -122,6 +122,14 @@ def test_free_tree_stream_is_preorder_and_distinct():
         assert len(codes) == sum(classes for classes, _, _ in _order_census(n).values())
 
 
+def test_order_census_of_one_sequence():
+    # Skipping the other sequences' trees leaves the asked bucket as it was.
+    for n in range(1, 12):
+        census = _order_census(n)
+        for pi in realizable_sequences(n):
+            assert _order_census(n, only=pi) == {pi: census[pi]}
+
+
 def test_enumeration_cap():
     too_long = (2,) * (_ENUMERATION_LIMIT - 1) + (1, 1)
     with pytest.raises(TooLarge):
