@@ -39,7 +39,7 @@ from .formulas import (
 )
 from .majorization import majorization_chain, majorizes
 from .oracle import _order_census, labeled_tree_count, realizable_sequences
-from .trees import _bfs, _decimal, parse_degree_sequence, parse_edge_list
+from .trees import _bfs, _decimal, _edge_ends, parse_degree_sequence, parse_edge_list
 
 __all__ = ["build_parser", "main"]
 
@@ -90,42 +90,63 @@ def _emit(
             print(line)
 
 
+def _tree_bfs(text: str) -> tuple[list[int], list[int]]:
+    """BFS parents and order, from vertex 0, of the tree in an edge-list text.
+
+    n - 1 edges with ends in 0..n-1 that a BFS from 0 connects are a tree,
+    so no ``Tree`` is built: no sort, no duplicate check.  Input that fails
+    these checks goes through ``parse_edge_list``, whose full check raises
+    the exact error.
+    """
+    n, ends = _edge_ends(text)
+    if max(ends, default=0) < n:
+        adjacency: list[list[int]] = [[] for _ in range(n)]
+        pairs = iter(ends)
+        for u, v in zip(pairs, pairs):
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        del ends, pairs
+        parent, order = _bfs(adjacency, 0)
+        if len(order) == n:
+            return parent, order
+    return _bfs(parse_edge_list(text).adjacency, 0)
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     """Count subtrees of the tree in a file: phi, per-vertex f, argmax.
 
     The counts are exact decimals, whose text is linear in their digits;
     an int's text, or its conversion to a decimal, is quadratic.  On a
     random 10^4-vertex tree the 1,500-digit f values took nine times as
-    long to print as ints as the DP took to find them.
+    long to print as ints as the DP took to find them.  The f values are
+    written one at a time, so no text as long as the output is built.
     """
     try:
         with open(args.treefile, encoding="ascii") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {args.treefile}: {exc}") from exc
-    tree = parse_edge_list(text)
-    n = tree.n
-    parent, order = _bfs(tree.adjacency, 0)
-    del text, tree
+    parent, order = _tree_bfs(text)
+    del text
+    n = len(parent)
     with localcontext(_EXACT):
         f = _rooted_counts(parent, order, Decimal(1))
         phi = str(sum(map(f.__getitem__, reversed(order))))
         _rerooted_counts(parent, order, f)
-    argmax = _argmax(f)
-    _emit(
-        args,
-        lambda: _report(
-            "count",
-            {"treefile": args.treefile, "n": n},
-            {"phi": phi, "f": [str(x) for x in f], "argmax": list(argmax)},
-        ),
-        lambda: [
-            f"n: {n}",
-            f"phi: {phi}",
-            "f: " + " ".join(map(str, f)),
-            "argmax: " + " ".join(str(v) for v in argmax),
-        ],
-    )
+    argmax = list(_argmax(f))
+    if args.json:
+        # The f texts are plain digits and need no escaping.  The outputs'
+        # "f" is the last one: only "timing" and "version" follow it.
+        outputs = {"phi": phi, "f": [], "argmax": argmax}
+        report = _report("count", {"treefile": args.treefile, "n": n}, outputs)
+        head, _, tail = json.dumps(report, sort_keys=True).rpartition('"f": []')
+        print(head + '"f": ["', end="")
+        print(*f, sep='", "', end='"]' + tail + "\n")
+    else:
+        print(f"n: {n}")
+        print(f"phi: {phi}")
+        print("f:", *f)
+        print("argmax:", *argmax)
     return 0
 
 
@@ -145,7 +166,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             "build",
             {"pi": list(pi)},
             {
-                "edges": list(map(list, _edges(parent))),
+                "edges": list(_edges(parent)),
                 "layer_sizes": list(sizes),
                 "phi": phi,
             },
@@ -296,7 +317,7 @@ def cmd_class(args: argparse.Namespace) -> int:
             {"type": args.type, "n": args.n, "k": args.k},
             {
                 "pi": list(answer.extremal_pi),
-                "edges": list(map(list, _edges(parent))),
+                "edges": list(_edges(parent)),
                 "phi": _decimal(answer.phi),
                 "printed_formula_value": None if printed is None else _decimal(printed),
                 "discrepancy_flag": answer.discrepancy_flag,

@@ -9,8 +9,10 @@ exposes the two rewiring moves that push any tree toward the optimum.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import neg
 from typing import Iterator, Sequence
 
 from .counting import _rerooted_counts, _rooted_counts
@@ -88,10 +90,15 @@ def _greedy_parents(pi: Sequence[int]) -> list[int]:
 
     Ids are the BFS order: the root's children are the next pi[0] ids and
     each later non-leaf v's the next pi[v] - 1, so parents never decrease.
+    Equal degrees are contiguous, and each run of them is filled at once.
     """
     parent = [0] * (1 + pi[0])
-    for v in range(1, len(pi) - pi.count(1)):
-        parent += [v] * (pi[v] - 1)
+    v, inner = 1, len(pi) - pi.count(1)
+    while v < inner:
+        d = pi[v]
+        ids = range(v, bisect_right(pi, -d, v, inner, key=neg))
+        parent += ids if d == 2 else chain.from_iterable(zip(*repeat(ids, d - 1)))
+        v = ids.stop
     return parent
 
 

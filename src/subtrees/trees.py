@@ -13,6 +13,7 @@ all read its flat ``parent`` and ``order`` lists.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -283,12 +284,31 @@ def _parse_uint(token: str, what: str) -> int:
         raise ParseError(f"{what} of {len(token)} digits is too large") from exc
 
 
-def parse_edge_list(text: str) -> Tree:
-    """Parse the edge-list format: first line n, then n-1 lines "u v".
+def _edge_ends(text: str) -> tuple[int, list[int]]:
+    """The vertex count n and the flat edge ends [u0, v0, u1, v1, ...] of an
+    edge list, checked for syntax and for n - 1 edge lines only.
 
-    Anything after the last edge line other than blank lines is rejected.
-    Syntax problems raise ParseError; structural problems raise NotATree.
+    Canonical text (digits, one space inside each edge line, a newline
+    after every line) converts about 64 KiB at a time, cut at newlines,
+    so only a few thousand token strings are alive at once.  Any other
+    text, and canonical text with a token past the int-digit limit, n < 1
+    or the wrong edge count, goes through the line loop, which raises the
+    ParseError that the text deserves.
     """
+    if re.fullmatch(r"[0-9]+\n(?:[0-9]+ [0-9]+\n)*", text):
+        start = text.index("\n") + 1
+        try:
+            n = int(text[:start])
+            ends: list[int] = []
+            while start < len(text):
+                stop = text.find("\n", start + 65536) + 1 or len(text)
+                ends += map(int, text[start:stop].split())
+                start = stop
+        except ValueError:  # a token longer than the interpreter's int-digit limit
+            pass
+        else:
+            if n >= 1 and len(ends) == 2 * (n - 1):
+                return n, ends
     lines = text.splitlines()
     if not lines or not lines[0].split():
         raise ParseError("missing vertex count on the first line")
@@ -300,17 +320,28 @@ def parse_edge_list(text: str) -> Tree:
         raise ParseError("vertex count must be at least 1")
     if len(lines) < n:
         raise ParseError(f"expected {n - 1} edge lines, found {len(lines) - 1}")
-    edges = []
+    ends = []
     for i in range(1, n):
         tokens = lines[i].split()
         if len(tokens) != 2:
             raise ParseError(f"edge line {i + 1} must be 'u v', got {lines[i]!r}")
-        edges.append((_parse_uint(tokens[0], "vertex"), _parse_uint(tokens[1], "vertex")))
+        ends.append(_parse_uint(tokens[0], "vertex"))
+        ends.append(_parse_uint(tokens[1], "vertex"))
     for extra in lines[n:]:
         if extra.strip():
             raise ParseError(f"trailing garbage after the edge list: {extra!r}")
-    del lines
-    return tree_from_edges(n, edges)
+    return n, ends
+
+
+def parse_edge_list(text: str) -> Tree:
+    """Parse the edge-list format: first line n, then n-1 lines "u v".
+
+    Anything after the last edge line other than blank lines is rejected.
+    Syntax problems raise ParseError; structural problems raise NotATree.
+    """
+    n, ends = _edge_ends(text)
+    pairs = iter(ends)
+    return tree_from_edges(n, zip(pairs, pairs))
 
 
 def parse_degree_sequence(text: str) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from subtrees import cli
 from subtrees.counting import count_subtrees, f_vector
+from subtrees.errors import ParseError
 from subtrees.extremal import _satisfies_bfs_ordering, build_greedy_bfs, swap_components
 from subtrees.majorization import majorizes
 from subtrees.oracle import (
@@ -26,6 +27,7 @@ from subtrees.trees import (
     _centers,
     _code_from_adjacency,
     _decimal,
+    _parse_uint,
     canonical_code,
     path_between,
     root_at,
@@ -85,6 +87,31 @@ def seeded_tree(seed: int, n: int) -> Tree:
     """A uniform labeled tree on n >= 2 vertices from a seeded Pruefer code."""
     rng = random.Random(seed)
     return tree_from_prufer(tuple(rng.randrange(n) for _ in range(n - 2)), n)
+
+
+def reference_parse_edge_list(text: str) -> Tree:
+    """The first edge-list parser: one line at a time, into ``tree_from_edges``."""
+    lines = text.splitlines()
+    if not lines or not lines[0].split():
+        raise ParseError("missing vertex count on the first line")
+    head = lines[0].split()
+    if len(head) != 1:
+        raise ParseError(f"first line must hold the vertex count alone, got {lines[0]!r}")
+    n = _parse_uint(head[0], "vertex count")
+    if n < 1:
+        raise ParseError("vertex count must be at least 1")
+    if len(lines) < n:
+        raise ParseError(f"expected {n - 1} edge lines, found {len(lines) - 1}")
+    edges = []
+    for i in range(1, n):
+        tokens = lines[i].split()
+        if len(tokens) != 2:
+            raise ParseError(f"edge line {i + 1} must be 'u v', got {lines[i]!r}")
+        edges.append((_parse_uint(tokens[0], "vertex"), _parse_uint(tokens[1], "vertex")))
+    for extra in lines[n:]:
+        if extra.strip():
+            raise ParseError(f"trailing garbage after the edge list: {extra!r}")
+    return tree_from_edges(n, edges)
 
 
 def reference_rooted_counts(parent: Sequence[int | None], order: Sequence[int]) -> list[int]:

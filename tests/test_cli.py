@@ -20,16 +20,17 @@ from helpers import (
     random_trees,
     reference_build_output,
     reference_class_output,
+    reference_parse_edge_list,
     reference_phi_star,
     reference_verify_outputs,
     seeded_tree,
     spider,
     star,
 )
-from subtrees import cli, extremal
+from subtrees import cli, extremal, trees
 from subtrees.cli import main
 from subtrees.counting import count_subtrees, f_vector
-from subtrees.errors import InfeasibleConstraint
+from subtrees.errors import InfeasibleConstraint, ParseError, SubtreeError
 from subtrees.majorization import majorization_chain, majorizes
 from subtrees.oracle import _ENUMERATION_LIMIT, enumerate_trees, realizable_sequences
 from subtrees.trees import Tree, _decimal, format_edge_list, parse_degree_sequence
@@ -396,15 +397,22 @@ def expected_count_digests(tree: Tree, treefile: str) -> tuple[bytes, bytes]:
     return human.sha.digest(), report.sha.digest()
 
 
+def count_outputs(treefile) -> tuple[int, str, tuple[bytes, bytes]]:
+    """Exit code, stderr and the human and JSON stdout digests of ``count``."""
+    codes, errs, digests = set(), set(), []
+    for extra in ([], ["--json"]):
+        out, err = Digest(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):  # type: ignore[type-var]
+            codes.add(main(["count", str(treefile), *extra]))
+        errs.add(err.getvalue())
+        digests.append(out.sha.digest())
+    assert len(codes) == len(errs) == 1
+    return codes.pop(), errs.pop(), (digests[0], digests[1])
+
+
 def assert_count_text_matches_ints(tree: Tree, treefile) -> None:
     treefile.write_text(format_edge_list(tree))
-    got = []
-    for extra in ([], ["--json"]):
-        sink = Digest()
-        with contextlib.redirect_stdout(sink):  # type: ignore[type-var]
-            assert main(["count", str(treefile), *extra]) == 0
-        got.append(sink.sha.digest())
-    assert tuple(got) == expected_count_digests(tree, str(treefile))
+    assert count_outputs(treefile) == (0, "", expected_count_digests(tree, str(treefile)))
 
 
 def test_count_text_matches_ints_on_every_small_class(tmp_path):
@@ -432,6 +440,114 @@ def test_count_text_matches_ints_property(tmp_path_factory, t):
 )
 def test_count_text_matches_ints(tmp_path, make):
     assert_count_text_matches_ints(make(), tmp_path / "tree.txt")
+
+
+# ``count`` fills adjacency lists from the file's edge ends and runs one
+# BFS, with no ``Tree``; it must answer as the first, ``Tree``-building
+# parser does, byte for byte, on valid and invalid files alike.
+def reference_count_outputs(treefile) -> tuple[int, str, tuple[bytes, bytes]]:
+    """``count_outputs`` as the first parser and the int counts give them."""
+    try:
+        tree = reference_parse_edge_list(treefile.read_text(encoding="ascii"))
+    except SubtreeError as exc:
+        silent = Digest().sha.digest()
+        return 2 if isinstance(exc, ParseError) else 3, f"error: {exc}\n", (silent, silent)
+    return 0, "", expected_count_digests(tree, str(treefile))
+
+
+def assert_count_matches_reference(text: str, treefile) -> None:
+    treefile.write_bytes(text.encode("ascii"))
+    assert count_outputs(treefile) == reference_count_outputs(treefile), text[:200]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_count_matches_reference_on_shuffled_edge_lines(tmp_path, seed):
+    # Shuffled lines and swapped ends give a BFS order unlike the Tree's.
+    rng = random.Random(seed)
+    tree = seeded_tree(seed, rng.randint(2, 2000))
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in tree.edges]
+    rng.shuffle(edges)
+    layout = rng.choice([("\t", "\n"), (" ", "\r\n"), ("  ", " \n"), (" ", "\r")])
+    for sep, end in [(" ", "\n"), layout]:
+        text = f"{tree.n}{end}" + "".join(f"{u}{sep}{v}{end}" for u, v in edges)
+        assert_count_matches_reference(text, tmp_path / "tree.txt")
+
+
+HUGE = "9" * 5000
+
+
+# Cases of tests/test_cli.py and tests/test_trees.py, then more.
+COUNT_EDGE_CASES = {
+    "word-token": "4\n0 1\nnope\n2 3\n",
+    "triangle": "4\n0 1\n1 2\n0 2\n",
+    "huge-end": f"3\n0 1\n1 {HUGE}\n",
+    "empty": "",
+    "word-count": "x\n0 1\n",
+    "two-token-count": "2 7\n0 1\n",
+    "missing-line": "3\n0 1\n",
+    "three-token-line": "2\n0 1 2\n",
+    "negative-end": "2\n0 -1\n",
+    "trailing-edge": "2\n0 1\n1 0\n",
+    "zero-count": "0\n",
+    "duplicate": "3\n0 1\n0 1\n",
+    "one-vertex": "1\n",
+    "trailing-blanks": "2\n0 1\n\n  \n",
+    # Structure: self-loops, duplicates, cycles, ends out of range.
+    "self-loop": "3\n0 1\n1 1\n",
+    "self-loop-then-range": "3\n1 1\n0 5\n",
+    "range-then-self-loop": "3\n0 5\n1 1\n",
+    "reversed-duplicate": "4\n0 1\n1 0\n2 3\n",
+    "duplicate-and-isolated": "4\n0 1\n0 1\n1 2\n",
+    "cycle": "4\n0 1\n1 2\n2 0\n",
+    "cycle-and-edge": "5\n0 1\n1 2\n2 0\n3 4\n",
+    "end-equals-n": "3\n0 1\n1 3\n",
+    "end-20-digits": "3\n0 1\n1 99999999999999999999\n",
+    "end-4300-digits": f"3\n0 1\n1 {'1' * 4300}\n",
+    # Canonical text that the fast route must hand to the line loop.
+    "huge-count": f"{HUGE}\n0 1\n",
+    "huge-first-end": f"3\n{HUGE} 1\n1 2\n",
+    "too-few-edges": "4\n0 1\n1 2\n",
+    "too-many-edges": "3\n0 1\n1 2\n2 0\n",
+    "zero-count-00": "00\n",
+    # Valid trees in other layouts.
+    "crlf": "4\r\n0 1\r\n1 2\r\n2 3\r\n",
+    "cr": "4\r0 1\r1 2\r2 3\r",
+    "tabs": "4\n0\t1\n1\t2\n2 3\n",
+    "extra-spaces": " 4 \n0  1\n 1 2\n2 3 \n",
+    "no-final-newline": "4\n0 1\n1 2\n2 3",
+    "blank-lines-after": "4\n0 1\n1 2\n2 3\n\n\n",
+    "leading-zeros": "4\n00 01\n1 0002\n2 3\n",
+    "unsorted": "4\n3 2\n0 1\n2 1\n",
+    # Invalid in other layouts.
+    "crlf-triangle": "4\r\n0 1\r\n1 2\r\n0 2\r\n",
+    "garbage-after": "4\n0 1\n1 2\n2 3\nx",
+    "blank-inside": "4\n0 1\n1 2\n\n2 3\n",
+    "tab-three-tokens": "4\n0 1\n1 2\n2\t3 4\n",
+}
+
+
+@pytest.mark.parametrize("text", COUNT_EDGE_CASES.values(), ids=COUNT_EDGE_CASES.keys())
+def test_count_matches_reference_on_edge_cases(tmp_path, text):
+    assert_count_matches_reference(text, tmp_path / "tree.txt")
+
+
+def test_count_builds_no_tree(tmp_path, monkeypatch):
+    tree = seeded_tree(5, 3000)
+    treefile = tmp_path / "tree.txt"
+    want = (0, "", expected_count_digests(tree, str(treefile)))
+
+    def refuse(*args):
+        raise AssertionError("count reads edge ends, not a Tree")
+
+    monkeypatch.setattr(trees, "tree_from_edges", refuse)
+    for text in (format_edge_list(tree), format_edge_list(tree).replace(" ", "\t")):
+        treefile.write_text(text)
+        assert count_outputs(treefile) == want
+
+
+def test_count_json_with_f_key_in_file_name(tmp_path):
+    for name in ['"f": [].txt', 'x"f": ["1", "2"]\\"f": [].txt']:
+        assert_count_matches_reference("4\n0 1\n1 2\n1 3\n", tmp_path / name)
 
 
 def test_order_json_matches_build_and_count(capsys):
@@ -536,7 +652,6 @@ def test_module_entry_point():
 
 # Fuzzing: every exit is a documented code and no traceback reaches stderr.
 EXIT_CODES = {0, 2, 3, 4, 5}
-HUGE = "9" * 5000
 TOKENS = st.one_of(
     st.integers(-3, 15).map(str),
     st.sampled_from(["", " ", "x", "1.5", "+2", "0x3", "\u0663", "\u00e9"]),

@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import path, random_trees, reference_code, spider, star
+from helpers import path, random_trees, reference_code, seeded_tree, spider, star
+from subtrees import trees
 from subtrees.errors import InvalidVertex, NotATree, NotRealizable, ParseError
 from subtrees.oracle import _edges_from_prufer, prufer_sequences, realizable_sequences
 from subtrees.trees import (
     _code_from_adjacency,
     _decimal,
+    _edge_ends,
     canonical_code,
     degree_sequence_of,
     format_edge_list,
@@ -251,6 +253,16 @@ def test_parse_edge_list_rejects_non_ascii_digits(token):
 def test_parse_edge_list_structural_errors_are_not_parse_errors():
     with pytest.raises(NotATree):
         parse_edge_list("3\n0 1\n0 1\n")
+
+
+def test_edge_ends_pieces_match_the_line_loop(monkeypatch):
+    # About 330 KB: the canonical route converts it in several 64 KiB pieces.
+    t = seeded_tree(4, 30000)
+    text = format_edge_list(t)
+    ends = [x for e in t.edges for x in e]
+    assert _edge_ends(text.replace("\n", "\r\n")) == (t.n, ends)  # the line loop
+    monkeypatch.setattr(trees, "_parse_uint", None)  # canonical text skips the loop
+    assert _edge_ends(text) == (t.n, ends)
 
 
 def test_parse_degree_sequence():
