@@ -9,9 +9,11 @@ Usage:
 
 TREEFILE holds an edge list: the vertex count on the first line, then one
 "u v" pair per line.  SEQ is a comma-separated nonincreasing degree
-sequence such as 3,2,2,1,1,1.  All counts print exactly; --json swaps the
-human-readable output for a stable JSON report with counts as decimal
-strings.
+sequence such as 3,2,2,1,1,1.  An argument @FILE stands for the lines of
+FILE, one argument per line, so a sequence too long for one command-line
+argument can be passed as "subtrees build @FILE" with "--pi" and SEQ on
+two lines.  All counts print exactly; --json swaps the human-readable
+output for a stable JSON report with counts as decimal strings.
 
 Exit codes: 0 success, 2 unreadable input file, 3 invalid values
 (unrealizable sequence, malformed argument, infeasible class), 4 verified
@@ -52,6 +54,14 @@ _EXACT = Context(
 )
 
 
+# ``count`` keeps counts of at most this many digits in ints.  Per value,
+# str plus one top-down step took 1.50 us in ints against 1.69 us in
+# decimals at 200 digits, and 2.89 against 2.66 us at 300 (Python 3.11.7,
+# 2-CPU x86-64 VM).  Below 640, the least int-digit limit an interpreter
+# accepts, so str of such an int never raises.
+_INT_DIGITS = 200
+
+
 def _sequence_argument(text: str) -> tuple[int, ...]:
     """Parse a --pi style argument, mapping syntax errors to exit code 3."""
     try:
@@ -79,15 +89,43 @@ def _report(command: str, inputs: dict, outputs: dict) -> dict:
     }
 
 
+def _edge_lines(parent: Sequence[int]) -> list[str]:
+    """The "u v" lines of a parents-first array's edges as one text, joined
+    in C rather than printed a line at a time; a single vertex has none."""
+    return ["\n".join(map("%d %d".__mod__, _edges(parent)))] if len(parent) > 1 else []
+
+
+def _json_around(report: dict, key: str) -> tuple[str, str]:
+    """The JSON text of a report before and after the items of its empty list ``key``.
+
+    A long list is written between the two as plain text rather than
+    encoded item by item by ``json``.  The report holds one list named
+    ``key``, and no string in it can hold the text ``"key": []``, as
+    ``json`` escapes the quotes inside strings.
+    """
+    head, _, tail = json.dumps(report, sort_keys=True).rpartition(f'"{key}": []')
+    return f'{head}"{key}": [', f"]{tail}"
+
+
 def _emit(
-    args: argparse.Namespace, report: Callable[[], dict], human: Callable[[], list[str]]
+    args: argparse.Namespace,
+    report: Callable[[], dict],
+    human: Callable[[], list[str]],
+    parent: Sequence[int] | None = None,
 ) -> None:
-    """Print the JSON report or the human lines, building only the one printed."""
-    if args.json:
-        print(json.dumps(report(), sort_keys=True))
-    else:
+    """Print the JSON report or the human lines, building only the one printed.
+
+    With ``parent``, the report's empty "edges" list is filled with the
+    edges of that parents-first array, joined as one text.
+    """
+    if not args.json:
         for line in human():
             print(line)
+    elif parent is None:
+        print(json.dumps(report(), sort_keys=True))
+    else:
+        head, tail = _json_around(report(), "edges")
+        print(head, ", ".join(map("[%d, %d]".__mod__, _edges(parent))), tail, sep="")
 
 
 def _tree_bfs(text: str) -> tuple[list[int], list[int]]:
@@ -115,10 +153,12 @@ def _tree_bfs(text: str) -> tuple[list[int], list[int]]:
 def cmd_count(args: argparse.Namespace) -> int:
     """Count subtrees of the tree in a file: phi, per-vertex f, argmax.
 
-    The counts are exact decimals, whose text is linear in their digits;
-    an int's text, or its conversion to a decimal, is quadratic.  On a
-    random 10^4-vertex tree the 1,500-digit f values took nine times as
-    long to print as ints as the DP took to find them.  The f values are
+    The rooted pass runs in ints.  If phi, the largest count, has at most
+    ``_INT_DIGITS`` digits, the top-down pass and the text stay in ints,
+    which are faster there; above it, both passes rerun in exact decimals,
+    whose text is linear in their digits, where an int's is quadratic (on
+    a random 10^4-vertex tree the 1,500-digit f values took nine times as
+    long to print as ints as the DP took to find them).  The f values are
     written one at a time, so no text as long as the output is built.
     """
     try:
@@ -129,19 +169,25 @@ def cmd_count(args: argparse.Namespace) -> int:
     parent, order = _tree_bfs(text)
     del text
     n = len(parent)
-    with localcontext(_EXACT):
-        f = _rooted_counts(parent, order, Decimal(1))
-        phi = str(sum(map(f.__getitem__, reversed(order))))
+    f = _rooted_counts(parent, order)
+    phi = sum(map(f.__getitem__, reversed(order)))
+    if phi < 10**_INT_DIGITS:
         _rerooted_counts(parent, order, f)
+        phi = str(phi)
+    else:
+        del f
+        with localcontext(_EXACT):
+            f = _rooted_counts(parent, order, Decimal(1))
+            phi = str(sum(map(f.__getitem__, reversed(order))))
+            _rerooted_counts(parent, order, f)
     argmax = list(_argmax(f))
     if args.json:
-        # The f texts are plain digits and need no escaping.  The outputs'
-        # "f" is the last one: only "timing" and "version" follow it.
+        # The f texts are plain digits and need no escaping.
         outputs = {"phi": phi, "f": [], "argmax": argmax}
         report = _report("count", {"treefile": args.treefile, "n": n}, outputs)
-        head, _, tail = json.dumps(report, sort_keys=True).rpartition('"f": []')
-        print(head + '"f": ["', end="")
-        print(*f, sep='", "', end='"]' + tail + "\n")
+        head, tail = _json_around(report, "f")
+        print(head + '"', end="")
+        print(*f, sep='", "', end='"' + tail + "\n")
     else:
         print(f"n: {n}")
         print(f"phi: {phi}")
@@ -155,6 +201,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
     The greedy parent array is the tree: ids are the BFS order and each
     parent precedes its children, so no ``Tree`` is built and no BFS run.
+    Its edges print as one joined text, spliced into the JSON report.
     """
     pi = _sequence_argument(args.pi)
     parent = _greedy_parents(pi)
@@ -165,18 +212,15 @@ def cmd_build(args: argparse.Namespace) -> int:
         lambda: _report(
             "build",
             {"pi": list(pi)},
-            {
-                "edges": list(_edges(parent)),
-                "layer_sizes": list(sizes),
-                "phi": phi,
-            },
+            {"edges": [], "layer_sizes": list(sizes), "phi": phi},
         ),
         lambda: [
             str(len(pi)),
-            *(f"{u} {v}" for u, v in _edges(parent)),
+            *_edge_lines(parent),
             "layer_sizes: " + _fmt_seq(sizes),
             f"phi: {phi}",
         ],
+        parent,
     )
     return 0
 
@@ -305,7 +349,8 @@ def cmd_class(args: argparse.Namespace) -> int:
     """Extremal answer for a constrained class of trees.
 
     The edges print from the greedy parent array of the answer's sequence,
-    so the answer's ``Tree`` is never built.
+    so the answer's ``Tree`` is never built; they print as one joined
+    text, spliced into the JSON report.
     """
     answer = _CLASS_FUNCTIONS[args.type](args.n, args.k)
     parent = _greedy_parents(answer.extremal_pi)
@@ -317,7 +362,7 @@ def cmd_class(args: argparse.Namespace) -> int:
             {"type": args.type, "n": args.n, "k": args.k},
             {
                 "pi": list(answer.extremal_pi),
-                "edges": list(_edges(parent)),
+                "edges": [],
                 "phi": _decimal(answer.phi),
                 "printed_formula_value": None if printed is None else _decimal(printed),
                 "discrepancy_flag": answer.discrepancy_flag,
@@ -329,11 +374,12 @@ def cmd_class(args: argparse.Namespace) -> int:
             f"n: {args.n}",
             f"k: {args.k}",
             f"pi: {_fmt_seq(answer.extremal_pi)}",
-            *(f"{u} {v}" for u, v in _edges(parent)),
+            *_edge_lines(parent),
             f"phi: {_decimal(answer.phi)}",
             *([] if printed is None else [f"printed_formula: {_decimal(printed)}"]),
             f"discrepancy: {str(answer.discrepancy_flag).lower()}",
         ],
+        parent,
     )
     return 0
 
@@ -342,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subtrees",
         description="Exact subtree counts and extremal trees for degree sequences.",
+        fromfile_prefix_chars="@",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

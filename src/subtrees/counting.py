@@ -5,6 +5,9 @@ are exact Python integers, so nothing overflows for any tree size.  One
 bottom-up DP, ``_rooted_counts``, and one top-down pass that turns its
 counts into f in place run over ``parent`` and ``order`` lists (from
 ``trees._bfs``, or the oracle's preorder), in ints or exact decimals.
+The ``count`` command runs them in ints while phi is short and reruns
+them in exact decimals, whose text is linear in their digits, when it
+is long.
 """
 
 from __future__ import annotations

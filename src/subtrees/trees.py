@@ -347,9 +347,20 @@ def parse_edge_list(text: str) -> Tree:
 def parse_degree_sequence(text: str) -> tuple[int, ...]:
     """Parse comma-separated positive integers on one line and validate.
 
-    Raises ParseError on syntax problems and NotRealizable when the parsed
-    sequence is not a tree degree sequence.
+    Plain text (ASCII digits and single commas, nothing else) converts
+    with one ``map(int, ...)``.  Any other text, and plain text with an
+    entry past the int-digit limit, goes through the token loop, which
+    gives every syntax error its message.  Raises ParseError on syntax
+    problems and NotRealizable when the parsed sequence is not a tree
+    degree sequence.
     """
+    if re.fullmatch(r"[0-9]+(?:,[0-9]+)*", text):
+        try:
+            degrees = list(map(int, text.split(",")))
+        except ValueError:  # an entry longer than the interpreter's int-digit limit
+            pass
+        else:
+            return validate_degree_sequence(degrees)
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ParseError("empty degree sequence input")

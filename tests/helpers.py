@@ -114,6 +114,17 @@ def reference_parse_edge_list(text: str) -> Tree:
     return tree_from_edges(n, edges)
 
 
+def reference_parse_degree_sequence(text: str) -> tuple[int, ...]:
+    """The first degree-sequence parser: one checked token at a time."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ParseError("empty degree sequence input")
+    if len(lines) > 1:
+        raise ParseError(f"degree sequence must sit on one line, got {len(lines)}")
+    degrees = [_parse_uint(tok.strip(), "degree") for tok in lines[0].split(",")]
+    return validate_degree_sequence(degrees)
+
+
 def reference_rooted_counts(parent: Sequence[int | None], order: Sequence[int]) -> list[int]:
     """The first rooted subtree DP: one product (1 + g) per child, children first."""
     g = [1] * len(parent)

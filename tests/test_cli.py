@@ -550,6 +550,62 @@ def test_count_json_with_f_key_in_file_name(tmp_path):
         assert_count_matches_reference("4\n0 1\n1 2\n1 3\n", tmp_path / name)
 
 
+# ``count`` keeps phi of at most ``cli._INT_DIGITS`` digits in ints and
+# reruns larger trees in exact decimals.  A star with k leaves has
+# phi = 2^k + k; the largest such phi below 10^_INT_DIGITS sits on the
+# boundary.
+INT_ROUTE_LEAVES = max(k for k in range(1, 4 * cli._INT_DIGITS) if 2**k + k < 10**cli._INT_DIGITS)
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits: int):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def spy_decimal(monkeypatch) -> list:
+    """Record each call of ``cli.Decimal``, the one entry to the decimal route."""
+    calls: list = []
+    real = cli.Decimal
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "Decimal", spy)
+    return calls
+
+
+@pytest.mark.parametrize("limit", [None, 640])
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+def test_count_at_the_ring_boundary(tmp_path, monkeypatch, limit, offset):
+    k = INT_ROUTE_LEAVES + offset
+    assert (len(str(2**k + k)) <= cli._INT_DIGITS) == (offset <= 0)
+    treefile = tmp_path / "star.txt"
+    treefile.write_text(format_edge_list(star(k + 1)))
+    calls = spy_decimal(monkeypatch)
+    with int_digit_limit(limit) if limit else contextlib.nullcontext():
+        assert count_outputs(treefile) == reference_count_outputs(treefile)
+    assert bool(calls) == (offset > 0)
+
+
+def test_count_on_a_20k_star_at_the_least_int_digit_limit(tmp_path):
+    with int_digit_limit(640):
+        assert_count_text_matches_ints(star(20000), tmp_path / "star.txt")
+
+
+def test_count_keeps_a_10e5_path_in_ints(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("phi of 11 digits stays in ints")
+
+    monkeypatch.setattr(cli, "Decimal", refuse)
+    assert_count_text_matches_ints(path(10**5), tmp_path / "path.txt")
+
+
 def test_order_json_matches_build_and_count(capsys):
     chain_ends = [
         ("0", "0"),
@@ -632,6 +688,29 @@ def test_build_and_class_build_no_tree(capsys, monkeypatch):
     both_outputs(capsys, "build", "--pi", ",".join(map(str, random_degree_sequence(3, n))))
     for kind, k in [("maxdeg", 3), ("leaves", 40), ("alpha", 1200), ("beta", 800)]:
         both_outputs(capsys, "class", "--type", kind, "--n", str(n), "--k", str(k))
+
+
+def test_build_reads_arguments_from_an_args_file(tmp_path):
+    # A 10^5-entry --pi is longer than Linux lets one argument be.
+    seq = ",".join(map(str, random_degree_sequence(11, 10**5)))
+    argfile = tmp_path / "args.txt"
+    argfile.write_text(f"--pi\n{seq}\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["build", "--pi", seq, "--json"]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "subtrees.cli", "build", f"@{argfile}", "--json"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == out.getvalue()
+
+
+def test_missing_args_file_exits_2(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", f"@{tmp_path / 'absent.txt'}"])
+    assert exc.value.code == 2 and "absent.txt" in capsys.readouterr().err
 
 
 def test_version_flag():

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import path, random_trees, reference_code, seeded_tree, spider, star
+from helpers import (
+    path,
+    random_trees,
+    reference_code,
+    reference_parse_degree_sequence,
+    seeded_tree,
+    spider,
+    star,
+)
 from subtrees import trees
-from subtrees.errors import InvalidVertex, NotATree, NotRealizable, ParseError
+from subtrees.errors import InvalidVertex, NotATree, NotRealizable, ParseError, SubtreeError
 from subtrees.oracle import _edges_from_prufer, prufer_sequences, realizable_sequences
 from subtrees.trees import (
     _code_from_adjacency,
@@ -263,6 +273,70 @@ def test_edge_ends_pieces_match_the_line_loop(monkeypatch):
     assert _edge_ends(text.replace("\n", "\r\n")) == (t.n, ends)  # the line loop
     monkeypatch.setattr(trees, "_parse_uint", None)  # canonical text skips the loop
     assert _edge_ends(text) == (t.n, ends)
+
+
+def parse_outcome(parse, text: str) -> object:
+    """The parsed sequence, or the class and message of the error raised."""
+    try:
+        return parse(text)
+    except SubtreeError as exc:
+        return type(exc), str(exc)
+
+
+def random_degree_text(seed: int, n: int) -> str:
+    """The degrees of a uniform random labeled tree, comma-separated."""
+    rng = random.Random(seed)
+    degrees = [1] * n
+    for _ in range(n - 2):
+        degrees[rng.randrange(n)] += 1
+    return ",".join(map(str, sorted(degrees, reverse=True)))
+
+
+HUGE_DEGREE = "9" * 5000
+DEGREE_TEXTS = [
+    # Plain text, for the bulk route.
+    "3,2,2,1,1,1",
+    "0",
+    "1,1",
+    "2,2",
+    "3,3,1,1",
+    "03,2,1,1,1",
+    f"{HUGE_DEGREE},1",
+    f"1,{'1' * 4300}",
+    ",".join(["9" * 4299] * 11),
+    random_degree_text(1, 10**5),
+    # Anything else, for the token loop.
+    " 3, 2,2 ,1,1,1",
+    "3,2,2,1,1,1 ",
+    "+3,1,1,1",
+    "3_1",
+    "2,1_1",
+    "\u0663,1,1,1",
+    "3,1,1,1,",
+    ",3,1,1,1",
+    "3,,1,1,1",
+    "",
+    "\n3,2,2,1,1,1\n\n",
+    "3,2,2,1,1,1\r\n",
+    "2,1\n1,2\n",
+    "-1",
+    "1,-1",
+    "x",
+    "2.0,1,1",
+]
+
+
+@pytest.mark.parametrize("text", DEGREE_TEXTS, ids=range(len(DEGREE_TEXTS)))
+def test_parse_degree_sequence_matches_the_token_loop(text):
+    got = parse_outcome(parse_degree_sequence, text)
+    assert got == parse_outcome(reference_parse_degree_sequence, text)
+
+
+def test_parse_degree_sequence_bulk_route(monkeypatch):
+    text = random_degree_text(2, 10**5)
+    want = reference_parse_degree_sequence(text)
+    monkeypatch.setattr(trees, "_parse_uint", None)  # plain text skips the loop
+    assert parse_degree_sequence(text) == want
 
 
 def test_parse_degree_sequence():
