@@ -14,7 +14,6 @@ from __future__ import annotations
 from .counting import FVector, count_containing_all, count_rooted, count_subtrees, f_vector
 from .errors import (
     EmptySet,
-    IndexOutOfRange,
     InfeasibleConstraint,
     InvalidCut,
     InvalidVertex,
@@ -29,13 +28,10 @@ from .errors import (
 )
 from .extremal import (
     BfsLabeling,
-    PathDecomposition,
     build_greedy_bfs,
-    decompose_path,
     has_bfs_ordering,
     local_search_optimize,
     swap_components,
-    swap_path_edges,
 )
 from .formulas import (
     ClassAnswer,
@@ -92,7 +88,6 @@ __all__ = [
     "RootedView",
     "FVector",
     "BfsLabeling",
-    "PathDecomposition",
     "ClassAnswer",
     "TreeClassSummary",
     "TreeClass",
@@ -117,9 +112,7 @@ __all__ = [
     "count_containing_all",
     "build_greedy_bfs",
     "has_bfs_ordering",
-    "decompose_path",
     "swap_components",
-    "swap_path_edges",
     "local_search_optimize",
     "majorizes",
     "majorization_chain",
@@ -146,7 +139,6 @@ __all__ = [
     "InvalidVertex",
     "EmptySet",
     "InvalidCut",
-    "IndexOutOfRange",
     "LengthMismatch",
     "SumMismatch",
     "NotComparable",

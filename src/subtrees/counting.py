@@ -13,11 +13,12 @@ is long.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .errors import EmptySet, InvalidVertex
-from .trees import RootedView, Tree, _bfs, root_at
+from .trees import RootedView, Tree, _bfs
 
 __all__ = [
     "FVector",
@@ -142,7 +143,9 @@ def count_containing_all(tree: Tree, vertices: Sequence[int]) -> int:
     them).  Rooting at one of the given vertices makes S closed under
     taking parents, and any such subtree is S plus an independent choice,
     for every child branch hanging off S, of one of its rooted subtrees
-    or nothing.  Hence the product of (1 + g(c)) over hanging children c.
+    or nothing.  Hence the product of (1 + g(c)) over hanging children c:
+    the vertices outside S whose parent is in S.  The root is its own
+    parent, so the walk up from each target stops at a vertex of S.
 
     Raises EmptySet for an empty selection and InvalidVertex for ids
     outside the tree.
@@ -155,21 +158,13 @@ def count_containing_all(tree: Tree, vertices: Sequence[int]) -> int:
             raise InvalidVertex(f"vertex {v} outside 0..{tree.n - 1}")
     if len(targets) == 1:
         return f_vector(tree).values[targets[0]]
-    view = root_at(tree, targets[0])
-    g = count_rooted(view)
+    parent, order = _bfs(tree.adjacency, targets[0])
+    g = _rooted_counts(parent, order)
     in_steiner = bytearray(tree.n)
-    for t in targets:
-        w = t
+    for w in targets:
         while not in_steiner[w]:
             in_steiner[w] = 1
-            if w == view.root:
-                break
-            w = view.parent[w]  # type: ignore[assignment]
-    total = 1
-    for w in range(tree.n):
-        if not in_steiner[w]:
-            continue
-        for c in view.children[w]:
-            if not in_steiner[c]:
-                total *= 1 + g[c]
-    return total
+            w = parent[w]
+    return math.prod(
+        1 + g[c] for c in range(tree.n) if not in_steiner[c] and in_steiner[parent[c]]
+    )

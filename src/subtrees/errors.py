@@ -10,7 +10,6 @@ __all__ = [
     "InvalidVertex",
     "EmptySet",
     "InvalidCut",
-    "IndexOutOfRange",
     "LengthMismatch",
     "SumMismatch",
     "NotComparable",
@@ -47,10 +46,6 @@ class InvalidCut(SubtreeError):
     """Requested component detachment does not produce a valid split."""
 
 
-class IndexOutOfRange(SubtreeError):
-    """Index outside the valid range of a path decomposition move."""
-
-
 class LengthMismatch(SubtreeError):
     """Sequences being compared must have equal length."""
 
@@ -68,4 +63,4 @@ class InfeasibleConstraint(SubtreeError):
 
 
 class TooLarge(SubtreeError):
-    """Input exceeds the configured size cap for exhaustive work."""
+    """Input exceeds a documented size cap: exhaustive work or a class answer."""

@@ -4,7 +4,8 @@ The greedy breadth-first tree of a degree sequence maximizes the subtree
 count within its class.  This module builds that tree, decides whether a
 rooted tree admits a BFS-ordering (heights nondecreasing, degrees
 nonincreasing, children blocks following their parents' order), and
-exposes the two rewiring moves that push any tree toward the optimum.
+pushes any tree toward the optimum with one move, ``swap_components``,
+of which the paper's path rewirings are a special case.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from operator import neg
 from typing import Iterator, Sequence
 
 from .counting import _rerooted_counts, _rooted_counts
-from .errors import IndexOutOfRange, InvalidCut, InvalidVertex
+from .errors import InvalidCut, InvalidVertex
 from .trees import (
     RootedView,
     Tree,
@@ -30,12 +31,9 @@ from .trees import (
 
 __all__ = [
     "BfsLabeling",
-    "PathDecomposition",
     "build_greedy_bfs",
     "has_bfs_ordering",
-    "decompose_path",
     "swap_components",
-    "swap_path_edges",
     "local_search_optimize",
 ]
 
@@ -50,39 +48,6 @@ class BfsLabeling:
 
     order: tuple[int, ...]
     layer_sizes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PathDecomposition:
-    """A path with its hanging components after deleting the path edges.
-
-    The path runs x_m .. x_1 (z) y_1 .. y_m between two chosen vertices,
-    with the optional middle vertex z present exactly when the path has
-    odd length.  ``x`` and ``y`` list the path vertices innermost first
-    (x[0] is x_1).  Each path vertex keeps a hanging component: itself
-    plus everything reachable without path edges; the components
-    partition the vertex set.
-    """
-
-    tree: Tree
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    z: int | None
-    x_components: tuple[frozenset[int], ...]
-    y_components: tuple[frozenset[int], ...]
-    z_component: frozenset[int] | None
-
-    @property
-    def m(self) -> int:
-        return len(self.x)
-
-    def x_tail(self, k: int) -> frozenset[int]:
-        """Union of the components hanging at x_k, x_{k+1}, .., x_m."""
-        return frozenset().union(*self.x_components[k - 1 :])
-
-    def y_tail(self, k: int) -> frozenset[int]:
-        """Union of the components hanging at y_k, y_{k+1}, .., y_m."""
-        return frozenset().union(*self.y_components[k - 1 :])
 
 
 def _greedy_parents(pi: Sequence[int]) -> list[int]:
@@ -183,41 +148,6 @@ def has_bfs_ordering(view: RootedView) -> tuple[bool, tuple[int, ...] | None]:
     return True, tuple(image)
 
 
-def decompose_path(tree: Tree, u: int, v: int) -> PathDecomposition:
-    """Split the tree along the u-v path into its hanging components.
-
-    The path is written x_m .. x_1 (z) y_1 .. y_m with u = x_m and
-    v = y_m; an odd-length path contributes the middle vertex z.  With
-    the tree rooted at u, each path vertex owns itself and every other
-    vertex inherits its parent's owner, so the owners' classes are the
-    components left once the path edges are removed.
-    """
-    path = path_between(tree, u, v)
-    parent, order = _bfs(tree.adjacency, u)
-    owner = [-1] * tree.n
-    for p in path:
-        owner[p] = p
-    members: dict[int, list[int]] = {p: [] for p in path}
-    for w in order:
-        if owner[w] < 0:
-            owner[w] = owner[parent[w]]
-        members[owner[w]].append(w)
-    length = len(path)
-    m = length // 2
-    z = path[m] if length % 2 else None
-    x_side = tuple(reversed(path[:m]))  # innermost first
-    y_side = tuple(path[length - m :])
-    return PathDecomposition(
-        tree=tree,
-        x=x_side,
-        y=y_side,
-        z=z,
-        x_components=tuple(frozenset(members[p]) for p in x_side),
-        y_components=tuple(frozenset(members[p]) for p in y_side),
-        z_component=None if z is None else frozenset(members[z]),
-    )
-
-
 def swap_components(
     tree: Tree,
     x: int,
@@ -233,6 +163,14 @@ def swap_components(
     including the whole x-y path, stays put, so the result is again a
     tree.  Branches containing the other endpoint cannot move; selecting
     one raises InvalidCut, as does repeating a neighbor or x = y.
+
+    The paper's path rewiring is the one-for-one case.  Write a path as
+    x_m .. x_1 (z) y_1 .. y_m, with the middle vertex z present exactly
+    when its length is odd.  Deleting x_k x_{k+1} and y_k y_{k+1} and
+    adding x_{k+1} y_k and y_{k+1} x_k (1 <= k <= m - 1) reverses the
+    inner part of the path and keeps every degree; it is
+    ``swap_components(tree, x_k, y_k, (x_{k+1},), (y_{k+1},))``, since
+    both x_{k+1} and y_{k+1} sit off the x_k-y_k path.
     """
     n = tree.n
     for w in (x, y):
@@ -261,24 +199,6 @@ def swap_components(
     edges.extend((y, c) for c in xc)
     edges.extend((x, d) for d in yc)
     return tree_from_edges(n, edges)
-
-
-def swap_path_edges(tree: Tree, decomposition: PathDecomposition, k: int) -> Tree:
-    """Rewire the decomposed path at depth k, preserving all degrees.
-
-    Deletes the edges x_k x_{k+1} and y_k y_{k+1} and adds x_{k+1} y_k
-    and y_{k+1} x_k, which reverses the inner part of the path.  That is
-    the one-for-one branch exchange of x_{k+1} at x_k with y_{k+1} at y_k:
-    both sit off the x_k-y_k path.  Requires 1 <= k <= m-1; anything else
-    raises IndexOutOfRange.
-    """
-    if decomposition.tree != tree:
-        raise InvalidCut("decomposition was built from a different tree")
-    m = decomposition.m
-    if not 1 <= k <= m - 1:
-        raise IndexOutOfRange(f"k must satisfy 1 <= k <= m-1 = {m - 1}, got {k}")
-    xs, ys = decomposition.x, decomposition.y
-    return swap_components(tree, xs[k - 1], ys[k - 1], (xs[k],), (ys[k],))
 
 
 def _branch_tables(tree: Tree) -> tuple[list[int], list[dict[int, int]]]:
@@ -328,8 +248,8 @@ def _scored_moves(tree: Tree) -> Iterator[tuple[int, int, int, tuple[int, ...], 
     exchanges, c at x for d at y, over the pairs x < y; then the
     single-branch relocations of c from x to a y of one degree less,
     which leave the degree multiset unchanged.  The paper's path
-    rewirings need no family of their own: each one is the branch
-    exchange at (x_k, y_k) that ``swap_path_edges`` performs.
+    rewirings need no family of their own: each one is a branch
+    exchange at (x_k, y_k), as the ``swap_components`` docstring shows.
 
     The exchange lemma gives delta without building the tree.  With g a
     branch's rooted count and A (B) the number of subtrees of T - c - d

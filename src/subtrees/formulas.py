@@ -18,7 +18,7 @@ from .counting import _phi_from_parents
 from .errors import InfeasibleConstraint
 from .extremal import _greedy_parents, build_greedy_bfs
 from .majorization import Independence, Leaves, Matching, MaxDegree, class_max_sequence
-from .trees import Tree, root_at
+from .trees import Tree, _bfs
 
 __all__ = [
     "ClassAnswer",
@@ -174,15 +174,15 @@ def wiener_index(tree: Tree) -> int:
 
     Every edge is counted once per pair it separates, so the total is the
     sum over edges of a*b where a and b are the two component orders left
-    by deleting that edge.
+    by deleting that edge: the edge from v to its parent, rooted at 0,
+    splits off v's branch.  The root's term is n * 0.
     """
     n = tree.n
-    view = root_at(tree, 0)
+    parent, order = _bfs(tree.adjacency, 0)
     size = [1] * n
-    for v in reversed(view.order):
-        for c in view.children[v]:
-            size[v] += size[c]
-    return sum(size[v] * (n - size[v]) for v in range(n) if v != view.root)
+    for v in order[:0:-1]:
+        size[parent[v]] += size[v]
+    return sum(s * (n - s) for s in size)
 
 
 def matching_number(tree: Tree) -> int:
@@ -192,12 +192,12 @@ def matching_number(tree: Tree) -> int:
     children-first, match a vertex to its parent whenever both are free
     (a leaf's only hope is its parent, so matching there never hurts).
     """
-    view = root_at(tree, 0)
+    parent, order = _bfs(tree.adjacency, 0)
     matched = bytearray(tree.n)
     count = 0
-    for v in reversed(view.order):
-        p = view.parent[v]
-        if p is not None and not matched[v] and not matched[p]:
+    for v in order[:0:-1]:
+        p = parent[v]
+        if not matched[v] and not matched[p]:
             matched[v] = matched[p] = 1
             count += 1
     return count

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import InfeasibleConstraint, LengthMismatch, NotComparable, SumMismatch
+from .errors import InfeasibleConstraint, LengthMismatch, NotComparable, SumMismatch, TooLarge
 from .trees import _decimal
 
 __all__ = [
@@ -24,6 +24,12 @@ __all__ = [
     "TreeClass",
     "class_max_sequence",
 ]
+
+# Vertex cap for class answers, whose sequence, tree and output all grow
+# with n.  At n = 10^6, ``class --json`` took 1.3 to 3.1 s and at most
+# 175 MB; at 3 * 10^6, up to 22 s and 500 MB (alpha and beta, whose phi
+# has ~n/3 digits, are the slow ones; Python 3.11.7, 2-CPU x86-64 VM).
+_CLASS_LIMIT = 10**6
 
 
 def majorizes(a: Sequence[int], b: Sequence[int]) -> str:
@@ -151,9 +157,12 @@ def class_max_sequence(constraint: TreeClass) -> tuple[int, ...]:
     """The majorization-maximal degree sequence inside the given class.
 
     Every tree in the class has a degree sequence majorized by the result,
-    so the class's subtree-count maximizer realizes it.  Raises
+    so the class's subtree-count maximizer realizes it.  Raises TooLarge
+    for n above ``_CLASS_LIMIT``, before anything of size n is built, and
     InfeasibleConstraint when the class is empty.
     """
+    if constraint.n > _CLASS_LIMIT:
+        raise TooLarge(f"class answers capped at {_CLASS_LIMIT} vertices, got {_decimal(constraint.n)}")
     if isinstance(constraint, MaxDegree):
         n, delta = constraint.n, constraint.delta
         if not (2 <= delta <= n - 1):

@@ -164,9 +164,10 @@ def test_verify_single_sequence(capsys):
 
 
 def test_verify_detects_violation(capsys, monkeypatch):
-    # Substitute a non-optimal realization for the greedy construction; the
+    # Substitute a non-optimal realization for the greedy construction: the
+    # parents-first array of spider(1, 1, 3), legs 1, 2 and 3-4-5. The
     # exhaustive check must notice and exit 4.
-    monkeypatch.setattr(cli, "build_greedy_bfs", lambda pi: (spider(1, 1, 3), None))
+    monkeypatch.setattr(cli, "_greedy_parents", lambda pi: [0, 0, 0, 0, 3, 4])
     code, out, _ = run(capsys, "verify", "--pi", "3,2,2,1,1,1")
     assert code == 4 and "FAIL" in out
 
@@ -683,7 +684,7 @@ def test_build_and_class_build_no_tree(capsys, monkeypatch):
         raise AssertionError("the greedy tree prints from its parent array")
 
     monkeypatch.setattr(extremal, "tree_from_edges", refuse)
-    monkeypatch.setattr(cli, "count_subtrees", refuse)
+    assert not hasattr(cli, "count_subtrees") and not hasattr(cli, "build_greedy_bfs")
     n = 2000
     both_outputs(capsys, "build", "--pi", ",".join(map(str, random_degree_sequence(3, n))))
     for kind, k in [("maxdeg", 3), ("leaves", 40), ("alpha", 1200), ("beta", 800)]:
@@ -786,3 +787,18 @@ def test_out_of_range_arguments_exit_cleanly():
     assert_clean_exit("class", "--type", "maxdeg", "--n", HUGE, "--k", "3")
     assert_clean_exit("class", "--type", "leaves", "--n", "7", "--k", HUGE)
     assert_clean_exit("order", "--a", f"{HUGE},1", "--b", "1,1")
+
+
+@pytest.mark.parametrize("n", [10**15, 10**20])
+@pytest.mark.parametrize("kind", ["maxdeg", "leaves", "alpha", "beta"])
+def test_class_above_the_cap_exits_5_before_allocating(capsys, kind, n):
+    k = {"maxdeg": 3, "leaves": 3, "alpha": n - 1, "beta": 1}[kind]
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "class", "--type", kind, "--n", str(n), "--k", str(k))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 5 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert peak < 2**20

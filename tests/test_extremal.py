@@ -20,7 +20,7 @@ from helpers import (
     star,
 )
 from subtrees.counting import count_containing_all, count_rooted, count_subtrees
-from subtrees.errors import IndexOutOfRange, InvalidCut, InvalidVertex
+from subtrees.errors import InvalidCut, InvalidVertex
 from subtrees.extremal import (
     _branch_tables,
     _greedy_parents,
@@ -28,11 +28,9 @@ from subtrees.extremal import (
     _satisfies_bfs_ordering,
     _scored_moves,
     build_greedy_bfs,
-    decompose_path,
     has_bfs_ordering,
     local_search_optimize,
     swap_components,
-    swap_path_edges,
 )
 from subtrees.oracle import enumerate_trees, realizable_sequences
 from subtrees.trees import (
@@ -56,6 +54,28 @@ def branch(tree: Tree, start: int, avoid: int) -> frozenset[int]:
                 seen.add(nb)
                 stack.append(nb)
     return frozenset(seen)
+
+
+def path_split(tree: Tree, u: int, v: int):
+    """The u-v path x_m .. x_1 (z) y_1 .. y_m with its hanging components.
+
+    Returns x and y innermost first (x[0] is x_1) and, per path vertex,
+    the component hanging there: itself plus every branch off the path.
+    The tail at x_k is the union of the components at x_k .. x_m.
+    """
+    p = path_between(tree, u, v)
+    m = len(p) // 2
+    x, y = p[:m][::-1], p[len(p) - m :]
+
+    def hanging(w: int) -> frozenset[int]:
+        return frozenset({w}).union(*(branch(tree, c, w) for c in tree.adjacency[w] if c not in p))
+
+    return x, y, [hanging(w) for w in x], [hanging(w) for w in y]
+
+
+def rewire(tree: Tree, x, y, k: int) -> Tree:
+    """The path rewiring at depth k, as the ``swap_components`` docstring states it."""
+    return swap_components(tree, x[k - 1], y[k - 1], (x[k],), (y[k],))
 
 
 def test_greedy_small_shapes():
@@ -192,50 +212,6 @@ def test_bfs_ordering_witness_is_valid(t, data):
         assert witness is None
 
 
-def test_decompose_path_p5():
-    dec = decompose_path(path(5), 0, 4)
-    assert dec.m == 2 and dec.z == 2
-    assert dec.x == (1, 0) and dec.y == (3, 4)
-    assert dec.x_components == (frozenset({1}), frozenset({0}))
-    assert dec.y_components == (frozenset({3}), frozenset({4}))
-    assert dec.z_component == frozenset({2})
-    assert dec.x_tail(1) == frozenset({0, 1}) and dec.x_tail(2) == frozenset({0})
-    assert dec.y_tail(1) == frozenset({3, 4}) and dec.y_tail(2) == frozenset({4})
-
-
-def test_decompose_path_even_and_trivial():
-    dec = decompose_path(path(4), 0, 3)
-    assert dec.m == 2 and dec.z is None and dec.z_component is None
-    adj = decompose_path(path(4), 1, 2)
-    assert adj.m == 1 and adj.x == (1,) and adj.y == (2,)
-    assert adj.x_components == (frozenset({0, 1}),)
-    loop = decompose_path(path(4), 2, 2)
-    assert loop.m == 0 and loop.z == 2 and loop.z_component == frozenset(range(4))
-
-
-@settings(max_examples=50)
-@given(random_trees(min_n=2, max_n=10), st.data())
-def test_decompose_path_partitions_vertices(t, data):
-    u = data.draw(st.integers(0, t.n - 1))
-    v = data.draw(st.integers(0, t.n - 1))
-    dec = decompose_path(t, u, v)
-    parts = list(dec.x_components) + list(dec.y_components)
-    if dec.z_component is not None:
-        parts.append(dec.z_component)
-    assert sum(len(p) for p in parts) == t.n
-    assert frozenset().union(*parts) == frozenset(range(t.n))
-    for comp, anchor in zip(dec.x_components, dec.x):
-        assert anchor in comp
-    for comp, anchor in zip(dec.y_components, dec.y):
-        assert anchor in comp
-    on_path = path_between(t, u, v)
-    assert all(len(p & set(on_path)) == 1 for p in parts)
-    path_edges = {frozenset(e) for e in zip(on_path, on_path[1:])}
-    owner = {w: i for i, p in enumerate(parts) for w in p}
-    for a, b in t.edges:
-        assert (owner[a] != owner[b]) == (frozenset((a, b)) in path_edges)
-
-
 def test_swap_components_p5_reversal():
     p5 = path(5)
     out = swap_components(p5, 1, 3, (0,), (4,))
@@ -273,27 +249,17 @@ def test_swap_components_rejects():
 
 def test_swap_path_edges_p6_isomorphic():
     p6 = path(6)
-    dec = decompose_path(p6, 0, 5)
-    assert dec.m == 3
-    out = swap_path_edges(p6, dec, 2)
+    x, y, _, _ = path_split(p6, 0, 5)
+    assert len(x) == 3
+    out = rewire(p6, x, y, 2)
     assert is_isomorphic(out, p6)
 
 
 def test_swap_path_edges_symmetric_fixed_point():
     h = tree_from_edges(6, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5)])
-    dec = decompose_path(h, 0, 3)
-    out = swap_path_edges(h, dec, 1)
+    x, y, _, _ = path_split(h, 0, 3)
+    out = rewire(h, x, y, 1)
     assert is_isomorphic(out, h)
-
-
-def test_swap_path_edges_rejects():
-    p6 = path(6)
-    dec = decompose_path(p6, 0, 5)
-    for k in (0, 3, -1):
-        with pytest.raises(IndexOutOfRange):
-            swap_path_edges(p6, dec, k)
-    with pytest.raises(InvalidCut):
-        swap_path_edges(star(6), dec, 1)  # decomposition from a different tree
 
 
 @settings(max_examples=50)
@@ -302,13 +268,13 @@ def test_swap_path_edges_preserves_degrees(t, data):
     leaves = [v for v in range(t.n) if t.degree(v) == 1]
     u = data.draw(st.sampled_from(leaves))
     v = data.draw(st.sampled_from([w for w in leaves if w != u]))
-    dec = decompose_path(t, u, v)
-    if dec.m < 2:
+    x, y, _, _ = path_split(t, u, v)
+    if len(x) < 2:
         return
-    k = data.draw(st.integers(1, dec.m - 1))
-    out = swap_path_edges(t, dec, k)
+    k = data.draw(st.integers(1, len(x) - 1))
+    out = rewire(t, x, y, k)
     assert degree_sequence_of(out) == degree_sequence_of(t)
-    xk, xk1, yk, yk1 = dec.x[k - 1], dec.x[k], dec.y[k - 1], dec.y[k]
+    xk, xk1, yk, yk1 = x[k - 1], x[k], y[k - 1], y[k]
     edges = set(t.edges) - {tuple(sorted((xk, xk1))), tuple(sorted((yk, yk1)))}
     edges |= {tuple(sorted((xk1, yk))), tuple(sorted((yk1, xk)))}
     assert set(out.edges) == edges
@@ -354,13 +320,14 @@ def test_component_swap_inequality_property(t, data):
     assert (after == before) == (f_mid_x == f_mid_y or f_x == f_y)
 
 
-def _path_swap_hypotheses(t: Tree, dec, k: int) -> tuple[bool, bool]:
+def _path_swap_hypotheses(t: Tree, split, k: int) -> tuple[bool, bool]:
     """Whether the path-swap count hypotheses hold, and the equality clause."""
-    f_x = [f_within(t, comp, v) for comp, v in zip(dec.x_components, dec.x)]
-    f_y = [f_within(t, comp, v) for comp, v in zip(dec.y_components, dec.y)]
+    x, y, x_parts, y_parts = split
+    f_x = [f_within(t, comp, v) for comp, v in zip(x_parts, x)]
+    f_y = [f_within(t, comp, v) for comp, v in zip(y_parts, y)]
     inner_ok = all(f_x[i] >= f_y[i] for i in range(k))
-    tail_x = f_within(t, dec.x_tail(k + 1), dec.x[k])
-    tail_y = f_within(t, dec.y_tail(k + 1), dec.y[k])
+    tail_x = f_within(t, frozenset().union(*x_parts[k:]), x[k])
+    tail_y = f_within(t, frozenset().union(*y_parts[k:]), y[k])
     holds = inner_ok and tail_x <= tail_y
     equality = tail_x == tail_y or all(f_x[i] == f_y[i] for i in range(k))
     return holds, equality
@@ -373,12 +340,13 @@ def test_path_swap_inequality_exhaustive_n7_class():
             for v in range(t.n):
                 if u == v:
                     continue
-                dec = decompose_path(t, u, v)
-                for k in range(1, dec.m):
-                    holds, equality = _path_swap_hypotheses(t, dec, k)
+                split = path_split(t, u, v)
+                x, y, _, _ = split
+                for k in range(1, len(x)):
+                    holds, equality = _path_swap_hypotheses(t, split, k)
                     if not holds:
                         continue
-                    after = count_subtrees(swap_path_edges(t, dec, k))
+                    after = count_subtrees(rewire(t, x, y, k))
                     assert after >= before
                     assert (after == before) == equality
 
@@ -388,14 +356,15 @@ def test_path_swap_inequality_exhaustive_n7_class():
 def test_path_swap_inequality_property(t, data):
     u = data.draw(st.integers(0, t.n - 1))
     v = data.draw(st.sampled_from([w for w in range(t.n) if w != u]))
-    dec = decompose_path(t, u, v)
-    if dec.m < 2:
+    split = path_split(t, u, v)
+    x, y, _, _ = split
+    if len(x) < 2:
         return
-    k = data.draw(st.integers(1, dec.m - 1))
-    holds, equality = _path_swap_hypotheses(t, dec, k)
+    k = data.draw(st.integers(1, len(x) - 1))
+    holds, equality = _path_swap_hypotheses(t, split, k)
     if not holds:
         return
-    after = count_subtrees(swap_path_edges(t, dec, k))
+    after = count_subtrees(rewire(t, x, y, k))
     before = count_subtrees(t)
     assert after >= before
     assert (after == before) == equality
@@ -501,9 +470,9 @@ def _assert_no_improving_path_rewiring(t: Tree) -> None:
     leaves = [v for v in range(t.n) if t.degree(v) == 1]
     for i, u in enumerate(leaves):
         for v in leaves[i + 1 :]:
-            dec = decompose_path(t, u, v)
-            for k in range(1, dec.m):
-                assert count_subtrees(swap_path_edges(t, dec, k)) <= phi
+            x, y, _, _ = path_split(t, u, v)
+            for k in range(1, len(x)):
+                assert count_subtrees(rewire(t, x, y, k)) <= phi
 
 
 def test_local_search_result_admits_no_improving_path_rewiring():

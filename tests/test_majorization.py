@@ -11,9 +11,11 @@ from subtrees.errors import (
     LengthMismatch,
     NotComparable,
     SumMismatch,
+    TooLarge,
 )
 from subtrees.extremal import build_greedy_bfs
 from subtrees.majorization import (
+    _CLASS_LIMIT,
     Independence,
     Leaves,
     Matching,
@@ -137,6 +139,18 @@ def test_class_max_sequence_infeasible():
     ]
     for constraint in cases:
         with pytest.raises(InfeasibleConstraint):
+            class_max_sequence(constraint)
+
+
+def test_class_max_sequence_cap():
+    assert len(class_max_sequence(MaxDegree(n=_CLASS_LIMIT, delta=3))) == _CLASS_LIMIT
+    for constraint in (
+        MaxDegree(n=_CLASS_LIMIT + 1, delta=3),
+        Leaves(n=_CLASS_LIMIT + 1, s=3),
+        Independence(n=10**20, alpha=10**20 - 1),
+        Matching(n=10**5000, beta=1),  # past the int-digit limit of str
+    ):
+        with pytest.raises(TooLarge):
             class_max_sequence(constraint)
 
 
