@@ -15,21 +15,20 @@ from subtrees import (
     degree_sequence_of,
     has_bfs_ordering,
     local_search_optimize,
-    root_at,
     tree_from_edges,
 )
 
 # A 19-vertex sequence: two degree-4 vertices, five degree-3, one degree-2
 # and eleven leaves.
 pi = (4, 4, 3, 3, 3, 3, 3, 2) + (1,) * 11
-tree, labeling = build_greedy_bfs(pi)
-print("layer sizes:", labeling.layer_sizes)
+tree, sizes = build_greedy_bfs(pi)
+print("layer sizes:", sizes)
 print("phi(T*) =", count_subtrees(tree))
 
 # The construction labels vertices in BFS order, and that order is a
 # BFS-ordering: heights never drop, degrees never rise, and children
 # follow their parents' order.
-ok, witness = has_bfs_ordering(root_at(tree, 0))
+ok, witness = has_bfs_ordering(tree, 0)
 print("greedy tree has a BFS-ordering:", ok)
 
 # Most trees admit no BFS-ordering from any root.  The spider with legs
@@ -38,7 +37,7 @@ print("greedy tree has a BFS-ordering:", ok)
 lanky = tree_from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
 print(
     "lanky spider has a BFS-ordering from some root:",
-    any(has_bfs_ordering(root_at(lanky, r))[0] for r in range(6)),
+    any(has_bfs_ordering(lanky, r)[0] for r in range(6)),
 )
 
 # Local search repairs it: degree-preserving rewirings are applied while

@@ -27,7 +27,6 @@ from .errors import (
     TooLarge,
 )
 from .extremal import (
-    BfsLabeling,
     build_greedy_bfs,
     has_bfs_ordering,
     local_search_optimize,
@@ -44,16 +43,7 @@ from .formulas import (
     max_degree_extremal,
     wiener_index,
 )
-from .majorization import (
-    Independence,
-    Leaves,
-    Matching,
-    MaxDegree,
-    TreeClass,
-    class_max_sequence,
-    majorization_chain,
-    majorizes,
-)
+from .majorization import majorization_chain, majorizes
 from .oracle import (
     TreeClassSummary,
     count_subtrees_bruteforce,
@@ -65,7 +55,6 @@ from .oracle import (
     tree_from_prufer,
 )
 from .trees import (
-    RootedView,
     Tree,
     canonical_code,
     degree_sequence_of,
@@ -75,7 +64,6 @@ from .trees import (
     parse_edge_list,
     path_between,
     relabel,
-    root_at,
     tree_from_edges,
     validate_degree_sequence,
 )
@@ -85,20 +73,12 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "Tree",
-    "RootedView",
     "FVector",
-    "BfsLabeling",
     "ClassAnswer",
     "TreeClassSummary",
-    "TreeClass",
-    "MaxDegree",
-    "Leaves",
-    "Independence",
-    "Matching",
     "tree_from_edges",
     "validate_degree_sequence",
     "degree_sequence_of",
-    "root_at",
     "path_between",
     "canonical_code",
     "is_isomorphic",
@@ -116,7 +96,6 @@ __all__ = [
     "local_search_optimize",
     "majorizes",
     "majorization_chain",
-    "class_max_sequence",
     "bound_path_star",
     "max_degree_extremal",
     "leaves_extremal",

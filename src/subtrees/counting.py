@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .errors import EmptySet, InvalidVertex
-from .trees import RootedView, Tree, _bfs
+from .errors import EmptySet
+from .trees import Tree, _bfs, _vertex
 
 __all__ = [
     "FVector",
@@ -42,7 +42,7 @@ class FVector:
     argmax: tuple[int, ...]
 
 
-def _rooted_counts(parent: Sequence[int | None], order: Sequence[int], one: Any = 1) -> list:
+def _rooted_counts(parent: Sequence[int], order: Sequence[int], one: Any = 1) -> list:
     """Rooted subtree counts g over any parents-first order, children first.
 
     Each vertex's finished count multiplies into its parent's as the
@@ -75,14 +75,16 @@ def _phi_from_parents(parent: Sequence[int]) -> int:
     return sum(reversed(_rooted_counts(parent, range(len(parent)))))
 
 
-def count_rooted(view: RootedView) -> tuple[int, ...]:
+def count_rooted(tree: Tree, root: int) -> tuple[int, ...]:
     """For each vertex v, the number of subtrees rooted at v.
 
-    A subtree rooted at v lives inside v's branch of the rooted view and
-    contains v.  Each child's branch can contribute any of its own rooted
-    subtrees or stay out, hence the product of (1 + child count).
+    With the tree rooted at ``root``, a subtree rooted at v lives inside
+    v's branch and contains v.  Each child's branch can contribute any of
+    its own rooted subtrees or stay out, hence the product of (1 + child
+    count).  Raises InvalidVertex for a root outside 0..n-1.
     """
-    return tuple(_rooted_counts(view.parent, view.order))
+    parent, order = _bfs(tree.adjacency, _vertex(root, tree.n, "root"))
+    return tuple(_rooted_counts(parent, order))
 
 
 def count_subtrees(tree: Tree) -> int:
@@ -98,7 +100,7 @@ def count_subtrees(tree: Tree) -> int:
     return sum(map(g.__getitem__, reversed(order)))
 
 
-def _rerooted_counts(parent: Sequence[int | None], order: Sequence[int], counts: list) -> list:
+def _rerooted_counts(parent: Sequence[int], order: Sequence[int], counts: list) -> list:
     """Overwrite the rooted counts g from root ``order[0]`` with f, parents first.
 
     For a child c of v, a subtree containing v meets c's branch in one of
@@ -112,7 +114,7 @@ def _rerooted_counts(parent: Sequence[int | None], order: Sequence[int], counts:
     """
     for c in itertools.islice(order, 1, None):
         gc = counts[c]
-        counts[c] = gc * (1 + counts[parent[c]] // (1 + gc))  # type: ignore[index]
+        counts[c] = gc * (1 + counts[parent[c]] // (1 + gc))
     return counts
 
 
@@ -145,19 +147,16 @@ def count_containing_all(tree: Tree, vertices: Sequence[int]) -> int:
     for every child branch hanging off S, of one of its rooted subtrees
     or nothing.  Hence the product of (1 + g(c)) over hanging children c:
     the vertices outside S whose parent is in S.  The root is its own
-    parent, so the walk up from each target stops at a vertex of S.
+    parent, so the walk up from each target stops at a vertex of S; for
+    one target v the hanging children are v's children and the product
+    is f(v).
 
-    Raises EmptySet for an empty selection and InvalidVertex for ids
-    outside the tree.
+    Raises EmptySet for an empty selection and InvalidVertex for an id
+    that is not an integer in 0..n-1.
     """
-    targets = sorted(set(vertices))
+    targets = sorted({_vertex(v, tree.n) for v in vertices})
     if not targets:
         raise EmptySet("need at least one vertex")
-    for v in targets:
-        if not (0 <= v < tree.n):
-            raise InvalidVertex(f"vertex {v} outside 0..{tree.n - 1}")
-    if len(targets) == 1:
-        return f_vector(tree).values[targets[0]]
     parent, order = _bfs(tree.adjacency, targets[0])
     g = _rooted_counts(parent, order)
     in_steiner = bytearray(tree.n)

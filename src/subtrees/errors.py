@@ -35,7 +35,7 @@ class NotRealizable(SubtreeError):
 
 
 class InvalidVertex(SubtreeError):
-    """Vertex id outside the range 0..n-1."""
+    """Vertex id that is not an integer in the range 0..n-1."""
 
 
 class EmptySet(SubtreeError):
@@ -63,4 +63,5 @@ class InfeasibleConstraint(SubtreeError):
 
 
 class TooLarge(SubtreeError):
-    """Input exceeds a documented size cap: exhaustive work or a class answer."""
+    """Input exceeds a documented size cap: exhaustive work, a sequence
+    listing, a class answer or a path-star bound."""

@@ -11,18 +11,17 @@ of which the paper's path rewirings are a special case.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import neg
 from typing import Iterator, Sequence
 
 from .counting import _rerooted_counts, _rooted_counts
-from .errors import InvalidCut, InvalidVertex
+from .errors import InvalidCut
 from .trees import (
-    RootedView,
     Tree,
     _bfs,
     _branch_codes,
+    _vertex,
     degree_sequence_of,
     path_between,
     tree_from_edges,
@@ -30,24 +29,11 @@ from .trees import (
 )
 
 __all__ = [
-    "BfsLabeling",
     "build_greedy_bfs",
     "has_bfs_ordering",
     "swap_components",
     "local_search_optimize",
 ]
-
-
-@dataclass(frozen=True)
-class BfsLabeling:
-    """A vertex order listing the root first, then each layer in turn.
-
-    Degrees are nonincreasing and heights nondecreasing along ``order``;
-    ``layer_sizes`` starts with the root layer of size 1.
-    """
-
-    order: tuple[int, ...]
-    layer_sizes: tuple[int, ...]
 
 
 def _greedy_parents(pi: Sequence[int]) -> list[int]:
@@ -81,68 +67,75 @@ def _layer_sizes(parent: Sequence[int]) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def build_greedy_bfs(pi: Sequence[int]) -> tuple[Tree, BfsLabeling]:
-    """The breadth-first greedy tree of a degree sequence, with its labeling.
+def build_greedy_bfs(pi: Sequence[int]) -> tuple[Tree, tuple[int, ...]]:
+    """The breadth-first greedy tree of a degree sequence, with its layer sizes.
 
     Degrees are handed out largest first: vertex 0 is the root with the
     top degree, and each later vertex, visited in breadth-first order,
     takes the next unused ids as its children until its degree is filled.
-    Vertex ids therefore coincide with the BFS order.
+    Vertex ids therefore coincide with the BFS order, and 0..n-1 is a
+    BFS-ordering of the tree rooted at 0.  The layer sizes start with the
+    root layer of size 1.
     """
     pi = validate_degree_sequence(pi)
     n = len(pi)
     parent = _greedy_parents(pi)
     tree = tree_from_edges(n, list(zip(parent[1:], range(1, n))))
-    return tree, BfsLabeling(order=tuple(range(n)), layer_sizes=_layer_sizes(parent))
+    return tree, _layer_sizes(parent)
 
 
-def _satisfies_bfs_ordering(view: RootedView, order: Sequence[int]) -> bool:
-    """Check an explicit ordering against both BFS-ordering conditions.
+def _satisfies_bfs_ordering(tree: Tree, root: int, order: Sequence[int]) -> bool:
+    """Whether ``order`` is a BFS-ordering of the tree rooted at ``root``.
 
     Condition one: heights nondecreasing and degrees nonincreasing along
     the order.  Condition two: children follow their parents' order, i.e.
     listing the non-root vertices by position, their parents' positions
     never decrease.
     """
-    tree = view.tree
     n = tree.n
-    if sorted(order) != list(range(n)) or order[0] != view.root:
+    if sorted(order) != list(range(n)) or order[0] != root:
         return False
+    parent, bfs = _bfs(tree.adjacency, root)
+    height = [0] * n
+    for v in bfs[1:]:
+        height[v] = height[parent[v]] + 1
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
     for i in range(n - 1):
         u, v = order[i], order[i + 1]
-        if view.height[u] > view.height[v] or tree.degree(u) < tree.degree(v):
+        if height[u] > height[v] or tree.degree(u) < tree.degree(v):
             return False
-    by_pos = sorted((v for v in range(n) if v != view.root), key=lambda v: pos[v])
-    parent_pos = [pos[view.parent[v]] for v in by_pos]  # type: ignore[index]
+    parent_pos = [pos[parent[v]] for v in order[1:]]
     return all(parent_pos[i] <= parent_pos[i + 1] for i in range(len(parent_pos) - 1))
 
 
-def has_bfs_ordering(view: RootedView) -> tuple[bool, tuple[int, ...] | None]:
-    """Whether the rooted tree admits a BFS-ordering, with a witness.
+def has_bfs_ordering(tree: Tree, root: int) -> tuple[bool, tuple[int, ...] | None]:
+    """Whether the tree rooted at ``root`` admits a BFS-ordering, with a witness.
 
     Along any BFS-ordering v_1 .. v_n the degrees are nonincreasing, so
     deg(v_i) = pi_i for the degree sequence pi, and parent positions never
     decrease, so v_1's children are the next pi_1 vertices and each later
     v_i's children the next pi_i - 1.  That is the greedy BFS tree of pi
     with v_i as vertex i - 1, and the greedy order 0..n-1 is a
-    BFS-ordering that any rooted isomorphism carries over.  So the view
+    BFS-ordering that any rooted isomorphism carries over.  So the tree
     has one exactly when it is rooted-isomorphic to the greedy tree rooted
     at 0.  The witness maps each greedy vertex, parents first, onto an
     unused child of its parent's image with the same branch code.
+    Raises InvalidVertex for a root outside 0..n-1.
     """
-    g_parent = _greedy_parents(degree_sequence_of(view.tree))
+    root = _vertex(root, tree.n, "root")
+    g_parent = _greedy_parents(degree_sequence_of(tree))
     g_order = range(len(g_parent))  # greedy ids are the BFS order
     g_codes = _branch_codes(g_parent, g_order)
-    codes = _branch_codes(view.parent, view.order)
-    if g_codes[0] != codes[view.root]:
+    parent, order = _bfs(tree.adjacency, root)
+    codes = _branch_codes(parent, order)
+    if g_codes[0] != codes[root]:
         return False, None
-    unused: dict[tuple[int | None, bytes], list[int]] = {}
-    for v in view.order[1:]:
-        unused.setdefault((view.parent[v], codes[v]), []).append(v)
-    image = [view.root] * len(g_parent)
+    unused: dict[tuple[int, bytes], list[int]] = {}
+    for v in order[1:]:
+        unused.setdefault((parent[v], codes[v]), []).append(v)
+    image = [root] * len(g_parent)
     for g in g_order[1:]:
         image[g] = unused[image[g_parent[g]], g_codes[g]].pop()
     return True, tuple(image)
@@ -173,13 +166,11 @@ def swap_components(
     both x_{k+1} and y_{k+1} sit off the x_k-y_k path.
     """
     n = tree.n
-    for w in (x, y):
-        if not (0 <= w < n):
-            raise InvalidVertex(f"vertex {w} outside 0..{n - 1}")
+    x, y = _vertex(x, n), _vertex(y, n)
     if x == y:
         raise InvalidCut("attachment vertices must be distinct")
-    xc = list(x_child_set)
-    yc = list(y_child_set)
+    xc = [_vertex(c, n) for c in x_child_set]
+    yc = [_vertex(d, n) for d in y_child_set]
     if len(set(xc)) != len(xc) or len(set(yc)) != len(yc):
         raise InvalidCut("repeated neighbor in a detachment set")
     path = path_between(tree, x, y)
@@ -205,7 +196,7 @@ def _branch_tables(tree: Tree) -> tuple[list[int], list[dict[int, int]]]:
     """f(v) per vertex and ``side[v][w]`` per directed edge, in one rerooting.
 
     ``side[v][w]`` is the rooted count of w's branch at v (w's component
-    once v is removed, rooted at w): g(w) when w is v's child in the view
+    once v is removed, rooted at w): g(w) when w is v's child in the tree
     rooted at 0, and A(v) = f(parent) // (1 + g(v)) when w is v's parent.
     The dicts list v's neighbors in adjacency order.
     """

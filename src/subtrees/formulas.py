@@ -1,12 +1,14 @@
 """Closed-form subtree bounds, extremal-class answers and the Wiener index.
 
-Each class operation returns a ClassAnswer bundling the maximizing degree
-sequence, its greedy BFS tree (built on first access), the exact subtree
-count and, where the literature states a closed form for that count, the
-published value with a discrepancy flag.  Several published expressions
-disagree with exact enumeration at small sizes; the answers report the
-published value verbatim next to the exact count instead of silently
-correcting it.
+The class answers follow the paper's corollaries: within each class one
+degree sequence majorizes every other, so the greedy tree of that
+sequence is the class's subtree maximizer.  Each class operation builds
+its sequence and returns a ClassAnswer bundling it, its greedy BFS tree
+(built on first access), the exact subtree count and, where the
+literature states a closed form for that count, the published value with
+a discrepancy flag.  Several published expressions disagree with exact
+enumeration at small sizes; the answers report the published value
+verbatim next to the exact count instead of silently correcting it.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .counting import _phi_from_parents
-from .errors import InfeasibleConstraint
+from .errors import InfeasibleConstraint, TooLarge
 from .extremal import _greedy_parents, build_greedy_bfs
-from .majorization import Independence, Leaves, Matching, MaxDegree, class_max_sequence
-from .trees import Tree, _bfs
+from .trees import Tree, _bfs, _decimal
 
 __all__ = [
     "ClassAnswer",
@@ -31,6 +32,13 @@ __all__ = [
     "matching_number",
     "independence_number",
 ]
+
+# Vertex cap for class answers and path-star bounds, whose sequence, tree
+# and output all grow with n.  At n = 10^6, ``class --json`` took 1.3 to
+# 3.1 s and at most 175 MB; at 3 * 10^6, up to 22 s and 500 MB (alpha and
+# beta, whose phi has ~n/3 digits, are the slow ones; Python 3.11.7, 2-CPU
+# x86-64 VM).
+_CLASS_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -58,6 +66,19 @@ class ClassAnswer:
         return build_greedy_bfs(self.extremal_pi)[0]
 
 
+def _check_class(n: int, value: int, low: int, high: int, need: str) -> None:
+    """Raise TooLarge for n above ``_CLASS_LIMIT``, before anything of size
+    n is built, and InfeasibleConstraint unless low <= value <= high.
+
+    ``need`` is the InfeasibleConstraint message, formatted with ``n`` and
+    ``value`` only once it is raised.
+    """
+    if n > _CLASS_LIMIT:
+        raise TooLarge(f"class answers capped at {_CLASS_LIMIT} vertices, got {_decimal(n)}")
+    if not low <= value <= high:
+        raise InfeasibleConstraint(need.format(n=_decimal(n), value=_decimal(value)))
+
+
 def _answer(
     kind: str,
     n: int,
@@ -83,10 +104,10 @@ def bound_path_star(n: int) -> tuple[int, int]:
     """The sharp lower and upper bounds on the subtree count at order n.
 
     The path attains n(n+1)/2 and the star attains 2^(n-1) + n - 1; every
-    tree of order n lies in between.
+    tree of order n lies in between.  Raises TooLarge for n above
+    ``_CLASS_LIMIT``.
     """
-    if n < 1:
-        raise InfeasibleConstraint(f"need n >= 1, got {n}")
+    _check_class(n, n, 1, _CLASS_LIMIT, "need n >= 1, got {n}")
     return n * (n + 1) // 2, 2 ** (n - 1) + n - 1
 
 
@@ -103,7 +124,12 @@ def max_degree_extremal(n: int, delta: int) -> ClassAnswer:
     sum-consistent in every case and agrees with the construction wherever
     that is.  delta = 2 degenerates to the path.
     """
-    pi = class_max_sequence(MaxDegree(n=n, delta=delta))
+    _check_class(n, delta, 2, n - 1, "need 2 <= delta <= n-1, got delta={value}, n={n}")
+    # Greedily stack entries of size delta; each costs delta - 1 of the
+    # degree budget 2(n-1) - n beyond the all-ones baseline.
+    m = (n - 2) // (delta - 1)
+    c = (n - 1) - m * (delta - 1)
+    pi = tuple([delta] * m + [c] + [1] * (n - m - 1))
     details: dict[str, int] = {}
     if delta >= 3:
         # N_k < n is equivalent to delta*(delta-1)^k < n*(delta-2)+2.
@@ -128,7 +154,8 @@ def leaves_extremal(n: int, s: int) -> ClassAnswer:
     n=7, s=3 it gives 244 against a true count of 36), so the flag is set
     whenever it disagrees.
     """
-    pi = class_max_sequence(Leaves(n=n, s=s))
+    _check_class(n, s, 2, n - 1, "need 2 <= s <= n-1, got s={value}, n={n}")
+    pi = (s, *[2] * (n - s - 1), *[1] * s)
     q, t = divmod(n - 1, s)
     closed = (
         (q + 2) ** t * (q + 1) ** (s - t)
@@ -149,7 +176,10 @@ def independence_extremal(n: int, alpha: int) -> ClassAnswer:
     form 2^(2*alpha-n+1) 3^(n-alpha-1) + 2n - alpha - 2 validates against
     exact counting.
     """
-    pi = class_max_sequence(Independence(n=n, alpha=alpha))
+    _check_class(
+        n, alpha, (n + 1) // 2, n - 1, "need ceil(n/2) <= alpha <= n-1, got alpha={value}, n={n}"
+    )
+    pi = (alpha, *[2] * (n - alpha - 1), *[1] * alpha)
     printed = 2 ** (2 * alpha - n + 1) * 3 ** (n - alpha - 1) + 2 * n - alpha - 2
     return _answer("independence", n, alpha, {}, pi, printed)
 
@@ -164,7 +194,8 @@ def matching_extremal(n: int, beta: int) -> ClassAnswer:
     alpha = n - beta, whose validated form ends in +n + beta - 2), so the
     flag is set whenever it disagrees.
     """
-    pi = class_max_sequence(Matching(n=n, beta=beta))
+    _check_class(n, beta, 1, n // 2, "need 1 <= beta <= n//2, got beta={value}, n={n}")
+    pi = (n - beta, *[2] * (beta - 1), *[1] * (n - beta))
     printed = 2 ** (n - 2 * beta + 1) * 3 ** (beta - 1) + n - beta - 2
     return _answer("matching", n, beta, {}, pi, printed)
 

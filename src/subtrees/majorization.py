@@ -1,4 +1,4 @@
-"""Majorization order on degree sequences and extremal-class sequences.
+"""Majorization order on degree sequences and unit-transfer chains.
 
 Sequences are nonincreasing tuples of positive integers with equal sums.
 ``a`` majorizes ``b`` when every prefix sum of ``a`` is at least the
@@ -8,28 +8,12 @@ more subtrees, so walking up the order walks toward the extremal tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
-from .errors import InfeasibleConstraint, LengthMismatch, NotComparable, SumMismatch, TooLarge
+from .errors import LengthMismatch, NotComparable, SumMismatch
 from .trees import _decimal
 
-__all__ = [
-    "majorizes",
-    "majorization_chain",
-    "MaxDegree",
-    "Leaves",
-    "Independence",
-    "Matching",
-    "TreeClass",
-    "class_max_sequence",
-]
-
-# Vertex cap for class answers, whose sequence, tree and output all grow
-# with n.  At n = 10^6, ``class --json`` took 1.3 to 3.1 s and at most
-# 175 MB; at 3 * 10^6, up to 22 s and 500 MB (alpha and beta, whose phi
-# has ~n/3 digits, are the slow ones; Python 3.11.7, 2-CPU x86-64 VM).
-_CLASS_LIMIT = 10**6
+__all__ = ["majorizes", "majorization_chain"]
 
 
 def majorizes(a: Sequence[int], b: Sequence[int]) -> str:
@@ -116,77 +100,3 @@ def majorization_chain(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, ..
         _chain_step(current, high)
         chain.append(tuple(current))
     return chain
-
-
-@dataclass(frozen=True)
-class MaxDegree:
-    """Trees on n vertices with maximum degree exactly delta."""
-
-    n: int
-    delta: int
-
-
-@dataclass(frozen=True)
-class Leaves:
-    """Trees on n vertices with exactly s leaves."""
-
-    n: int
-    s: int
-
-
-@dataclass(frozen=True)
-class Independence:
-    """Trees on n vertices with independence number alpha."""
-
-    n: int
-    alpha: int
-
-
-@dataclass(frozen=True)
-class Matching:
-    """Trees on n vertices with matching number beta."""
-
-    n: int
-    beta: int
-
-
-TreeClass = Union[MaxDegree, Leaves, Independence, Matching]
-
-
-def class_max_sequence(constraint: TreeClass) -> tuple[int, ...]:
-    """The majorization-maximal degree sequence inside the given class.
-
-    Every tree in the class has a degree sequence majorized by the result,
-    so the class's subtree-count maximizer realizes it.  Raises TooLarge
-    for n above ``_CLASS_LIMIT``, before anything of size n is built, and
-    InfeasibleConstraint when the class is empty.
-    """
-    if constraint.n > _CLASS_LIMIT:
-        raise TooLarge(f"class answers capped at {_CLASS_LIMIT} vertices, got {_decimal(constraint.n)}")
-    if isinstance(constraint, MaxDegree):
-        n, delta = constraint.n, constraint.delta
-        if not (2 <= delta <= n - 1):
-            raise InfeasibleConstraint(f"need 2 <= delta <= n-1, got delta={delta}, n={n}")
-        # Greedily stack entries of size delta; each costs delta - 1 of the
-        # degree budget 2(n-1) - n beyond the all-ones baseline.
-        m = (n - 2) // (delta - 1)
-        c = (n - 1) - m * (delta - 1)
-        return tuple([delta] * m + [c] + [1] * (n - m - 1))
-    if isinstance(constraint, Leaves):
-        n, s = constraint.n, constraint.s
-        if not (2 <= s <= n - 1):
-            raise InfeasibleConstraint(f"need 2 <= s <= n-1, got s={s}, n={n}")
-        return (s, *[2] * (n - s - 1), *[1] * s)
-    if isinstance(constraint, Independence):
-        n, alpha = constraint.n, constraint.alpha
-        if not ((n + 1) // 2 <= alpha <= n - 1):
-            raise InfeasibleConstraint(
-                f"need ceil(n/2) <= alpha <= n-1, got alpha={alpha}, n={n}"
-            )
-        return (alpha, *[2] * (n - alpha - 1), *[1] * alpha)
-    if isinstance(constraint, Matching):
-        n, beta = constraint.n, constraint.beta
-        if not (1 <= beta <= n // 2):
-            raise InfeasibleConstraint(f"need 1 <= beta <= n//2, got beta={beta}, n={n}")
-        return (n - beta, *[2] * (beta - 1), *[1] * (n - beta))
-    raise TypeError(f"unknown tree class {constraint!r}")

@@ -5,9 +5,11 @@ construction; operations return new objects and never mutate their inputs,
 so values can be shared freely between threads or processes.
 
 One breadth-first primitive, ``_bfs``, walks every rooted tree in the
-package: the connectivity check, ``root_at``, ``path_between``, the
-canonical code here, and the subtree DP and path decomposition elsewhere
-all read its flat ``parent`` and ``order`` lists.
+package: the connectivity check, ``path_between`` and the canonical code
+here, and the subtree DP, the BFS-ordering check and the move scores
+elsewhere all read its flat ``parent`` and ``order`` lists, in which the
+root is its own parent.  ``_vertex`` checks every vertex id that a
+public function takes.
 """
 
 from __future__ import annotations
@@ -15,17 +17,15 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import InvalidVertex, NotATree, NotRealizable, ParseError
 
 __all__ = [
     "Tree",
-    "RootedView",
     "tree_from_edges",
     "validate_degree_sequence",
     "degree_sequence_of",
-    "root_at",
     "path_between",
     "canonical_code",
     "is_isomorphic",
@@ -53,34 +53,38 @@ class Tree:
         return len(self.adjacency[v])
 
 
-@dataclass(frozen=True)
-class RootedView:
-    """A tree with a chosen root: parents, ordered children and heights.
+def _vertex(w: Any, n: int, what: str = "vertex") -> int:
+    """w as an int, when it is an integer vertex id in 0..n-1.
 
-    ``order`` lists the vertices in breadth-first visit order starting at
-    the root; children appear in ascending vertex-id order.  The height of
-    the root is 0 and heights grow by exactly 1 across every edge.
+    Raises InvalidVertex naming ``what`` otherwise.  Any integer type
+    passes (``operator.index``); a float or a string does not.
     """
-
-    tree: Tree
-    root: int
-    parent: tuple[int | None, ...]
-    children: tuple[tuple[int, ...], ...]
-    height: tuple[int, ...]
-    order: tuple[int, ...]
+    try:
+        v = operator.index(w)
+    except TypeError:
+        raise InvalidVertex(f"{what} {w!r} is not an integer") from None
+    if not 0 <= v < n:
+        raise InvalidVertex(f"{what} {v} outside 0..{n - 1}")
+    return v
 
 
 def tree_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Tree:
     """Build a validated Tree from an iterable of undirected edges.
 
-    Raises NotATree when the input has the wrong edge count, a self-loop,
-    a duplicate edge, a vertex outside 0..n-1, or is disconnected.
+    Raises NotATree when the input has an edge that is not a pair of
+    integer ids, the wrong edge count, a self-loop, a duplicate edge, a
+    vertex outside 0..n-1, or is disconnected.
     """
     if n < 1:
         raise NotATree(f"vertex count must be at least 1, got {n}")
     norm = []
     for e in edges:
-        u, v = e
+        try:
+            u, v = e
+            if type(u) is not int or type(v) is not int:
+                e = u, v = operator.index(u), operator.index(v)
+        except (TypeError, ValueError):
+            raise NotATree(f"edge {e!r} is not a pair of integer vertex ids") from None
         if not (0 <= u < n and 0 <= v < n):
             raise NotATree(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
         if u == v:
@@ -166,43 +170,9 @@ def _bfs(adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], list
     return parent, order
 
 
-def root_at(tree: Tree, r: int) -> RootedView:
-    """Root the tree at r by breadth-first traversal.
-
-    Children are listed in ascending vertex id.  Raises InvalidVertex when
-    r is outside 0..n-1.
-    """
-    n = tree.n
-    if not (0 <= r < n):
-        raise InvalidVertex(f"root {r} outside 0..{n - 1}")
-    parent, order = _bfs(tree.adjacency, r)
-    children: list[tuple[int, ...]] = [()] * n
-    height = [0] * n
-    start = 1
-    for v in order:
-        stop = start + len(tree.adjacency[v]) - (v != r)
-        children[v] = tuple(order[start:stop])
-        start = stop
-    for v in order[1:]:
-        height[v] = height[parent[v]] + 1
-    rooted_parent: list[int | None] = list(parent)
-    rooted_parent[r] = None
-    return RootedView(
-        tree=tree,
-        root=r,
-        parent=tuple(rooted_parent),
-        children=tuple(children),
-        height=tuple(height),
-        order=tuple(order),
-    )
-
-
 def path_between(tree: Tree, u: int, v: int) -> tuple[int, ...]:
     """The unique u-v path, endpoints included; dist(u,v) = length - 1."""
-    n = tree.n
-    for w in (u, v):
-        if not (0 <= w < n):
-            raise InvalidVertex(f"vertex {w} outside 0..{n - 1}")
+    u, v = _vertex(u, tree.n), _vertex(v, tree.n)
     parent, _ = _bfs(tree.adjacency, v)
     path = [u]
     while path[-1] != v:
@@ -231,21 +201,19 @@ def _centers(n: int, adjacency: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(sorted(layer))
 
 
-def _branch_codes(parent: Sequence[int | None], order: Sequence[int]) -> list[bytes]:
+def _branch_codes(parent: Sequence[int], order: Sequence[int]) -> list[bytes]:
     """Canonical byte code of every vertex's branch, bottom-up.
 
     A branch's code is its children's codes, sorted, inside parentheses;
-    each finished code is pushed to its parent.  The root's parent entry
-    is never read.
+    each finished code is pushed to its parent.  The root, its own
+    parent, comes last and pushes its code after its list is read.
     """
-    root = order[0]
     kids: list[list[bytes]] = [[] for _ in parent]
     code = [b""] * len(parent)
     for v in reversed(order):
         kids[v].sort()
         code[v] = b"(" + b"".join(kids[v]) + b")"
-        if v != root:
-            kids[parent[v]].append(code[v])  # type: ignore[index]
+        kids[parent[v]].append(code[v])
     return code
 
 
@@ -270,7 +238,11 @@ def is_isomorphic(a: Tree, b: Tree) -> bool:
 
 def relabel(tree: Tree, perm: Sequence[int]) -> Tree:
     """Apply a vertex permutation: vertex v becomes perm[v]."""
-    if sorted(perm) != list(range(tree.n)):
+    try:
+        ok = sorted(_vertex(w, tree.n) for w in perm) == list(range(tree.n))
+    except InvalidVertex:
+        ok = False
+    if not ok:
         raise InvalidVertex("perm is not a permutation of 0..n-1")
     return tree_from_edges(tree.n, [(perm[u], perm[v]) for u, v in tree.edges])
 

@@ -22,7 +22,6 @@ from subtrees.oracle import (
     tree_from_prufer,
 )
 from subtrees.trees import (
-    RootedView,
     Tree,
     _centers,
     _code_from_adjacency,
@@ -30,7 +29,6 @@ from subtrees.trees import (
     _parse_uint,
     canonical_code,
     path_between,
-    root_at,
     tree_from_edges,
     validate_degree_sequence,
 )
@@ -125,6 +123,27 @@ def reference_parse_degree_sequence(text: str) -> tuple[int, ...]:
     return validate_degree_sequence(degrees)
 
 
+def reference_root(
+    tree: Tree, root: int
+) -> tuple[list[int | None], list[list[int]], list[int], list[int]]:
+    """Parents (None at the root), children, heights and BFS order from root.
+
+    An independent traversal: each vertex's children in ascending id, the
+    children blocks in their parents' order.
+    """
+    parent: list[int | None] = [None] * tree.n
+    children: list[list[int]] = [[] for _ in range(tree.n)]
+    height = [0] * tree.n
+    order = [root]
+    for v in order:
+        for w in sorted(tree.adjacency[v]):
+            if w != root and parent[w] is None:
+                parent[w], height[w] = v, height[v] + 1
+                children[v].append(w)
+                order.append(w)
+    return parent, children, height, order
+
+
 def reference_rooted_counts(parent: Sequence[int | None], order: Sequence[int]) -> list[int]:
     """The first rooted subtree DP: one product (1 + g) per child, children first."""
     g = [1] * len(parent)
@@ -133,7 +152,7 @@ def reference_rooted_counts(parent: Sequence[int | None], order: Sequence[int]) 
     return g
 
 
-def reference_rerooted_counts(tree: Tree) -> tuple[list[int], list[int], list[int]]:
+def reference_rerooted_counts(tree: Tree) -> tuple[list[int | None], list[int], list[int]]:
     """BFS parents from root 0, the rooted counts g and the up-pass counts A.
 
     The first rerooting, without division.  A(c) counts the subtrees that
@@ -145,11 +164,11 @@ def reference_rerooted_counts(tree: Tree) -> tuple[list[int], list[int], list[in
 
     so that f(c) = g(c) * (1 + A(c)).
     """
-    view = root_at(tree, 0)
-    g = reference_rooted_counts(view.parent, view.order)
+    parent, children, _, order = reference_root(tree, 0)
+    g = reference_rooted_counts(parent, order)
     above = [0] * tree.n
-    for v in view.order:
-        kids = view.children[v]
+    for v in order:
+        kids = children[v]
         prefix = [1]
         for c in kids:
             prefix.append(prefix[-1] * (1 + g[c]))
@@ -157,7 +176,7 @@ def reference_rerooted_counts(tree: Tree) -> tuple[list[int], list[int], list[in
         for i in range(len(kids) - 1, -1, -1):
             above[kids[i]] = (1 + above[v]) * prefix[i] * suffix
             suffix *= 1 + g[kids[i]]
-    return list(view.parent), g, above
+    return parent, g, above
 
 
 def reference_greedy_bfs(pi: Sequence[int]) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
@@ -198,17 +217,17 @@ def reference_build_output(pi: Sequence[int]) -> tuple[str, str]:
     The first output path: build and validate the tree, run its BFS to
     count, and read its sorted edges back.
     """
-    tree, labeling = build_greedy_bfs(pi)
+    tree, sizes = build_greedy_bfs(pi)
     phi = _decimal(count_subtrees(tree))
     outputs = {
         "edges": [list(e) for e in tree.edges],
-        "layer_sizes": list(labeling.layer_sizes),
+        "layer_sizes": list(sizes),
         "phi": phi,
     }
     lines = [
         str(tree.n),
         *(f"{u} {v}" for u, v in tree.edges),
-        "layer_sizes: " + ",".join(map(str, labeling.layer_sizes)),
+        "layer_sizes: " + ",".join(map(str, sizes)),
         f"phi: {phi}",
     ]
     return _rendered("build", {"pi": list(validate_degree_sequence(pi))}, outputs, lines)
@@ -273,15 +292,13 @@ def reference_code(n: int, adjacency: Sequence[Sequence[int]]) -> bytes:
     return min(reference_rooted_code(n, adjacency, c) for c in _centers(n, adjacency))
 
 
-def reference_has_bfs_ordering(view: RootedView) -> bool:
+def reference_has_bfs_ordering(tree: Tree, root: int) -> bool:
     """Whether any vertex order with the root first is a BFS-ordering.
 
     Tries all (n-1)! orders, so keep n small.
     """
-    rest = [v for v in range(view.tree.n) if v != view.root]
-    return any(
-        _satisfies_bfs_ordering(view, (view.root, *perm)) for perm in permutations(rest)
-    )
+    rest = [v for v in range(tree.n) if v != root]
+    return any(_satisfies_bfs_ordering(tree, root, (root, *perm)) for perm in permutations(rest))
 
 
 def reference_enumerate_trees(pi: Sequence[int]) -> Iterator[Tree]:

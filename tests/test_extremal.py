@@ -38,7 +38,6 @@ from subtrees.trees import (
     degree_sequence_of,
     is_isomorphic,
     path_between,
-    root_at,
     tree_from_edges,
 )
 
@@ -79,42 +78,41 @@ def rewire(tree: Tree, x, y, k: int) -> Tree:
 
 
 def test_greedy_small_shapes():
-    t, lab = build_greedy_bfs((2, 2, 2, 1, 1))
-    assert is_isomorphic(t, path(5)) and lab.layer_sizes == (1, 2, 2)
-    t, lab = build_greedy_bfs((4, 1, 1, 1, 1))
-    assert is_isomorphic(t, star(5)) and lab.layer_sizes == (1, 4)
+    t, sizes = build_greedy_bfs((2, 2, 2, 1, 1))
+    assert is_isomorphic(t, path(5)) and sizes == (1, 2, 2)
+    t, sizes = build_greedy_bfs((4, 1, 1, 1, 1))
+    assert is_isomorphic(t, star(5)) and sizes == (1, 4)
     t, _ = build_greedy_bfs((3, 2, 2, 1, 1, 1))
     assert is_isomorphic(t, spider(1, 2, 2))
     assert count_subtrees(t) == 25
 
 
 def test_greedy_edge_cases():
-    t, lab = build_greedy_bfs((0,))
-    assert t.n == 1 and lab.order == (0,) and lab.layer_sizes == (1,)
-    t, lab = build_greedy_bfs((1, 1))
-    assert t.edges == ((0, 1),) and lab.layer_sizes == (1, 1)
+    t, sizes = build_greedy_bfs((0,))
+    assert t.n == 1 and _satisfies_bfs_ordering(t, 0, (0,)) and sizes == (1,)
+    t, sizes = build_greedy_bfs((1, 1))
+    assert t.edges == ((0, 1),) and sizes == (1, 1)
 
 
 def test_greedy_19_vertex_layers():
     pi = (4, 4, 3, 3, 3, 3, 3, 2) + (1,) * 11
-    t, lab = build_greedy_bfs(pi)
-    assert lab.layer_sizes == (1, 4, 9, 5)
-    assert lab.order == tuple(range(19))
+    t, sizes = build_greedy_bfs(pi)
+    assert sizes == (1, 4, 9, 5)
+    assert _satisfies_bfs_ordering(t, 0, tuple(range(19)))
     assert count_subtrees(t) == 9608
 
 
 @given(st.sampled_from(realizable_sequences(8) + realizable_sequences(9)))
 def test_greedy_degree_sequence_and_labeling(pi):
-    t, lab = build_greedy_bfs(pi)
+    t, _ = build_greedy_bfs(pi)
     assert degree_sequence_of(t) == pi
-    view = root_at(t, 0)
-    assert _satisfies_bfs_ordering(view, lab.order)
+    assert _satisfies_bfs_ordering(t, 0, tuple(range(t.n)))
 
 
 def assert_greedy_matches_reference(pi) -> None:
     edges, sizes = reference_greedy_bfs(pi)
-    t, lab = build_greedy_bfs(pi)
-    assert list(t.edges) == edges and lab.layer_sizes == sizes
+    t, got_sizes = build_greedy_bfs(pi)
+    assert list(t.edges) == edges and got_sizes == sizes
     assert _greedy_parents(sorted(pi, reverse=True)) == [0] + [u for u, _ in edges]
 
 
@@ -134,80 +132,76 @@ def test_greedy_matches_reference_on_random_sequences(rng):
 
 def test_bfs_ordering_path_cases():
     p5 = path(5)
-    ok, witness = has_bfs_ordering(root_at(p5, 0))
+    ok, witness = has_bfs_ordering(p5, 0)
     assert not ok and witness is None
     # Interior but off-center root has maximum degree yet no valid order.
-    ok, _ = has_bfs_ordering(root_at(p5, 1))
+    ok, _ = has_bfs_ordering(p5, 1)
     assert not ok
-    ok, witness = has_bfs_ordering(root_at(p5, 2))
+    ok, witness = has_bfs_ordering(p5, 2)
     assert ok
-    assert _satisfies_bfs_ordering(root_at(p5, 2), witness)
+    assert _satisfies_bfs_ordering(p5, 2, witness)
 
 
 def test_bfs_ordering_on_greedy_trees():
     for pi in [(3, 2, 2, 1, 1, 1), (4, 4, 3, 3, 3, 3, 3, 2) + (1,) * 11]:
-        t, lab = build_greedy_bfs(pi)
-        view = root_at(t, 0)
-        ok, witness = has_bfs_ordering(view)
+        t, _ = build_greedy_bfs(pi)
+        ok, witness = has_bfs_ordering(t, 0)
         assert ok
-        assert _satisfies_bfs_ordering(view, witness)
+        assert _satisfies_bfs_ordering(t, 0, witness)
 
 
 def test_bfs_ordering_spider_cases():
     bad = spider(1, 1, 3)
-    assert all(not has_bfs_ordering(root_at(bad, r))[0] for r in range(bad.n))
+    assert all(not has_bfs_ordering(bad, r)[0] for r in range(bad.n))
     good = spider(1, 2, 2)
-    ok, witness = has_bfs_ordering(root_at(good, 0))
-    assert ok and _satisfies_bfs_ordering(root_at(good, 0), witness)
+    ok, witness = has_bfs_ordering(good, 0)
+    assert ok and _satisfies_bfs_ordering(good, 0, witness)
     # Away from the center the degree condition already fails.
-    assert not has_bfs_ordering(root_at(good, 1))[0]
+    assert not has_bfs_ordering(good, 1)[0]
 
 
 def test_bfs_ordering_on_deep_path():
     # 1501 layers below the middle vertex; the search must not recurse per layer.
     p = path(3001)
-    view = root_at(p, 1500)
-    ok, witness = has_bfs_ordering(view)
-    assert ok and _satisfies_bfs_ordering(view, witness)
+    ok, witness = has_bfs_ordering(p, 1500)
+    assert ok and _satisfies_bfs_ordering(p, 1500, witness)
 
 
 def test_bfs_ordering_on_wide_star():
     # 3000 tied leaves under the root; no search over their orders.
-    view = root_at(star(3001), 0)
-    ok, witness = has_bfs_ordering(view)
-    assert ok and _satisfies_bfs_ordering(view, witness)
+    s = star(3001)
+    ok, witness = has_bfs_ordering(s, 0)
+    assert ok and _satisfies_bfs_ordering(s, 0, witness)
 
 
 def test_bfs_ordering_spider_with_distinct_legs():
     # Twelve pairwise distinct legs: 12! orders of the root's children.
-    assert has_bfs_ordering(root_at(spider(*range(1, 13)), 0)) == (False, None)
+    assert has_bfs_ordering(spider(*range(1, 13)), 0) == (False, None)
 
 
 def test_bfs_ordering_matches_reference_on_every_small_view():
-    views = 0
+    rootings = 0
     for n in range(1, 8):
         for pi in realizable_sequences(n):
             for t in enumerate_trees(pi):
                 for r in range(n):
-                    view = root_at(t, r)
-                    ok, witness = has_bfs_ordering(view)
-                    assert ok == reference_has_bfs_ordering(view)
+                    ok, witness = has_bfs_ordering(t, r)
+                    assert ok == reference_has_bfs_ordering(t, r)
                     if ok:
-                        assert _satisfies_bfs_ordering(view, witness)
+                        assert _satisfies_bfs_ordering(t, r, witness)
                     else:
                         assert witness is None
-                    views += 1
-    assert views == 142
+                    rootings += 1
+    assert rootings == 142
 
 
 @settings(max_examples=50)
 @given(random_trees(min_n=2, max_n=40), st.data())
 def test_bfs_ordering_witness_is_valid(t, data):
     root = data.draw(st.integers(0, t.n - 1))
-    view = root_at(t, root)
-    ok, witness = has_bfs_ordering(view)
+    ok, witness = has_bfs_ordering(t, root)
     if ok:
-        assert _satisfies_bfs_ordering(view, witness)
+        assert _satisfies_bfs_ordering(t, root, witness)
     else:
         assert witness is None
 
@@ -381,7 +375,7 @@ def _every_class_tree(max_n: int):
 def test_root_rows_match_paths_and_joint_counts(t):
     f, side = _branch_tables(t)
     for x in range(t.n):
-        g = count_rooted(root_at(t, x))
+        g = count_rooted(t, x)
         assert side[x] == {w: g[w] for w in t.adjacency[x]}
         step, back, both = _root_row(t, x, f, side)
         assert both[x] == f[x] == count_containing_all(t, [x])

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import path, random_trees, spider, star
+from helpers import path, random_trees, reference_root, spider, star
 from subtrees.counting import count_subtrees
-from subtrees.errors import InfeasibleConstraint
+from subtrees.errors import InfeasibleConstraint, TooLarge
 from subtrees.extremal import build_greedy_bfs
 from subtrees.formulas import (
+    _CLASS_LIMIT,
     bound_path_star,
     independence_extremal,
     independence_number,
@@ -22,7 +24,7 @@ from subtrees.formulas import (
     wiener_index,
 )
 from subtrees.oracle import enumerate_trees, realizable_sequences
-from subtrees.trees import Tree, degree_sequence_of, is_isomorphic, root_at
+from subtrees.trees import Tree, degree_sequence_of, is_isomorphic
 
 
 def best_phi_in_class(n: int, keep) -> int:
@@ -63,6 +65,18 @@ def test_bound_path_star_values():
     assert bound_path_star(64) == (64 * 65 // 2, 2 ** 63 + 63)
     with pytest.raises(InfeasibleConstraint):
         bound_path_star(0)
+
+
+def test_bound_path_star_cap():
+    lo, hi = bound_path_star(_CLASS_LIMIT)
+    assert hi.bit_length() == _CLASS_LIMIT and lo == _CLASS_LIMIT * (_CLASS_LIMIT + 1) // 2
+    # Without the cap, 10^15 would evaluate 2^(10^15 - 1), a number of 125 TB.
+    for n, text in ((10**15, "1" + "0" * 15), (10**5000, "1" + "0" * 5000)):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge) as info:
+            bound_path_star(n)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == f"class answers capped at {_CLASS_LIMIT} vertices, got {text}"
 
 
 def test_bounds_are_attained_by_path_and_star():
@@ -203,11 +217,7 @@ def all_pairs_distance_sum(t: Tree) -> int:
     """Wiener index straight from the definition, one BFS per vertex."""
     total = 0
     for s in range(t.n):
-        view = root_at(t, s)
-        depth = {s: 0}
-        for v in view.order[1:]:
-            depth[v] = depth[view.parent[v]] + 1
-        total += sum(depth.values())
+        total += sum(reference_root(t, s)[2])
     return total // 2
 
 

@@ -14,16 +14,14 @@ from subtrees.errors import (
     TooLarge,
 )
 from subtrees.extremal import build_greedy_bfs
-from subtrees.majorization import (
+from subtrees.formulas import (
     _CLASS_LIMIT,
-    Independence,
-    Leaves,
-    Matching,
-    MaxDegree,
-    class_max_sequence,
-    majorization_chain,
-    majorizes,
+    independence_extremal,
+    leaves_extremal,
+    matching_extremal,
+    max_degree_extremal,
 )
+from subtrees.majorization import majorization_chain, majorizes
 from subtrees.oracle import realizable_sequences
 
 
@@ -116,53 +114,54 @@ def test_chain_properties(a, b):
 
 
 def test_class_max_sequences():
-    assert class_max_sequence(MaxDegree(n=7, delta=3)) == (3, 3, 2, 1, 1, 1, 1)
-    assert class_max_sequence(MaxDegree(n=19, delta=4)) == (4,) * 5 + (3,) + (1,) * 13
-    assert class_max_sequence(MaxDegree(n=4, delta=3)) == (3, 1, 1, 1)
-    assert class_max_sequence(Leaves(n=7, s=3)) == (3, 2, 2, 2, 1, 1, 1)
-    assert class_max_sequence(Leaves(n=5, s=4)) == (4, 1, 1, 1, 1)
-    assert class_max_sequence(Independence(n=5, alpha=3)) == (3, 2, 1, 1, 1)
-    assert class_max_sequence(Matching(n=5, beta=2)) == (3, 2, 1, 1, 1)
-    assert class_max_sequence(Matching(n=7, beta=1)) == (6, 1, 1, 1, 1, 1, 1)
+    assert max_degree_extremal(7, 3).extremal_pi == (3, 3, 2, 1, 1, 1, 1)
+    assert max_degree_extremal(19, 4).extremal_pi == (4,) * 5 + (3,) + (1,) * 13
+    assert max_degree_extremal(4, 3).extremal_pi == (3, 1, 1, 1)
+    assert leaves_extremal(7, 3).extremal_pi == (3, 2, 2, 2, 1, 1, 1)
+    assert leaves_extremal(5, 4).extremal_pi == (4, 1, 1, 1, 1)
+    assert independence_extremal(5, 3).extremal_pi == (3, 2, 1, 1, 1)
+    assert matching_extremal(5, 2).extremal_pi == (3, 2, 1, 1, 1)
+    assert matching_extremal(7, 1).extremal_pi == (6, 1, 1, 1, 1, 1, 1)
 
 
 def test_class_max_sequence_infeasible():
     cases = [
-        MaxDegree(n=5, delta=1),
-        MaxDegree(n=5, delta=5),
-        Leaves(n=5, s=1),
-        Leaves(n=5, s=5),
-        Independence(n=6, alpha=2),
-        Independence(n=6, alpha=6),
-        Matching(n=6, beta=0),
-        Matching(n=6, beta=4),
+        (max_degree_extremal, 5, 1, "need 2 <= delta <= n-1, got delta=1, n=5"),
+        (max_degree_extremal, 5, 5, "need 2 <= delta <= n-1, got delta=5, n=5"),
+        (leaves_extremal, 5, 1, "need 2 <= s <= n-1, got s=1, n=5"),
+        (leaves_extremal, 5, 5, "need 2 <= s <= n-1, got s=5, n=5"),
+        (independence_extremal, 6, 2, "need ceil(n/2) <= alpha <= n-1, got alpha=2, n=6"),
+        (independence_extremal, 6, 6, "need ceil(n/2) <= alpha <= n-1, got alpha=6, n=6"),
+        (matching_extremal, 6, 0, "need 1 <= beta <= n//2, got beta=0, n=6"),
+        (matching_extremal, 6, 4, "need 1 <= beta <= n//2, got beta=4, n=6"),
     ]
-    for constraint in cases:
-        with pytest.raises(InfeasibleConstraint):
-            class_max_sequence(constraint)
+    for answer, n, k, message in cases:
+        with pytest.raises(InfeasibleConstraint) as info:
+            answer(n, k)
+        assert str(info.value) == message
 
 
 def test_class_max_sequence_cap():
-    assert len(class_max_sequence(MaxDegree(n=_CLASS_LIMIT, delta=3))) == _CLASS_LIMIT
-    for constraint in (
-        MaxDegree(n=_CLASS_LIMIT + 1, delta=3),
-        Leaves(n=_CLASS_LIMIT + 1, s=3),
-        Independence(n=10**20, alpha=10**20 - 1),
-        Matching(n=10**5000, beta=1),  # past the int-digit limit of str
+    assert len(max_degree_extremal(_CLASS_LIMIT, 3).extremal_pi) == _CLASS_LIMIT
+    for answer, n, k in (
+        (max_degree_extremal, _CLASS_LIMIT + 1, 3),
+        (leaves_extremal, _CLASS_LIMIT + 1, 3),
+        (independence_extremal, 10**20, 10**20 - 1),
+        (matching_extremal, 10**5000, 1),  # past the int-digit limit of str
     ):
         with pytest.raises(TooLarge):
-            class_max_sequence(constraint)
+            answer(n, k)
 
 
 def test_class_max_dominates_class_members():
-    # The returned sequence majorizes every realizable sequence in its class.
+    # The class sequence majorizes every realizable sequence in its class.
     for delta in range(2, 8):
-        top = class_max_sequence(MaxDegree(n=8, delta=delta))
+        top = max_degree_extremal(8, delta).extremal_pi
         for pi in realizable_sequences(8):
             if pi[0] == delta:
                 assert majorizes(top, pi) in ("greater", "equal")
     for s in range(2, 8):
-        top = class_max_sequence(Leaves(n=8, s=s))
+        top = leaves_extremal(8, s).extremal_pi
         for pi in realizable_sequences(8):
             if sum(1 for d in pi if d == 1) == s:
                 assert majorizes(top, pi) in ("greater", "equal")

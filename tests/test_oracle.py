@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from subtrees.counting import count_subtrees
 from subtrees.errors import InvalidVertex, NotRealizable, TooLarge
 from subtrees.oracle import (
     _ENUMERATION_LIMIT,
+    _SEQUENCE_LIMIT,
     _free_trees,
     _order_census,
     connected_subsets,
@@ -240,6 +243,19 @@ def test_realizable_sequences():
         for pi in realizable_sequences(n):
             assert sum(pi) == 2 * (n - 1)
             assert all(pi[i] >= pi[i + 1] for i in range(n - 1))
+
+
+def test_realizable_sequences_cap():
+    # verify --all-n lists the sequences at the enumeration cap.
+    assert _SEQUENCE_LIMIT >= _ENUMERATION_LIMIT
+    assert len(realizable_sequences(_ENUMERATION_LIMIT)) == 231
+    # Above the cap the listing ran for hours, or recursed past the
+    # interpreter's depth limit from n = 1100 on.
+    for n in (_SEQUENCE_LIMIT + 1, 1100, 10**5000):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"^sequence listing capped at {_SEQUENCE_LIMIT} "):
+            realizable_sequences(n)
+        assert time.perf_counter() - start < 1
 
 
 def test_labeled_count_weighted_total_is_cayley():

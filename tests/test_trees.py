@@ -17,8 +17,16 @@ from helpers import (
     star,
 )
 from subtrees import trees
+from subtrees.counting import count_containing_all, count_rooted
 from subtrees.errors import InvalidVertex, NotATree, NotRealizable, ParseError, SubtreeError
-from subtrees.oracle import _edges_from_prufer, prufer_sequences, realizable_sequences
+from subtrees.extremal import has_bfs_ordering, swap_components
+from subtrees.oracle import (
+    _edges_from_prufer,
+    connected_subsets,
+    prufer_sequences,
+    realizable_sequences,
+    tree_from_prufer,
+)
 from subtrees.trees import (
     _code_from_adjacency,
     _decimal,
@@ -31,7 +39,6 @@ from subtrees.trees import (
     parse_edge_list,
     path_between,
     relabel,
-    root_at,
     tree_from_edges,
     validate_degree_sequence,
 )
@@ -124,37 +131,6 @@ def test_degree_sequence_of():
     assert degree_sequence_of(tree_from_edges(1, [])) == (0,)
 
 
-def test_root_at_children_ascending():
-    t = tree_from_edges(5, [(0, 3), (0, 1), (1, 4), (1, 2)])
-    view = root_at(t, 1)
-    assert view.root == 1
-    assert view.children[1] == (0, 2, 4)
-    assert view.parent[0] == 1 and view.parent[3] == 0
-    assert view.height == (1, 0, 1, 2, 1)
-    assert view.order[0] == 1 and sorted(view.order) == list(range(5))
-    with pytest.raises(InvalidVertex):
-        root_at(t, 5)
-
-
-@given(random_trees(max_n=30), st.data())
-def test_root_at_structure(t, data):
-    r = data.draw(st.integers(0, t.n - 1))
-    view = root_at(t, r)
-    assert view.parent[r] is None and view.height[r] == 0 and view.order[0] == r
-    assert sorted(view.order) == list(range(t.n))
-    pos = {v: i for i, v in enumerate(view.order)}
-    start = 1
-    for v in view.order:
-        kids = view.children[v]
-        assert kids == tuple(w for w in t.adjacency[v] if w != view.parent[v])
-        assert view.order[start : start + len(kids)] == kids
-        start += len(kids)
-        for c in kids:
-            assert view.parent[c] == v and view.height[c] == view.height[v] + 1
-            assert pos[c] > pos[v]
-    assert start == t.n
-
-
 def test_path_between():
     p = path(6)
     assert path_between(p, 0, 5) == (0, 1, 2, 3, 4, 5)
@@ -162,6 +138,52 @@ def test_path_between():
     assert path_between(p, 3, 3) == (3,)
     with pytest.raises(InvalidVertex):
         path_between(p, 0, 6)
+
+
+P3, P4 = path(3), path(4)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: tree_from_edges(2, [(0.0, 1)]), NotATree, "edge (0.0, 1) is not a pair"),
+        (lambda: tree_from_edges(2, [("0", 1)]), NotATree, "edge ('0', 1) is not a pair"),
+        (lambda: tree_from_edges(3, [(0, 1, 2), (1, 2)]), NotATree, "edge (0, 1, 2) is not"),
+        (lambda: tree_from_edges(2, [0]), NotATree, "edge 0 is not a pair"),
+        (lambda: path_between(P3, 0, 2.0), InvalidVertex, "vertex 2.0 is not an integer"),
+        (lambda: count_containing_all(P3, [0, 1.0]), InvalidVertex, "vertex 1.0 is not"),
+        (lambda: relabel(P3, [0.0, 1.0, 2.0]), InvalidVertex, "perm is not a permutation"),
+        (lambda: relabel(P3, [0, 1, 3]), InvalidVertex, "perm is not a permutation"),
+        (lambda: tree_from_prufer([1.0], 3), InvalidVertex, "code entry 1.0 is not"),
+        (lambda: tree_from_prufer([3], 3), InvalidVertex, "code entry 3 outside 0..2"),
+        (lambda: swap_components(P4, 1, 2, (0.0,), ()), InvalidVertex, "vertex 0.0 is not"),
+        (lambda: swap_components(P4, 1, 2.0, (0,), ()), InvalidVertex, "vertex 2.0 is not"),
+        (lambda: count_rooted(P3, 1.0), InvalidVertex, "root 1.0 is not an integer"),
+        (lambda: count_rooted(P3, 3), InvalidVertex, "root 3 outside 0..2"),
+        (lambda: has_bfs_ordering(P3, "1"), InvalidVertex, "root '1' is not an integer"),
+        (lambda: has_bfs_ordering(P3, -1), InvalidVertex, "root -1 outside 0..2"),
+        (lambda: list(connected_subsets(P3, 0.5)), InvalidVertex, "anchor 0.5 is not"),
+    ],
+)
+def test_vertex_ids_are_checked(call, error, message):
+    # Every public function that takes a vertex id raises a SubtreeError
+    # for a non-integer or out-of-range id, never a builtin exception.
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(message)
+
+
+def test_integer_types_pass_as_vertex_ids():
+    class Id:
+        def __init__(self, v: int) -> None:
+            self.v = v
+
+        def __index__(self) -> int:
+            return self.v
+
+    assert tree_from_edges(3, [(Id(1), Id(0)), (True, 2)]) == P3
+    assert path_between(P3, Id(0), True) == (0, 1)
+    assert count_rooted(P3, Id(1)) == (1, 4, 1)
 
 
 def test_isomorphism_distinguishes_same_degree_sequence():
