@@ -13,17 +13,13 @@ from __future__ import annotations
 
 from .counting import FVector, count_containing_all, count_rooted, count_subtrees, f_vector
 from .errors import (
-    EmptySet,
     InfeasibleConstraint,
-    InvalidCut,
     InvalidVertex,
-    LengthMismatch,
     NotATree,
     NotComparable,
     NotRealizable,
     ParseError,
     SubtreeError,
-    SumMismatch,
     TooLarge,
 )
 from .extremal import (
@@ -45,10 +41,8 @@ from .formulas import (
 )
 from .majorization import majorization_chain, majorizes
 from .oracle import (
-    TreeClassSummary,
     count_subtrees_bruteforce,
     enumerate_trees,
-    extremal_by_enumeration,
     labeled_tree_count,
     prufer_sequences,
     realizable_sequences,
@@ -75,7 +69,6 @@ __all__ = [
     "Tree",
     "FVector",
     "ClassAnswer",
-    "TreeClassSummary",
     "tree_from_edges",
     "validate_degree_sequence",
     "degree_sequence_of",
@@ -109,17 +102,12 @@ __all__ = [
     "enumerate_trees",
     "count_subtrees_bruteforce",
     "labeled_tree_count",
-    "extremal_by_enumeration",
     "realizable_sequences",
     "SubtreeError",
     "ParseError",
     "NotATree",
     "NotRealizable",
     "InvalidVertex",
-    "EmptySet",
-    "InvalidCut",
-    "LengthMismatch",
-    "SumMismatch",
     "NotComparable",
     "InfeasibleConstraint",
     "TooLarge",

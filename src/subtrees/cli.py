@@ -18,7 +18,8 @@ output for a stable JSON report with counts as decimal strings.
 Exit codes: 0 success, 2 unreadable input file, 3 invalid values
 (unrealizable sequence, malformed argument, infeasible class), 4 verified
 claim violated, 5 instance too large (exhaustive verification past 18
-vertices, a class answer past 10^6).
+vertices, a class answer past 10^6, an order chain of n * length past
+10^7 entries).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .errors import EmptySet
+from .errors import InvalidVertex
 from .trees import Tree, _bfs, _vertex
 
 __all__ = [
@@ -151,12 +151,12 @@ def count_containing_all(tree: Tree, vertices: Sequence[int]) -> int:
     one target v the hanging children are v's children and the product
     is f(v).
 
-    Raises EmptySet for an empty selection and InvalidVertex for an id
-    that is not an integer in 0..n-1.
+    Raises InvalidVertex for an empty selection and for an id that is not
+    an integer in 0..n-1.
     """
     targets = sorted({_vertex(v, tree.n) for v in vertices})
     if not targets:
-        raise EmptySet("need at least one vertex")
+        raise InvalidVertex("need at least one vertex")
     parent, order = _bfs(tree.adjacency, targets[0])
     g = _rooted_counts(parent, order)
     in_steiner = bytearray(tree.n)

@@ -8,10 +8,6 @@ __all__ = [
     "NotATree",
     "NotRealizable",
     "InvalidVertex",
-    "EmptySet",
-    "InvalidCut",
-    "LengthMismatch",
-    "SumMismatch",
     "NotComparable",
     "InfeasibleConstraint",
     "TooLarge",
@@ -31,37 +27,28 @@ class NotATree(SubtreeError):
 
 
 class NotRealizable(SubtreeError):
-    """Degree sequence cannot be realized by any tree."""
+    """Degree sequence or vertex count that no tree has, non-integer
+    entries and counts included."""
 
 
 class InvalidVertex(SubtreeError):
-    """Vertex id that is not an integer in the range 0..n-1."""
-
-
-class EmptySet(SubtreeError):
-    """An operation that needs at least one vertex received none."""
-
-
-class InvalidCut(SubtreeError):
-    """Requested component detachment does not produce a valid split."""
-
-
-class LengthMismatch(SubtreeError):
-    """Sequences being compared must have equal length."""
-
-
-class SumMismatch(SubtreeError):
-    """Sequences being compared must have equal sum."""
+    """Vertex argument that cannot serve its role: an id that is not an
+    integer in the range 0..n-1, an empty vertex selection, or a vertex
+    of ``swap_components`` that is repeated, not a neighbor, or whose
+    branch would disconnect the tree."""
 
 
 class NotComparable(SubtreeError):
-    """Sequences are incomparable in the majorization order."""
+    """Sequences that cannot be compared or are incomparable in the
+    majorization order: an entry that is not an integer, different
+    lengths or sums, or prefix sums that cross."""
 
 
 class InfeasibleConstraint(SubtreeError):
-    """No tree satisfies the requested class constraint."""
+    """No tree satisfies the requested class constraint, or a class
+    parameter is not an integer."""
 
 
 class TooLarge(SubtreeError):
     """Input exceeds a documented size cap: exhaustive work, a sequence
-    listing, a class answer or a path-star bound."""
+    listing, a class answer, a path-star bound or a majorization chain."""

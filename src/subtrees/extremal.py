@@ -16,7 +16,7 @@ from operator import neg
 from typing import Iterator, Sequence
 
 from .counting import _rerooted_counts, _rooted_counts
-from .errors import InvalidCut
+from .errors import InvalidVertex
 from .trees import (
     Tree,
     _bfs,
@@ -155,7 +155,7 @@ def swap_components(
     at y, and symmetrically for ``y_child_set``.  The rest of the tree,
     including the whole x-y path, stays put, so the result is again a
     tree.  Branches containing the other endpoint cannot move; selecting
-    one raises InvalidCut, as does repeating a neighbor or x = y.
+    one raises InvalidVertex, as does repeating a neighbor or x = y.
 
     The paper's path rewiring is the one-for-one case.  Write a path as
     x_m .. x_1 (z) y_1 .. y_m, with the middle vertex z present exactly
@@ -168,23 +168,23 @@ def swap_components(
     n = tree.n
     x, y = _vertex(x, n), _vertex(y, n)
     if x == y:
-        raise InvalidCut("attachment vertices must be distinct")
+        raise InvalidVertex("attachment vertices must be distinct")
     xc = [_vertex(c, n) for c in x_child_set]
     yc = [_vertex(d, n) for d in y_child_set]
     if len(set(xc)) != len(xc) or len(set(yc)) != len(yc):
-        raise InvalidCut("repeated neighbor in a detachment set")
+        raise InvalidVertex("repeated neighbor in a detachment set")
     path = path_between(tree, x, y)
     toward_y, toward_x = path[1], path[-2]
     for c in xc:
         if c not in tree.adjacency[x]:
-            raise InvalidCut(f"{c} is not a neighbor of {x}")
+            raise InvalidVertex(f"{c} is not a neighbor of {x}")
         if c == toward_y:
-            raise InvalidCut(f"the branch at {c} contains {y}; detaching it disconnects the middle")
+            raise InvalidVertex(f"the branch at {c} contains {y}; detaching it disconnects the middle")
     for d in yc:
         if d not in tree.adjacency[y]:
-            raise InvalidCut(f"{d} is not a neighbor of {y}")
+            raise InvalidVertex(f"{d} is not a neighbor of {y}")
         if d == toward_x:
-            raise InvalidCut(f"the branch at {d} contains {x}; detaching it disconnects the middle")
+            raise InvalidVertex(f"the branch at {d} contains {x}; detaching it disconnects the middle")
     drop = {(min(x, c), max(x, c)) for c in xc} | {(min(y, d), max(y, d)) for d in yc}
     edges = [e for e in tree.edges if e not in drop]
     edges.extend((y, c) for c in xc)

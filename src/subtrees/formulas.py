@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from .counting import _phi_from_parents
 from .errors import InfeasibleConstraint, TooLarge
 from .extremal import _greedy_parents, build_greedy_bfs
-from .trees import Tree, _bfs, _decimal
+from .trees import Tree, _bfs, _decimal, _int
 
 __all__ = [
     "ClassAnswer",
@@ -66,17 +67,25 @@ class ClassAnswer:
         return build_greedy_bfs(self.extremal_pi)[0]
 
 
-def _check_class(n: int, value: int, low: int, high: int, need: str) -> None:
-    """Raise TooLarge for n above ``_CLASS_LIMIT``, before anything of size
-    n is built, and InfeasibleConstraint unless low <= value <= high.
+def _check_class(
+    n: int, value: int, what: str, bounds: Callable[[int], tuple[int, int]], need: str
+) -> tuple[int, int]:
+    """n and the class parameter ``value`` (named ``what``) as ints, checked.
 
-    ``need`` is the InfeasibleConstraint message, formatted with ``n`` and
+    Raises InfeasibleConstraint when either is not an integer, TooLarge
+    for n above ``_CLASS_LIMIT``, before anything of size n is built, and
+    InfeasibleConstraint unless low <= value <= high, where (low, high) =
+    bounds(n).  ``need`` is that last message, formatted with ``n`` and
     ``value`` only once it is raised.
     """
+    n = _int(n, InfeasibleConstraint, "n")
+    value = _int(value, InfeasibleConstraint, what)
     if n > _CLASS_LIMIT:
         raise TooLarge(f"class answers capped at {_CLASS_LIMIT} vertices, got {_decimal(n)}")
+    low, high = bounds(n)
     if not low <= value <= high:
         raise InfeasibleConstraint(need.format(n=_decimal(n), value=_decimal(value)))
+    return n, value
 
 
 def _answer(
@@ -104,10 +113,10 @@ def bound_path_star(n: int) -> tuple[int, int]:
     """The sharp lower and upper bounds on the subtree count at order n.
 
     The path attains n(n+1)/2 and the star attains 2^(n-1) + n - 1; every
-    tree of order n lies in between.  Raises TooLarge for n above
-    ``_CLASS_LIMIT``.
+    tree of order n lies in between.  Raises InfeasibleConstraint unless n
+    is a positive integer, and TooLarge for n above ``_CLASS_LIMIT``.
     """
-    _check_class(n, n, 1, _CLASS_LIMIT, "need n >= 1, got {n}")
+    n, _ = _check_class(n, n, "n", lambda n: (1, _CLASS_LIMIT), "need n >= 1, got {n}")
     return n * (n + 1) // 2, 2 ** (n - 1) + n - 1
 
 
@@ -124,7 +133,9 @@ def max_degree_extremal(n: int, delta: int) -> ClassAnswer:
     sum-consistent in every case and agrees with the construction wherever
     that is.  delta = 2 degenerates to the path.
     """
-    _check_class(n, delta, 2, n - 1, "need 2 <= delta <= n-1, got delta={value}, n={n}")
+    n, delta = _check_class(
+        n, delta, "delta", lambda n: (2, n - 1), "need 2 <= delta <= n-1, got delta={value}, n={n}"
+    )
     # Greedily stack entries of size delta; each costs delta - 1 of the
     # degree budget 2(n-1) - n beyond the all-ones baseline.
     m = (n - 2) // (delta - 1)
@@ -154,7 +165,7 @@ def leaves_extremal(n: int, s: int) -> ClassAnswer:
     n=7, s=3 it gives 244 against a true count of 36), so the flag is set
     whenever it disagrees.
     """
-    _check_class(n, s, 2, n - 1, "need 2 <= s <= n-1, got s={value}, n={n}")
+    n, s = _check_class(n, s, "s", lambda n: (2, n - 1), "need 2 <= s <= n-1, got s={value}, n={n}")
     pi = (s, *[2] * (n - s - 1), *[1] * s)
     q, t = divmod(n - 1, s)
     closed = (
@@ -176,8 +187,12 @@ def independence_extremal(n: int, alpha: int) -> ClassAnswer:
     form 2^(2*alpha-n+1) 3^(n-alpha-1) + 2n - alpha - 2 validates against
     exact counting.
     """
-    _check_class(
-        n, alpha, (n + 1) // 2, n - 1, "need ceil(n/2) <= alpha <= n-1, got alpha={value}, n={n}"
+    n, alpha = _check_class(
+        n,
+        alpha,
+        "alpha",
+        lambda n: ((n + 1) // 2, n - 1),
+        "need ceil(n/2) <= alpha <= n-1, got alpha={value}, n={n}",
     )
     pi = (alpha, *[2] * (n - alpha - 1), *[1] * alpha)
     printed = 2 ** (2 * alpha - n + 1) * 3 ** (n - alpha - 1) + 2 * n - alpha - 2
@@ -194,7 +209,9 @@ def matching_extremal(n: int, beta: int) -> ClassAnswer:
     alpha = n - beta, whose validated form ends in +n + beta - 2), so the
     flag is set whenever it disagrees.
     """
-    _check_class(n, beta, 1, n // 2, "need 1 <= beta <= n//2, got beta={value}, n={n}")
+    n, beta = _check_class(
+        n, beta, "beta", lambda n: (1, n // 2), "need 1 <= beta <= n//2, got beta={value}, n={n}"
+    )
     pi = (n - beta, *[2] * (beta - 1), *[1] * (n - beta))
     printed = 2 ** (n - 2 * beta + 1) * 3 ** (beta - 1) + n - beta - 2
     return _answer("matching", n, beta, {}, pi, printed)

@@ -10,10 +10,16 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import LengthMismatch, NotComparable, SumMismatch
-from .trees import _decimal
+from .errors import NotComparable, TooLarge
+from .trees import _decimal, _ints
 
 __all__ = ["majorizes", "majorization_chain"]
+
+# Cap on the entries of a majorization chain, n times its length, which is
+# known before the walk.  Path to star at n = 3,000 (9.0 * 10^6 entries)
+# took 3.3 s and 145 MB as ``order --json`` (Python 3.11.7, 2-CPU x86-64
+# VM), the output growing with the entries.
+_CHAIN_LIMIT = 10**7
 
 
 def majorizes(a: Sequence[int], b: Sequence[int]) -> str:
@@ -22,15 +28,15 @@ def majorizes(a: Sequence[int], b: Sequence[int]) -> str:
     Both are sorted nonincreasing first, so only their multisets matter.
     Returns "greater" when a majorizes b strictly, "less" for the reverse,
     "equal" for equal multisets and "incomparable" when the prefix-sum
-    differences change sign.  Raises LengthMismatch or SumMismatch when the
-    sequences are not comparable in principle.
+    differences change sign.  Raises NotComparable when the sequences are
+    not comparable in principle: an entry is not an integer, or the
+    lengths or the sums differ.
     """
-    a = sorted(a, reverse=True)
-    b = sorted(b, reverse=True)
+    a, b = (sorted(_ints(s, NotComparable, "sequence entry"), reverse=True) for s in (a, b))
     if len(a) != len(b):
-        raise LengthMismatch(f"lengths differ: {len(a)} vs {len(b)}")
+        raise NotComparable(f"lengths differ: {len(a)} vs {len(b)}")
     if sum(a) != sum(b):
-        raise SumMismatch(f"sums differ: {_decimal(sum(a))} vs {_decimal(sum(b))}")
+        raise NotComparable(f"sums differ: {_decimal(sum(a))} vs {_decimal(sum(b))}")
     seen_pos = seen_neg = False
     run_a = run_b = 0
     for x, y in zip(a, b):
@@ -84,15 +90,20 @@ def majorization_chain(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, ..
     subtracting 1 from a later one.  All intermediate sequences are
     nonincreasing with positive entries, hence realizable as tree degree
     sequences whenever the endpoints are.
-    Raises NotComparable for incomparable inputs.
+    Raises NotComparable where ``majorizes`` does and for incomparable
+    inputs.  The chain has sum |a_i - b_i| / 2 steps, so its size is
+    known before the walk: TooLarge when n times its length passes
+    ``_CHAIN_LIMIT``.
     """
-    a = tuple(sorted(a, reverse=True))
-    b = tuple(sorted(b, reverse=True))
+    a, b = (tuple(sorted(_ints(s, NotComparable, "sequence entry"), reverse=True)) for s in (a, b))
     relation = majorizes(a, b)
     if relation == "incomparable":
         raise NotComparable("sequences are incomparable in the majorization order")
     if relation == "equal":
         return [a]
+    entries = len(a) * (sum(map(abs, map(int.__sub__, a, b))) // 2 + 1)
+    if entries > _CHAIN_LIMIT:
+        raise TooLarge(f"chains capped at {_CHAIN_LIMIT} entries, got {_decimal(entries)}")
     low, high = (a, b) if relation == "less" else (b, a)
     current = list(low)
     chain = [tuple(current)]

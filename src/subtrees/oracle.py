@@ -10,22 +10,18 @@ connected vertex sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .counting import _phi_from_parents, count_subtrees
-from .errors import EmptySet, NotRealizable, TooLarge
-from .trees import Tree, _decimal, _vertex, canonical_code, tree_from_edges
-from .trees import validate_degree_sequence
+from .counting import _phi_from_parents
+from .errors import NotRealizable, TooLarge
+from .trees import Tree, _decimal, _int, _vertex, tree_from_edges, validate_degree_sequence
 
 __all__ = [
-    "TreeClassSummary",
     "tree_from_prufer",
     "prufer_sequences",
     "enumerate_trees",
     "count_subtrees_bruteforce",
     "labeled_tree_count",
-    "extremal_by_enumeration",
     "realizable_sequences",
 ]
 
@@ -76,8 +72,10 @@ def tree_from_prufer(code: Sequence[int], n: int) -> Tree:
     """Decode a Pruefer sequence of length n-2 into a labeled tree on n >= 2.
 
     Vertex v appears in the code exactly deg(v) - 1 times.  Raises
-    InvalidVertex for out-of-range entries.
+    NotRealizable when n is not an integer of at least 2 or the code has
+    the wrong length, and InvalidVertex for an entry that is not an id.
     """
+    n = _int(n, NotRealizable, "vertex count")
     if n < 2:
         raise NotRealizable(f"Pruefer decoding needs n >= 2, got {n}")
     if len(code) != n - 2:
@@ -286,49 +284,15 @@ def labeled_tree_count(pi: Sequence[int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class TreeClassSummary:
-    """Exhaustive statistics for the trees with one degree sequence.
-
-    ``iso_classes`` holds one (canonical code, representative, subtree
-    count) triple per isomorphism class, sorted by code; ``maximizers`` is
-    the subset of triples attaining ``max_phi``.
-    """
-
-    pi: tuple[int, ...]
-    labeled_count: int
-    iso_classes: tuple[tuple[bytes, Tree, int], ...]
-    max_phi: int
-    maximizers: tuple[tuple[bytes, Tree, int], ...]
-
-
-def extremal_by_enumeration(pi: Sequence[int]) -> TreeClassSummary:
-    """Find the maximum subtree count over all trees with degrees pi.
-
-    Fully enumerates the class, so it refuses sequences longer than the
-    enumeration cap with TooLarge.  Subtree counts for the summary use the
-    polynomial-time counter; the brute-force counter exists to check it.
-    """
-    pi = validate_degree_sequence(pi)
-    classes = sorted((canonical_code(t), t) for t in enumerate_trees(pi))
-    triples = tuple((code, t, count_subtrees(t)) for code, t in classes)
-    best = max(phi for _, _, phi in triples)
-    return TreeClassSummary(
-        pi=pi,
-        labeled_count=labeled_tree_count(pi),
-        iso_classes=triples,
-        max_phi=best,
-        maximizers=tuple(tr for tr in triples if tr[2] == best),
-    )
-
-
 def realizable_sequences(n: int) -> list[tuple[int, ...]]:
     """All tree degree sequences of length n, descending lexicographic.
 
-    Raises TooLarge for n above ``_SEQUENCE_LIMIT``.
+    Raises NotRealizable unless n is a positive integer, and TooLarge for
+    n above ``_SEQUENCE_LIMIT``.
     """
+    n = _int(n, NotRealizable, "vertex count")
     if n < 1:
-        raise EmptySet("need n >= 1")
+        raise NotRealizable("need n >= 1")
     if n > _SEQUENCE_LIMIT:
         raise TooLarge(f"sequence listing capped at {_SEQUENCE_LIMIT} vertices, got {_decimal(n)}")
     if n == 1:

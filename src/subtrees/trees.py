@@ -8,8 +8,8 @@ One breadth-first primitive, ``_bfs``, walks every rooted tree in the
 package: the connectivity check, ``path_between`` and the canonical code
 here, and the subtree DP, the BFS-ordering check and the move scores
 elsewhere all read its flat ``parent`` and ``order`` lists, in which the
-root is its own parent.  ``_vertex`` checks every vertex id that a
-public function takes.
+root is its own parent.  ``_int`` checks every integer that a public
+function takes (``_ints`` a whole sequence, ``_vertex`` a vertex id).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from .errors import InvalidVertex, NotATree, NotRealizable, ParseError
+from .errors import InvalidVertex, NotATree, NotRealizable, ParseError, SubtreeError
 
 __all__ = [
     "Tree",
@@ -53,16 +53,30 @@ class Tree:
         return len(self.adjacency[v])
 
 
-def _vertex(w: Any, n: int, what: str = "vertex") -> int:
-    """w as an int, when it is an integer vertex id in 0..n-1.
-
-    Raises InvalidVertex naming ``what`` otherwise.  Any integer type
-    passes (``operator.index``); a float or a string does not.
-    """
+def _int(w: Any, error: type[SubtreeError], what: str) -> int:
+    """w as an int, else ``error`` naming ``what``.  Any integer type passes
+    (``operator.index``), bools too; a float or a string does not."""
     try:
-        v = operator.index(w)
+        return operator.index(w)
     except TypeError:
-        raise InvalidVertex(f"{what} {w!r} is not an integer") from None
+        raise error(f"{what} {w!r} is not an integer") from None
+
+
+def _ints(values: Iterable[Any], error: type[SubtreeError], what: str) -> list[int]:
+    """Every value as an int, in one ``map``; a failing input is scanned
+    again by ``_int`` for the first value to name."""
+    values = values if isinstance(values, Sequence) else list(values)
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        for w in values:
+            _int(w, error, what)
+        raise
+
+
+def _vertex(w: Any, n: int, what: str = "vertex") -> int:
+    """w as an int, when it is an integer vertex id in 0..n-1, else InvalidVertex."""
+    v = _int(w, InvalidVertex, what)
     if not 0 <= v < n:
         raise InvalidVertex(f"{what} {v} outside 0..{n - 1}")
     return v
@@ -71,10 +85,12 @@ def _vertex(w: Any, n: int, what: str = "vertex") -> int:
 def tree_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Tree:
     """Build a validated Tree from an iterable of undirected edges.
 
-    Raises NotATree when the input has an edge that is not a pair of
-    integer ids, the wrong edge count, a self-loop, a duplicate edge, a
-    vertex outside 0..n-1, or is disconnected.
+    Raises NotATree when n is not a positive integer, or the input has an
+    edge that is not a pair of integer ids, the wrong edge count, a
+    self-loop, a duplicate edge, a vertex outside 0..n-1, or is
+    disconnected.
     """
+    n = _int(n, NotATree, "vertex count")
     if n < 1:
         raise NotATree(f"vertex count must be at least 1, got {n}")
     norm = []
@@ -128,9 +144,11 @@ def validate_degree_sequence(degrees: Iterable[int]) -> tuple[int, ...]:
 
     A sequence of length n >= 2 is realizable exactly when every entry is
     positive and the total is 2(n-1).  The single-vertex tree is admitted
-    as the sequence (0,).  Raises NotRealizable otherwise.
+    as the sequence (0,).  Raises NotRealizable otherwise, also for an
+    entry that is not an integer; the result holds plain ints.
     """
-    seq = sorted(degrees, reverse=True)
+    seq = _ints(degrees, NotRealizable, "degree")
+    seq.sort(reverse=True)
     if not seq:
         raise NotRealizable("empty degree sequence")
     n = len(seq)

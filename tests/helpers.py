@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import random
 from itertools import combinations, permutations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from hypothesis import strategies as st
 
@@ -16,6 +16,7 @@ from subtrees.extremal import _satisfies_bfs_ordering, build_greedy_bfs, swap_co
 from subtrees.majorization import majorizes
 from subtrees.oracle import (
     _edges_from_prufer,
+    enumerate_trees,
     labeled_tree_count,
     prufer_sequences,
     realizable_sequences,
@@ -299,6 +300,28 @@ def reference_has_bfs_ordering(tree: Tree, root: int) -> bool:
     """
     rest = [v for v in range(tree.n) if v != root]
     return any(_satisfies_bfs_ordering(tree, root, (root, *perm)) for perm in permutations(rest))
+
+
+class EnumeratedClass(NamedTuple):
+    """Every tree of one degree sequence: a (canonical code, tree, phi)
+    triple per isomorphism class, sorted by code; the largest phi and the
+    triples that reach it; and the number of labeled trees."""
+
+    labeled_count: int
+    iso_classes: list[tuple[bytes, Tree, int]]
+    max_phi: int
+    maximizers: list[tuple[bytes, Tree, int]]
+
+
+def enumerated_class(pi: Sequence[int]) -> EnumeratedClass:
+    """The class of pi from ``enumerate_trees``, phi from ``count_subtrees``."""
+    triples = sorted(
+        ((canonical_code(t), t, count_subtrees(t)) for t in enumerate_trees(pi)),
+        key=lambda triple: triple[0],
+    )
+    best = max(phi for _, _, phi in triples)
+    maximizers = [triple for triple in triples if triple[2] == best]
+    return EnumeratedClass(labeled_tree_count(pi), triples, best, maximizers)
 
 
 def reference_enumerate_trees(pi: Sequence[int]) -> Iterator[Tree]:

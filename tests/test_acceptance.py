@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from helpers import path, star
+from helpers import enumerated_class, path, star
 from subtrees.counting import count_subtrees, f_vector
 from subtrees.extremal import build_greedy_bfs, local_search_optimize
 from subtrees.formulas import (
@@ -26,7 +26,6 @@ from subtrees.formulas import (
 from subtrees.majorization import majorizes
 from subtrees.oracle import (
     count_subtrees_bruteforce,
-    extremal_by_enumeration,
     labeled_tree_count,
     prufer_sequences,
     realizable_sequences,
@@ -39,7 +38,7 @@ from subtrees.trees import canonical_code, degree_sequence_of, is_isomorphic
 def sweep():
     """Exhaustive class summaries for every degree sequence with n <= 10."""
     return {
-        n: {pi: extremal_by_enumeration(pi) for pi in realizable_sequences(n)}
+        n: {pi: enumerated_class(pi) for pi in realizable_sequences(n)}
         for n in range(1, 11)
     }
 

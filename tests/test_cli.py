@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -232,8 +233,20 @@ def test_order_incomparable(capsys):
 
 
 def test_order_mismatches(capsys):
-    assert run(capsys, "order", "--a", "2,1,1", "--b", "1,1")[0] == 3
+    code, _, err = run(capsys, "order", "--a", "2,1,1", "--b", "1,1")
+    assert (code, err) == (3, "error: lengths differ: 3 vs 2\n")
     assert run(capsys, "order", "--a", "2,2,1,1", "--b", "2,1,1,1")[0] == 3
+
+
+def test_order_past_the_chain_cap_exits_5(capsys):
+    # Path to star on 3,200 vertices: 3,198 sequences of 3,200 entries.
+    path_text = ",".join(["2"] * 3198 + ["1", "1"])
+    star_text = ",".join(["3199"] + ["1"] * 3199)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "order", "--a", path_text, "--b", star_text, "--json")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (5, "")
+    assert err == "error: chains capped at 10000000 entries, got 10233600\n"
 
 
 def test_class_maxdeg(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import pytest
@@ -20,7 +21,7 @@ from helpers import (
     star,
 )
 from subtrees.counting import count_containing_all, count_rooted, count_subtrees
-from subtrees.errors import InvalidCut, InvalidVertex
+from subtrees.errors import InvalidVertex
 from subtrees.extremal import (
     _branch_tables,
     _greedy_parents,
@@ -231,14 +232,17 @@ def test_swap_components_rejects():
     p5 = path(5)
     with pytest.raises(InvalidVertex):
         swap_components(p5, 1, 9, (0,), ())
-    with pytest.raises(InvalidCut):
+    with pytest.raises(InvalidVertex, match=re.escape("attachment vertices must be distinct")):
         swap_components(p5, 1, 1, (0,), ())
-    with pytest.raises(InvalidCut):
+    with pytest.raises(InvalidVertex, match=re.escape("repeated neighbor in a detachment set")):
         swap_components(p5, 1, 3, (0, 0), ())
-    with pytest.raises(InvalidCut):
-        swap_components(p5, 1, 3, (4,), ())  # not a neighbor of 1
-    with pytest.raises(InvalidCut):
-        swap_components(p5, 1, 3, (2,), ())  # branch at 2 contains 3
+    with pytest.raises(InvalidVertex, match=re.escape("4 is not a neighbor of 1")):
+        swap_components(p5, 1, 3, (4,), ())
+    with pytest.raises(
+        InvalidVertex,
+        match=re.escape("the branch at 2 contains 3; detaching it disconnects the middle"),
+    ):
+        swap_components(p5, 1, 3, (2,), ())
 
 
 def test_swap_path_edges_p6_isomorphic():

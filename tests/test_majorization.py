@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
+import re
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from subtrees.counting import count_subtrees
-from subtrees.errors import (
-    InfeasibleConstraint,
-    LengthMismatch,
-    NotComparable,
-    SumMismatch,
-    TooLarge,
-)
+from subtrees import majorization
+from subtrees.errors import InfeasibleConstraint, NotComparable, TooLarge
 from subtrees.extremal import build_greedy_bfs
 from subtrees.formulas import (
     _CLASS_LIMIT,
@@ -50,12 +48,34 @@ def test_majorizes_incomparable_pairs():
 
 
 def test_majorizes_rejects():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(NotComparable, match=re.escape("lengths differ: 3 vs 2")):
         majorizes((2, 1, 1), (1, 1))
-    with pytest.raises(SumMismatch):
+    with pytest.raises(NotComparable, match=re.escape("sums differ: 6 vs 5")):
         majorizes((2, 2, 1, 1), (2, 1, 1, 1))
-    with pytest.raises(SumMismatch):
-        majorizes((10**5000, 1), (1, 1))  # a sum past the int-digit limit
+    # A sum past the int-digit limit.
+    with pytest.raises(NotComparable, match=re.escape(f"sums differ: 1{'0' * 4999}1 vs 2")):
+        majorizes((10**5000, 1), (1, 1))
+
+
+def test_chain_cap(monkeypatch):
+    # Path to star on 3,200 vertices is 3,198 sequences of 3,200 entries; the cap
+    # raises before the walk, as it does for a chain of 10^5000 steps.
+    big = 10**5000
+    for a, b in [
+        ((2,) * 3198 + (1, 1), (3199,) + (1,) * 3199),
+        ((2 * big, 1, 1), (big + 1, big, 1)),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="^chains capped at 10000000 entries"):
+            majorization_chain(a, b)
+        assert time.perf_counter() - start < 1
+    # Path to star on 5 vertices: 2 steps, 3 sequences of 5 entries.
+    path5, star5 = (2, 2, 2, 1, 1), (4, 1, 1, 1, 1)
+    monkeypatch.setattr(majorization, "_CHAIN_LIMIT", 15)
+    assert len(majorization_chain(path5, star5)) == 3
+    monkeypatch.setattr(majorization, "_CHAIN_LIMIT", 14)
+    with pytest.raises(TooLarge, match=re.escape("chains capped at 14 entries, got 15")):
+        majorization_chain(star5, path5)
 
 
 @given(st.sampled_from(realizable_sequences(8)), st.sampled_from(realizable_sequences(8)))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import re
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    enumerated_class,
     path,
     random_trees,
     reference_enumerate_trees,
@@ -25,7 +27,6 @@ from subtrees.oracle import (
     connected_subsets,
     count_subtrees_bruteforce,
     enumerate_trees,
-    extremal_by_enumeration,
     labeled_tree_count,
     prufer_sequences,
     realizable_sequences,
@@ -91,7 +92,7 @@ def test_enumerate_trees_matches_pruefer_reference():
             assert len(codes) == len(set(codes))
             reference = list(reference_enumerate_trees(pi))
             assert set(codes) == {canonical_code(t) for t in reference}
-            assert extremal_by_enumeration(pi).max_phi == max(map(count_subtrees, reference))
+            assert enumerated_class(pi).max_phi == max(map(count_subtrees, reference))
 
 
 def test_enumerate_trees_matches_leaf_growth_reference():
@@ -200,8 +201,8 @@ def test_bruteforce_agrees_with_dp(t):
     assert count_subtrees_bruteforce(t) == count_subtrees(t)
 
 
-def test_extremal_by_enumeration_spider_class():
-    summary = extremal_by_enumeration((3, 2, 2, 1, 1, 1))
+def test_enumerate_trees_spider_class():
+    summary = enumerated_class((3, 2, 2, 1, 1, 1))
     assert summary.max_phi == 25
     assert summary.labeled_count == 12
     assert len(summary.iso_classes) == 2
@@ -215,18 +216,18 @@ def test_extremal_by_enumeration_spider_class():
     )
 
 
-def test_extremal_by_enumeration_trivial_classes():
-    p = extremal_by_enumeration((2, 2, 2, 2, 1, 1))
+def test_enumerate_trees_trivial_classes():
+    p = enumerated_class((2, 2, 2, 2, 1, 1))
     assert len(p.iso_classes) == 1 and p.max_phi == 21
-    s = extremal_by_enumeration((5, 1, 1, 1, 1, 1))
+    s = enumerated_class((5, 1, 1, 1, 1, 1))
     assert len(s.iso_classes) == 1 and s.max_phi == 2 ** 5 + 5
 
 
-def test_extremal_by_enumeration_limit():
+def test_enumerate_trees_limit():
     with pytest.raises(TooLarge):
-        extremal_by_enumeration((2,) * 17 + (1, 1))
+        enumerated_class((2,) * 17 + (1, 1))
     # The 15-vertex path, past the first cap of 14, needs no knob.
-    assert extremal_by_enumeration((2,) * 13 + (1, 1)).max_phi == 15 * 16 // 2
+    assert enumerated_class((2,) * 13 + (1, 1)).max_phi == 15 * 16 // 2
 
 
 def test_realizable_sequences():
@@ -239,6 +240,8 @@ def test_realizable_sequences():
         (3, 2, 2, 1, 1, 1),
         (2, 2, 2, 2, 1, 1),
     ]
+    with pytest.raises(NotRealizable, match=re.escape("need n >= 1")):
+        realizable_sequences(0)
     for n in range(2, 10):
         for pi in realizable_sequences(n):
             assert sum(pi) == 2 * (n - 1)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,13 +18,30 @@ from helpers import (
     spider,
     star,
 )
-from subtrees import trees
+from subtrees import errors, trees
 from subtrees.counting import count_containing_all, count_rooted
-from subtrees.errors import InvalidVertex, NotATree, NotRealizable, ParseError, SubtreeError
-from subtrees.extremal import has_bfs_ordering, swap_components
+from subtrees.errors import (
+    InfeasibleConstraint,
+    InvalidVertex,
+    NotATree,
+    NotComparable,
+    NotRealizable,
+    ParseError,
+    SubtreeError,
+)
+from subtrees.extremal import build_greedy_bfs, has_bfs_ordering, swap_components
+from subtrees.formulas import (
+    bound_path_star,
+    leaves_extremal,
+    matching_extremal,
+    max_degree_extremal,
+)
+from subtrees.majorization import majorizes
 from subtrees.oracle import (
     _edges_from_prufer,
     connected_subsets,
+    enumerate_trees,
+    labeled_tree_count,
     prufer_sequences,
     realizable_sequences,
     tree_from_prufer,
@@ -143,6 +162,21 @@ def test_path_between():
 P3, P4 = path(3), path(4)
 
 
+def in_subprocess(expression: str) -> None:
+    """Evaluate an expression over the package's names in a new interpreter,
+    killed after 5 s, and raise here the SubtreeError it raised there."""
+    script = (
+        "import subtrees\n"
+        "try:\n"
+        f"    eval({expression!r}, vars(subtrees))\n"
+        "except subtrees.SubtreeError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=5)
+    name, _, message = proc.stdout.rstrip("\n").partition(" ")
+    raise getattr(errors, name, AssertionError)(message or proc.stderr)
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -163,11 +197,34 @@ P3, P4 = path(3), path(4)
         (lambda: has_bfs_ordering(P3, "1"), InvalidVertex, "root '1' is not an integer"),
         (lambda: has_bfs_ordering(P3, -1), InvalidVertex, "root -1 outside 0..2"),
         (lambda: list(connected_subsets(P3, 0.5)), InvalidVertex, "anchor 0.5 is not"),
+        (lambda: labeled_tree_count([2.0, 1.0, 1.0]), NotRealizable, "degree 2.0 is not an"),
+        (lambda: build_greedy_bfs(["1", "1"]), NotRealizable, "degree '1' is not an integer"),
+        (lambda: list(prufer_sequences([2.0, 1.0, 1.0])), NotRealizable, "degree 2.0 is not"),
+        (lambda: list(enumerate_trees([2.0, 1.0, 1.0])), NotRealizable, "degree 2.0 is"),
+        (lambda: tree_from_edges(2.0, [(0, 1)]), NotATree, "vertex count 2.0 is not an integer"),
+        (lambda: tree_from_prufer([0], 3.0), NotRealizable, "vertex count 3.0 is not an integer"),
+        (lambda: realizable_sequences(2.5), NotRealizable, "vertex count 2.5 is not an integer"),
+        (lambda: max_degree_extremal(5, 2.5), InfeasibleConstraint, "delta 2.5 is not an integer"),
+        (lambda: leaves_extremal(7.0, 3), InfeasibleConstraint, "n 7.0 is not an integer"),
+        (lambda: bound_path_star(3.5), InfeasibleConstraint, "n 3.5 is not an integer"),
+        (
+            lambda: majorizes([2.5, 1.5, 1, 1], [3, 1, 1, 1]),
+            NotComparable,
+            "sequence entry 2.5 is not an integer",
+        ),
+        (
+            # It walked without end before the check; a regression fails
+            # on the subprocess timeout instead of hanging the suite.
+            lambda: in_subprocess("majorization_chain([2.5, 1.5, 1, 1], [3, 1, 1, 1])"),
+            NotComparable,
+            "sequence entry 2.5 is not",
+        ),
     ],
 )
 def test_vertex_ids_are_checked(call, error, message):
-    # Every public function that takes a vertex id raises a SubtreeError
-    # for a non-integer or out-of-range id, never a builtin exception.
+    # Every public function that takes a vertex id, a degree, a vertex
+    # count, a sequence entry or a class parameter raises a SubtreeError
+    # for a non-integer or out-of-range one, never a builtin exception.
     with pytest.raises(error) as info:
         call()
     assert str(info.value).startswith(message)
@@ -184,6 +241,14 @@ def test_integer_types_pass_as_vertex_ids():
     assert tree_from_edges(3, [(Id(1), Id(0)), (True, 2)]) == P3
     assert path_between(P3, Id(0), True) == (0, 1)
     assert count_rooted(P3, Id(1)) == (1, 4, 1)
+    # Degrees and class parameters are stored as the plain ints they stand for.
+    pi = validate_degree_sequence([Id(1), Id(2), True])
+    assert pi == (2, 1, 1) and all(type(d) is int for d in pi)
+    assert build_greedy_bfs([Id(2), 1, 1]) == build_greedy_bfs((2, 1, 1))
+    answer = leaves_extremal(Id(7), Id(3))
+    assert (answer.n, answer.param, answer.phi) == (7, 3, 36)
+    assert type(answer.n) is int and type(answer.param) is int
+    assert type(matching_extremal(5, True).param) is int
 
 
 def test_isomorphism_distinguishes_same_degree_sequence():
