@@ -29,7 +29,7 @@ import json
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from decimal import DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__
 from .counting import _argmax, _phi_from_parents, _rerooted_counts, _rooted_counts
@@ -63,6 +63,8 @@ _EXACT = Context(
 # accepts, so str of such an int never raises.
 _INT_DIGITS = 200
 
+_BLOCK = 1 << 16  # characters per written block, as ``trees._edge_ends`` reads
+
 
 def _sequence_argument(text: str) -> tuple[int, ...]:
     """Parse a --pi style argument, mapping syntax errors to exit code 3."""
@@ -76,11 +78,6 @@ def _fmt_seq(seq: Sequence[int]) -> str:
     return ",".join(str(d) for d in seq)
 
 
-def _edges(parent: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """The edges (parent[v], v) of a parents-first array: sorted (u < v) pairs."""
-    return zip(parent[1:], range(1, len(parent)))
-
-
 def _report(command: str, inputs: dict, outputs: dict) -> dict:
     return {
         "command": command,
@@ -91,43 +88,54 @@ def _report(command: str, inputs: dict, outputs: dict) -> dict:
     }
 
 
-def _edge_lines(parent: Sequence[int]) -> list[str]:
-    """The "u v" lines of a parents-first array's edges as one text, joined
-    in C rather than printed a line at a time; a single vertex has none."""
-    return ["\n".join(map("%d %d".__mod__, _edges(parent)))] if len(parent) > 1 else []
+def _write_items(item: str, sep: str, columns: Sequence, longest: Any, head: str, tail: str) -> None:
+    """Write ``head``, the items ``item % (column[i] for column in columns)``
+    joined by ``sep``, and ``tail``.  One C-level ``%`` call on a flat tuple
+    formats each block of about ``_BLOCK`` characters, a size ``longest`` sets."""
+    k, stop = len(columns), len(columns[0])
+    per_block = max(1, _BLOCK // (len(item % ((longest,) * k)) + len(sep)))
+    sys.stdout.write(head)
+    for i in range(0, stop, per_block):
+        flat = [None] * (k * (min(i + per_block, stop) - i))
+        for c, column in enumerate(columns):
+            flat[c::k] = column[i : i + per_block]
+        text = sep.join([item] * (len(flat) // k)) % tuple(flat)
+        sys.stdout.write(sep + text if i else text)
+    sys.stdout.write(tail)
 
 
 def _json_around(report: dict, key: str) -> tuple[str, str]:
-    """The JSON text of a report before and after the items of its empty list ``key``.
-
-    A long list is written between the two as plain text rather than
-    encoded item by item by ``json``.  The report holds one list named
-    ``key``, and no string in it can hold the text ``"key": []``, as
-    ``json`` escapes the quotes inside strings.
-    """
+    """The JSON text of a report before and after the items of its empty
+    list ``key``, newline included, for a long list written between them
+    as plain text.  ``json`` escapes the quotes inside strings, so no
+    string in the report can hold the text ``"key": []``."""
     head, _, tail = json.dumps(report, sort_keys=True).rpartition(f'"{key}": []')
-    return f'{head}"{key}": [', f"]{tail}"
+    return f'{head}"{key}": [', f"]{tail}\n"
 
 
 def _emit(
     args: argparse.Namespace,
     report: Callable[[], dict],
-    human: Callable[[], list[str]],
+    human: Callable[[], list[str | None]],
     parent: Sequence[int] | None = None,
 ) -> None:
     """Print the JSON report or the human lines, building only the one printed.
 
-    With ``parent``, the report's empty "edges" list is filled with the
-    edges of that parents-first array, joined as one text.
+    With ``parent``, the edges (parent[v], v) of that parents-first array
+    are written in blocks: into the report's empty "edges" list, or one
+    "u v" line each where the human lines hold None.
     """
     if not args.json:
         for line in human():
-            print(line)
+            if line is None:
+                _write_items("%d %d\n", "", (parent[1:], range(1, len(parent))), len(parent), "", "")
+            else:
+                print(line)
     elif parent is None:
         print(json.dumps(report(), sort_keys=True))
     else:
         head, tail = _json_around(report(), "edges")
-        print(head, ", ".join(map("[%d, %d]".__mod__, _edges(parent))), tail, sep="")
+        _write_items("[%d, %d]", ", ", (parent[1:], range(1, len(parent))), len(parent), head, tail)
 
 
 def _tree_bfs(text: str) -> tuple[list[int], list[int]]:
@@ -161,7 +169,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     whose text is linear in their digits, where an int's is quadratic (on
     a random 10^4-vertex tree the 1,500-digit f values took nine times as
     long to print as ints as the DP took to find them).  The f values are
-    written one at a time, so no text as long as the output is built.
+    written with ``%s``, linear for a decimal, in 64 KiB blocks.
     """
     try:
         with open(args.treefile, encoding="ascii") as fh:
@@ -187,14 +195,10 @@ def cmd_count(args: argparse.Namespace) -> int:
         # The f texts are plain digits and need no escaping.
         outputs = {"phi": phi, "f": [], "argmax": argmax}
         report = _report("count", {"treefile": args.treefile, "n": n}, outputs)
-        head, tail = _json_around(report, "f")
-        print(head + '"', end="")
-        print(*f, sep='", "', end='"' + tail + "\n")
+        _write_items('"%s"', ", ", (f,), phi, *_json_around(report, "f"))
     else:
-        print(f"n: {n}")
-        print(f"phi: {phi}")
-        print("f:", *f)
-        print("argmax:", *argmax)
+        head = f"n: {n}\nphi: {phi}\nf:"
+        _write_items(" %s", "", (f,), phi, head, f"\nargmax: {' '.join(map(str, argmax))}\n")
     return 0
 
 
@@ -202,8 +206,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     """Build the greedy BFS tree of a degree sequence and print it.
 
     The greedy parent array is the tree: ids are the BFS order and each
-    parent precedes its children, so no ``Tree`` is built and no BFS run.
-    Its edges print as one joined text, spliced into the JSON report.
+    parent precedes its children, so no ``Tree`` is built and no BFS run;
+    ``_emit`` writes its edges in blocks, at the None of the human lines.
     """
     pi = _sequence_argument(args.pi)
     parent = _greedy_parents(pi)
@@ -218,7 +222,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         ),
         lambda: [
             str(len(pi)),
-            *_edge_lines(parent),
+            None,
             "layer_sizes: " + _fmt_seq(sizes),
             f"phi: {phi}",
         ],
@@ -350,8 +354,8 @@ def cmd_class(args: argparse.Namespace) -> int:
     """Extremal answer for a constrained class of trees.
 
     The edges print from the greedy parent array of the answer's sequence,
-    so the answer's ``Tree`` is never built; they print as one joined
-    text, spliced into the JSON report.
+    so the answer's ``Tree`` is never built; ``_emit`` writes them in
+    blocks, at the None of the human lines.
     """
     answer = _CLASS_FUNCTIONS[args.type](args.n, args.k)
     parent = _greedy_parents(answer.extremal_pi)
@@ -375,7 +379,7 @@ def cmd_class(args: argparse.Namespace) -> int:
             f"n: {args.n}",
             f"k: {args.k}",
             f"pi: {_fmt_seq(answer.extremal_pi)}",
-            *_edge_lines(parent),
+            None,
             f"phi: {_decimal(answer.phi)}",
             *([] if printed is None else [f"printed_formula: {_decimal(printed)}"]),
             f"discrepancy: {str(answer.discrepancy_flag).lower()}",

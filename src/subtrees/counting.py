@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .errors import InvalidVertex
-from .trees import Tree, _bfs, _vertex
+from .trees import Tree, _bfs, _iter, _vertex
 
 __all__ = [
     "FVector",
@@ -119,9 +119,10 @@ def _rerooted_counts(parent: Sequence[int], order: Sequence[int], counts: list) 
 
 
 def _argmax(values: Sequence[Any]) -> tuple[int, ...]:
-    """The positions of the largest value, ascending."""
+    """The positions of the largest value, ascending (at most two, as in f), found in C."""
     best = max(values)
-    return tuple(v for v, x in enumerate(values) if x == best)
+    first = values.index(best)
+    return (first,) if values.count(best) == 1 else (first, values.index(best, first + 1))
 
 
 def f_vector(tree: Tree) -> FVector:
@@ -151,10 +152,10 @@ def count_containing_all(tree: Tree, vertices: Sequence[int]) -> int:
     one target v the hanging children are v's children and the product
     is f(v).
 
-    Raises InvalidVertex for an empty selection and for an id that is not
-    an integer in 0..n-1.
+    Raises InvalidVertex for an empty or non-iterable selection and for an
+    id that is not an integer in 0..n-1.
     """
-    targets = sorted({_vertex(v, tree.n) for v in vertices})
+    targets = sorted({_vertex(v, tree.n) for v in _iter(vertices, InvalidVertex)})
     if not targets:
         raise InvalidVertex("need at least one vertex")
     parent, order = _bfs(tree.adjacency, targets[0])

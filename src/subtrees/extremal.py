@@ -21,6 +21,7 @@ from .trees import (
     Tree,
     _bfs,
     _branch_codes,
+    _iter,
     _vertex,
     degree_sequence_of,
     path_between,
@@ -155,7 +156,7 @@ def swap_components(
     at y, and symmetrically for ``y_child_set``.  The rest of the tree,
     including the whole x-y path, stays put, so the result is again a
     tree.  Branches containing the other endpoint cannot move; selecting
-    one raises InvalidVertex, as does repeating a neighbor or x = y.
+    one raises InvalidVertex, as does a non-iterable set, a repeat or x = y.
 
     The paper's path rewiring is the one-for-one case.  Write a path as
     x_m .. x_1 (z) y_1 .. y_m, with the middle vertex z present exactly
@@ -169,8 +170,8 @@ def swap_components(
     x, y = _vertex(x, n), _vertex(y, n)
     if x == y:
         raise InvalidVertex("attachment vertices must be distinct")
-    xc = [_vertex(c, n) for c in x_child_set]
-    yc = [_vertex(d, n) for d in y_child_set]
+    xc = [_vertex(c, n) for c in _iter(x_child_set, InvalidVertex)]
+    yc = [_vertex(d, n) for d in _iter(y_child_set, InvalidVertex)]
     if len(set(xc)) != len(xc) or len(set(yc)) != len(yc):
         raise InvalidVertex("repeated neighbor in a detachment set")
     path = path_between(tree, x, y)

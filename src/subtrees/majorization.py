@@ -29,8 +29,8 @@ def majorizes(a: Sequence[int], b: Sequence[int]) -> str:
     Returns "greater" when a majorizes b strictly, "less" for the reverse,
     "equal" for equal multisets and "incomparable" when the prefix-sum
     differences change sign.  Raises NotComparable when the sequences are
-    not comparable in principle: an entry is not an integer, or the
-    lengths or the sums differ.
+    not comparable in principle: one is not iterable, an entry is not an
+    integer, or the lengths or the sums differ.
     """
     a, b = (sorted(_ints(s, NotComparable, "sequence entry"), reverse=True) for s in (a, b))
     if len(a) != len(b):

@@ -72,12 +72,14 @@ def tree_from_prufer(code: Sequence[int], n: int) -> Tree:
     """Decode a Pruefer sequence of length n-2 into a labeled tree on n >= 2.
 
     Vertex v appears in the code exactly deg(v) - 1 times.  Raises
-    NotRealizable when n is not an integer of at least 2 or the code has
-    the wrong length, and InvalidVertex for an entry that is not an id.
+    NotRealizable when n is not an integer of at least 2 or the code is not a
+    sequence of length n - 2, and InvalidVertex for an entry that is not an id.
     """
     n = _int(n, NotRealizable, "vertex count")
     if n < 2:
         raise NotRealizable(f"Pruefer decoding needs n >= 2, got {n}")
+    if not isinstance(code, Sequence):
+        raise NotRealizable(f"expected a sequence, got {type(code).__name__}")
     if len(code) != n - 2:
         raise NotRealizable(f"code length {len(code)} != n - 2 = {n - 2}")
     code = [_vertex(v, n, "code entry") for v in code]
@@ -259,9 +261,9 @@ def count_subtrees_bruteforce(tree: Tree, limit: int = _BRUTEFORCE_LIMIT) -> int
     """Count subtrees by enumerating connected sets one by one.
 
     Exponential on purpose; refuses trees above ``limit`` vertices
-    (default 16) with TooLarge.
+    (default 16) with TooLarge, also for a limit that is not an integer.
     """
-    if tree.n > limit:
+    if tree.n > _int(limit, TooLarge, "limit"):
         raise TooLarge(f"brute force capped at {limit} vertices, tree has {tree.n}")
     return sum(1 for _ in connected_subsets(tree))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import InvalidVertex, NotATree, NotRealizable, ParseError, SubtreeError
 
@@ -62,10 +62,18 @@ def _int(w: Any, error: type[SubtreeError], what: str) -> int:
         raise error(f"{what} {w!r} is not an integer") from None
 
 
+def _iter(values: Any, error: type[SubtreeError]) -> Iterator[Any]:
+    """iter(values), else ``error``: a sequence argument that is not iterable."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise error(f"expected a sequence, got {type(values).__name__}") from None
+
+
 def _ints(values: Iterable[Any], error: type[SubtreeError], what: str) -> list[int]:
     """Every value as an int, in one ``map``; a failing input is scanned
     again by ``_int`` for the first value to name."""
-    values = values if isinstance(values, Sequence) else list(values)
+    values = values if isinstance(values, Sequence) else list(_iter(values, error))
     try:
         return list(map(operator.index, values))
     except TypeError:
@@ -85,16 +93,16 @@ def _vertex(w: Any, n: int, what: str = "vertex") -> int:
 def tree_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Tree:
     """Build a validated Tree from an iterable of undirected edges.
 
-    Raises NotATree when n is not a positive integer, or the input has an
-    edge that is not a pair of integer ids, the wrong edge count, a
-    self-loop, a duplicate edge, a vertex outside 0..n-1, or is
-    disconnected.
+    Raises NotATree when n is not a positive integer, or the edges are not
+    iterable, or have an edge that is not a pair of integer ids, the wrong
+    edge count, a self-loop, a duplicate edge, a vertex outside 0..n-1,
+    or are disconnected.
     """
     n = _int(n, NotATree, "vertex count")
     if n < 1:
         raise NotATree(f"vertex count must be at least 1, got {n}")
     norm = []
-    for e in edges:
+    for e in _iter(edges, NotATree):
         try:
             u, v = e
             if type(u) is not int or type(v) is not int:
@@ -144,8 +152,8 @@ def validate_degree_sequence(degrees: Iterable[int]) -> tuple[int, ...]:
 
     A sequence of length n >= 2 is realizable exactly when every entry is
     positive and the total is 2(n-1).  The single-vertex tree is admitted
-    as the sequence (0,).  Raises NotRealizable otherwise, also for an
-    entry that is not an integer; the result holds plain ints.
+    as the sequence (0,).  Raises NotRealizable otherwise, also for a
+    non-iterable or an entry that is not an integer; the result holds ints.
     """
     seq = _ints(degrees, NotRealizable, "degree")
     seq.sort(reverse=True)
@@ -255,9 +263,9 @@ def is_isomorphic(a: Tree, b: Tree) -> bool:
 
 
 def relabel(tree: Tree, perm: Sequence[int]) -> Tree:
-    """Apply a vertex permutation: vertex v becomes perm[v]."""
+    """Apply a vertex permutation, else InvalidVertex: vertex v becomes perm[v]."""
     try:
-        ok = sorted(_vertex(w, tree.n) for w in perm) == list(range(tree.n))
+        ok = sorted(_vertex(w, tree.n) for w in _iter(perm, InvalidVertex)) == list(range(tree.n))
     except InvalidVertex:
         ok = False
     if not ok:

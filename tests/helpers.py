@@ -266,6 +266,29 @@ def reference_class_output(kind: str, n: int, k: int) -> tuple[str, str]:
     return _rendered("class", {"type": kind, "n": n, "k": k}, outputs, lines)
 
 
+def reference_emit(args, report, human, parent=None) -> None:
+    """``cli._emit`` with the edge text of the first parent-array path: one
+    ``%`` per edge, joined by ``str.join``, the JSON report spliced around it."""
+    edges = zip(parent[1:], range(1, len(parent))) if parent is not None else None
+    if not args.json:
+        for line in human():
+            if line is not None:
+                print(line)
+            elif len(parent) > 1:
+                print("\n".join(map("%d %d".__mod__, edges)))
+    elif parent is None:
+        print(json.dumps(report(), sort_keys=True))
+    else:
+        head, _, tail = json.dumps(report(), sort_keys=True).rpartition('"edges": []')
+        print(head, '"edges": [', ", ".join(map("[%d, %d]".__mod__, edges)), "]", tail, sep="")
+
+
+def reference_argmax(values: Sequence) -> tuple[int, ...]:
+    """The positions of the largest value, ascending, one comparison per value."""
+    best = max(values)
+    return tuple(v for v, x in enumerate(values) if x == best)
+
+
 def reference_rooted_code(n: int, adjacency: Sequence[Sequence[int]], root: int) -> bytes:
     """Rooted byte code with its own traversal: sorted child codes in parens.
 

@@ -21,6 +21,7 @@ from helpers import (
     random_trees,
     reference_build_output,
     reference_class_output,
+    reference_emit,
     reference_parse_edge_list,
     reference_phi_star,
     reference_verify_outputs,
@@ -545,6 +546,30 @@ def test_count_matches_reference_on_edge_cases(tmp_path, text):
     assert_count_matches_reference(text, tmp_path / "tree.txt")
 
 
+@pytest.mark.parametrize("ring", ["int", "decimal"])
+def test_count_f_blocks_at_their_boundaries(tmp_path, monkeypatch, ring):
+    # ``cli._BLOCK`` patched to hold k values a block, f written as " %s"
+    # items (human) or '"%s"' items joined by ", " (JSON), on trees of 1,
+    # k - 1, k and k + 1 vertices for k = 4, and around them.
+    if ring == "decimal":
+        monkeypatch.setattr(cli, "_INT_DIGITS", 0)
+    treefile = tmp_path / "path.txt"
+    for m in (1, 3, 4, 5):
+        tree = path(m)
+        treefile.write_text(format_edge_list(tree))
+        want = expected_count_digests(tree, str(treefile))
+        width = len(str(count_subtrees(tree)))
+        for k in (1, 3, 4, 5):
+            got = []
+            for extra, item_width in (([], width + 1), (["--json"], width + 4)):
+                monkeypatch.setattr(cli, "_BLOCK", k * item_width)
+                out = Digest()
+                with contextlib.redirect_stdout(out):  # type: ignore[type-var]
+                    assert main(["count", str(treefile), *extra]) == 0
+                got.append(out.sha.digest())
+            assert tuple(got) == want, (m, k)
+
+
 def test_count_builds_no_tree(tmp_path, monkeypatch):
     tree = seeded_tree(5, 3000)
     treefile = tmp_path / "tree.txt"
@@ -690,6 +715,85 @@ def test_build_matches_reference_at_10e5(capsys):
 )
 def test_class_matches_reference_at_10e5(capsys, kind, k):
     assert_class_matches_reference(capsys, kind, 10**5, k)
+
+
+# ``_emit`` writes the edges in blocks of about ``cli._BLOCK`` characters,
+# one ``%`` call each; ``reference_emit`` formats one edge at a time.  A
+# block of 20 characters holds one to three edges, a block of 1 one edge.
+CI_BUILD_PI = ",".join(["5"] * 100 + ["2"] * 99598 + ["1"] * 302)
+
+
+def assert_matches_reference_emit(capsys, monkeypatch, *argv: str) -> None:
+    got = both_outputs(capsys, *argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_emit", reference_emit)
+        want = both_outputs(capsys, *argv)
+    assert got == want, argv[:4]
+
+
+def feasible_class_arguments(kind: str, n: int, k: int) -> tuple[str, ...] | None:
+    try:
+        cli._CLASS_FUNCTIONS[kind](n, k)
+    except InfeasibleConstraint:
+        return None
+    return ("class", "--type", kind, "--n", str(n), "--k", str(k))
+
+
+@pytest.mark.parametrize("block", [cli._BLOCK, 20, 1])
+def test_edge_blocks_match_reference_emit_up_to_12_vertices(capsys, monkeypatch, block):
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    for n in range(1, 13):
+        for pi in realizable_sequences(n):
+            argv = ("build", "--pi", ",".join(map(str, pi)))
+            assert_matches_reference_emit(capsys, monkeypatch, *argv)
+        for kind in sorted(cli._CLASS_FUNCTIONS):
+            for k in range(n + 1):
+                argv = feasible_class_arguments(kind, n, k)
+                if argv is not None:
+                    assert_matches_reference_emit(capsys, monkeypatch, *argv)
+
+
+@pytest.mark.parametrize("block", [cli._BLOCK, 20])
+def test_edge_blocks_match_reference_emit_on_random_inputs(capsys, monkeypatch, block):
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    rng = random.Random(17)
+    for seed in range(30):
+        pi = random_degree_sequence(seed, rng.randint(1, 2000))
+        assert_matches_reference_emit(capsys, monkeypatch, "build", "--pi", ",".join(map(str, pi)))
+        kind, n = rng.choice(sorted(cli._CLASS_FUNCTIONS)), rng.randint(1, 2000)
+        argv = feasible_class_arguments(kind, n, rng.randint(0, n))
+        if argv is not None:
+            assert_matches_reference_emit(capsys, monkeypatch, *argv)
+
+
+def test_edge_blocks_match_reference_emit_at_10e5(capsys, monkeypatch):
+    assert_matches_reference_emit(capsys, monkeypatch, "build", "--pi", CI_BUILD_PI)
+    assert_matches_reference_emit(
+        capsys, monkeypatch, "class", "--type", "beta", "--n", "100000", "--k", "16041"
+    )
+
+
+def json_peak(*argv: str) -> int:
+    """The tracemalloc peak of the command with --json, in bytes; the
+    output goes to a digest, so the text is not kept."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(Digest()):  # type: ignore[type-var]
+            assert main([*argv, "--json"]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_json_memory_at_10e5():
+    # 12.8 MiB, most of it the parse of --pi; one text for all edges
+    # peaked at 13.3 MiB.  Margin 0.3 MiB.
+    assert json_peak("build", "--pi", CI_BUILD_PI) < 13.1 * 2**20
+
+
+def test_class_json_memory_at_10e5():
+    # 6.3 MiB; one text for all edges peaked at 10.0 MiB.  Margin 1.2 MiB.
+    assert json_peak("class", "--type", "beta", "--n", "100000", "--k", "16041") < 7.5 * 2**20
 
 
 def test_build_and_class_build_no_tree(capsys, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     path,
     random_trees,
+    reference_argmax,
     reference_root,
     reference_rerooted_counts,
     reference_rooted_counts,
@@ -17,6 +19,7 @@ from helpers import (
     star,
 )
 from subtrees.counting import (
+    _argmax,
     count_containing_all,
     count_rooted,
     count_subtrees,
@@ -73,6 +76,31 @@ def test_f_argmax_one_or_two_adjacent(t):
     if len(fv.argmax) == 2:
         u, v = fv.argmax
         assert v in t.adjacency[u]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [7],
+        [3, 9, 2, 8],
+        [9, 1, 1, 9],
+        [0, 5, 5],
+        (4, 4),
+        (1, 2, 3, 10**300),
+        [Decimal(2) ** 700, Decimal(3), Decimal(2) ** 700 - 1],
+        (Decimal(6), Decimal(1), Decimal(6)),
+    ],
+)
+def test_argmax_matches_reference(values):
+    # One maximizer or two, ints or exact decimals, in a list or a tuple.
+    assert _argmax(values) == reference_argmax(values)
+
+
+@given(random_trees(max_n=12))
+def test_argmax_matches_reference_on_f(t):
+    values = f_vector(t).values
+    assert _argmax(values) == reference_argmax(values)
+    assert _argmax([Decimal(x) for x in values]) == reference_argmax(values)
 
 
 @settings(max_examples=40)

@@ -28,6 +28,7 @@ from subtrees.errors import (
     NotRealizable,
     ParseError,
     SubtreeError,
+    TooLarge,
 )
 from subtrees.extremal import build_greedy_bfs, has_bfs_ordering, swap_components
 from subtrees.formulas import (
@@ -40,6 +41,7 @@ from subtrees.majorization import majorizes
 from subtrees.oracle import (
     _edges_from_prufer,
     connected_subsets,
+    count_subtrees_bruteforce,
     enumerate_trees,
     labeled_tree_count,
     prufer_sequences,
@@ -228,6 +230,31 @@ def test_vertex_ids_are_checked(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: validate_degree_sequence(5), NotRealizable, "expected a sequence, got int"),
+        (lambda: majorizes(5, (1, 1)), NotComparable, "expected a sequence, got int"),
+        (lambda: relabel(P3, 5), InvalidVertex, "perm is not a permutation of 0..n-1"),
+        (lambda: count_containing_all(P3, 5), InvalidVertex, "expected a sequence, got int"),
+        (lambda: swap_components(P4, 0, 2, 5, ()), InvalidVertex, "expected a sequence, got int"),
+        (lambda: tree_from_edges(2, 5), NotATree, "expected a sequence, got int"),
+        (
+            lambda: tree_from_prufer(iter([0]), 3),
+            NotRealizable,
+            "expected a sequence, got list_iterator",
+        ),
+        (lambda: count_subtrees_bruteforce(P3, limit="x"), TooLarge, "limit 'x' is not an integer"),
+    ],
+)
+def test_non_iterable_sequence_arguments_are_checked(call, error, message):
+    # A value that is not a sequence, where one is wanted, raises the
+    # SubtreeError its function documents, not a TypeError.
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_integer_types_pass_as_vertex_ids():
