@@ -27,8 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
-from decimal import DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
+from decimal import Decimal, localcontext
 from typing import Any, Callable, Sequence
 
 from . import __version__
@@ -43,18 +42,10 @@ from .formulas import (
 )
 from .majorization import majorization_chain, majorizes
 from .oracle import _order_census, labeled_tree_count, realizable_sequences
-from .trees import _bfs, _decimal, _edge_ends, parse_degree_sequence, parse_edge_list
+from .trees import _EXACT, _bfs, _decimal, _edge_ends, _peel_leaves
+from .trees import parse_degree_sequence, parse_edge_list
 
 __all__ = ["build_parser", "main"]
-
-# Integer arithmetic in decimal: any rounding would raise.
-_EXACT = Context(
-    prec=MAX_PREC,
-    Emax=MAX_EMAX,
-    Emin=MIN_EMIN,
-    traps=[Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow],
-)
-
 
 # ``count`` keeps counts of at most this many digits in ints.  Per value,
 # str plus one top-down step took 1.50 us in ints against 1.69 us in
@@ -138,45 +129,36 @@ def _emit(
         _write_items("[%d, %d]", ", ", (parent[1:], range(1, len(parent))), len(parent), head, tail)
 
 
-def _tree_bfs(text: str) -> tuple[list[int], list[int]]:
-    """BFS parents and order, from vertex 0, of the tree in an edge-list text.
+def _parents_first(text: str) -> tuple[list[int], list[int]]:
+    """Parent links and a parents-first order of the tree in an edge-list text.
 
-    n - 1 edges with ends in 0..n-1 that a BFS from 0 connects are a tree,
-    so no ``Tree`` is built: no sort, no duplicate check.  Input that fails
-    these checks goes through ``parse_edge_list``, whose full check raises
-    the exact error.
+    Leaves are peeled off the flat edge ends, so no ``Tree`` and no
+    adjacency list is built; input that is not a tree goes through
+    ``parse_edge_list``, whose full check raises the exact error.
     """
     n, ends = _edge_ends(text)
-    if max(ends, default=0) < n:
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        pairs = iter(ends)
-        for u, v in zip(pairs, pairs):
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        del ends, pairs
-        parent, order = _bfs(adjacency, 0)
-        if len(order) == n:
-            return parent, order
-    return _bfs(parse_edge_list(text).adjacency, 0)
+    rooted = _peel_leaves(n, ends) if max(ends, default=0) < n else None
+    return rooted or _bfs(parse_edge_list(text).adjacency, 0)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     """Count subtrees of the tree in a file: phi, per-vertex f, argmax.
 
-    The rooted pass runs in ints.  If phi, the largest count, has at most
-    ``_INT_DIGITS`` digits, the top-down pass and the text stay in ints,
-    which are faster there; above it, both passes rerun in exact decimals,
-    whose text is linear in their digits, where an int's is quadratic (on
-    a random 10^4-vertex tree the 1,500-digit f values took nine times as
-    long to print as ints as the DP took to find them).  The f values are
-    written with ``%s``, linear for a decimal, in 64 KiB blocks.
+    The root is wherever the leaf peel ends; phi, f and the argmax do not
+    depend on it.  The rooted pass runs in ints.  If phi, the largest count,
+    has at most ``_INT_DIGITS`` digits, the top-down pass and the text stay
+    in ints, which are faster there; above it, both passes rerun in exact
+    decimals, whose text is linear in their digits, where an int's is
+    quadratic (1,500-digit f values of a random 10^4-vertex tree took nine
+    times as long to print as ints as the DP took to find them).  The f
+    values are written with ``%s``, linear for a decimal, in 64 KiB blocks.
     """
     try:
         with open(args.treefile, encoding="ascii") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {args.treefile}: {exc}") from exc
-    parent, order = _tree_bfs(text)
+    parent, order = _parents_first(text)
     del text
     n = len(parent)
     f = _rooted_counts(parent, order)

@@ -3,11 +3,11 @@
 A subtree always means a nonempty connected induced subgraph.  All counts
 are exact Python integers, so nothing overflows for any tree size.  One
 bottom-up DP, ``_rooted_counts``, and one top-down pass that turns its
-counts into f in place run over ``parent`` and ``order`` lists (from
-``trees._bfs``, or the oracle's preorder), in ints or exact decimals.
-The ``count`` command runs them in ints while phi is short and reruns
-them in exact decimals, whose text is linear in their digits, when it
-is long.
+counts into f in place run over ``parent`` and parents-first ``order``
+lists (``trees._bfs``, whose siblings are one run, ``trees._peel_leaves``,
+whose leaf siblings are, or the oracle's preorder), in ints or exact
+decimals.  The ``count`` command runs them in ints while phi is short and
+in exact decimals, whose text is linear in their digits, when it is long.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ def _rooted_counts(parent: Sequence[int], order: Sequence[int], one: Any = 1) ->
     run of equal factors is pending at a time: ``factor**times``, flushed
     into ``owner`` when the parent or factor changes, which is always
     before the owner's own g is read.  In a breadth-first order a vertex's
-    children are one run, so a star's centre takes one power of 2.
-    The counts are in the ring of ``one``: ints, or exact decimals.
+    children are one run, and in ``trees._peel_leaves``'s its leaf children
+    are, so a star's centre takes one power of 2; each further run costs
+    one more.  The counts are in the ring of ``one``: ints, or exact decimals.
     """
     g = [one] * len(parent)
     owner, factor, times = order[0], 1, 0

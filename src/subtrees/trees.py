@@ -4,20 +4,24 @@ Vertices are dense integers 0..n-1.  Every value is immutable after
 construction; operations return new objects and never mutate their inputs,
 so values can be shared freely between threads or processes.
 
-One breadth-first primitive, ``_bfs``, walks every rooted tree in the
-package: the connectivity check, ``path_between`` and the canonical code
-here, and the subtree DP, the BFS-ordering check and the move scores
-elsewhere all read its flat ``parent`` and ``order`` lists, in which the
-root is its own parent.  ``_int`` checks every integer that a public
-function takes (``_ints`` a whole sequence, ``_vertex`` a vertex id).
+One breadth-first primitive, ``_bfs``, walks every ``Tree`` in the
+package (the connectivity check, ``path_between``, the canonical code,
+the subtree DP, the BFS-ordering check, the move scores) into flat
+``parent`` and ``order`` lists, the root its own parent; ``_peel_leaves``
+gives them from flat edge ends.  ``_int`` checks every integer that a
+public function takes (``_ints`` a whole sequence, ``_vertex`` a vertex id).
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
+from decimal import DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidVertex, NotATree, NotRealizable, ParseError, SubtreeError
 
@@ -130,21 +134,38 @@ def tree_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Tree:
     return Tree(n=n, edges=tuple(norm), adjacency=tuple(map(tuple, adj)))
 
 
+# Integer arithmetic in decimal: any rounding would raise.
+_EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow],
+)
+
+
 def _decimal(x: int) -> str:
     """Exact decimal text of an integer of any size.
 
-    ``str`` refuses ints above the interpreter's digit limit (4300 digits
-    by default); such values are split by a power of ten and converted
-    piece by piece.  Parsing keeps the limit.
+    ``str`` refuses ints above the interpreter's digit limit (4300 digits by
+    default); such values are split by bits and joined again in exact
+    decimals, as in CPython 3.12's ``_pylong``.  Parsing keeps the limit.
     """
     if x < 0:
         return "-" + _decimal(-x)
-    try:
+    with contextlib.suppress(ValueError):
         return str(x)
-    except ValueError:
-        half = x.bit_length() * 30103 // 200000
-        high, low = divmod(x, 10**half)
-        return _decimal(high) + _decimal(low).zfill(half)
+
+    def convert(x: int, j: int) -> Decimal:  # x < powers[j]^2 = 2^(2048 << j)
+        if not x >> 1024:
+            return Decimal(x)
+        hi = x >> (1024 << j)
+        return convert(x - (hi << (1024 << j)), j - 1) + convert(hi, j - 1) * powers[j]
+
+    with localcontext(_EXACT):
+        powers = [Decimal(2) ** 1024]
+        while 1024 << len(powers) < x.bit_length():
+            powers.append(powers[-1] * powers[-1])
+        return str(convert(x, len(powers) - 1))
 
 
 def validate_degree_sequence(degrees: Iterable[int]) -> tuple[int, ...]:
@@ -196,6 +217,36 @@ def _bfs(adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], list
     return parent, order
 
 
+def _peel_leaves(n: int, ends: list[int]) -> tuple[list[int], list[int]] | None:
+    """``_bfs``'s lists for the tree with flat edge ends ``ends`` in 0..n-1
+    (emptied once read), else None.  ``link[v]``, the XOR of v's unpeeled
+    neighbours, is a leaf's parent.  n - 1 peels of a leaf prove a tree, and
+    the vertex left is the root.  Leaves go by parent, so leaf siblings are one run."""
+    deg, link = [0] * n, [0] * n
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
+        deg[u] += 1
+        deg[v] += 1
+        link[u] ^= v
+        link[v] ^= u
+    ends.clear()
+    # Degree 0 only for n = 1, or for an isolated vertex of a non-tree.
+    order = sorted((v for v, d in enumerate(deg) if d < 2), key=link.__getitem__)
+    for v in itertools.islice(order, n - 1):
+        if deg[v] != 1:
+            return None
+        p = link[v]
+        link[p] ^= v
+        deg[p] -= 1
+        if deg[p] == 1:
+            order.append(p)
+    if len(order) != n:
+        return None
+    order.reverse()
+    link[order[0]] = order[0]
+    return link, order
+
+
 def path_between(tree: Tree, u: int, v: int) -> tuple[int, ...]:
     """The unique u-v path, endpoints included; dist(u,v) = length - 1."""
     u, v = _vertex(u, tree.n), _vertex(v, tree.n)
@@ -206,25 +257,15 @@ def path_between(tree: Tree, u: int, v: int) -> tuple[int, ...]:
     return tuple(path)
 
 
-def _centers(n: int, adjacency: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The one or two middle vertices found by repeatedly peeling leaves."""
-    if n <= 2:
-        return tuple(range(n))
-    deg = [len(a) for a in adjacency]
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            for w in adjacency[v]:
-                if deg[w] > 1:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return tuple(sorted(layer))
+def _centers(adjacency: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The one or two middle vertices of a longest path, whose ends are the
+    last vertex a of a BFS and the last vertex of a BFS from a."""
+    a = _bfs(adjacency, 0)[1][-1]
+    parent, order = _bfs(adjacency, a)
+    path = [order[-1]]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return tuple(sorted({path[(len(path) - 1) // 2], path[len(path) // 2]}))
 
 
 def _branch_codes(parent: Sequence[int], order: Sequence[int]) -> list[bytes]:
@@ -243,8 +284,8 @@ def _branch_codes(parent: Sequence[int], order: Sequence[int]) -> list[bytes]:
     return code
 
 
-def _code_from_adjacency(n: int, adjacency: Sequence[Sequence[int]]) -> bytes:
-    return min(_branch_codes(*_bfs(adjacency, c))[c] for c in _centers(n, adjacency))
+def _code_from_adjacency(adjacency: Sequence[Sequence[int]]) -> bytes:
+    return min(_branch_codes(*_bfs(adjacency, c))[c] for c in _centers(adjacency))
 
 
 def canonical_code(tree: Tree) -> bytes:
@@ -254,7 +295,7 @@ def canonical_code(tree: Tree) -> bytes:
     two codes wins) and encoded bottom-up with sorted child codes, so the
     result does not depend on the labeling.
     """
-    return _code_from_adjacency(tree.n, tree.adjacency)
+    return _code_from_adjacency(tree.adjacency)
 
 
 def is_isomorphic(a: Tree, b: Tree) -> bool:
@@ -262,15 +303,16 @@ def is_isomorphic(a: Tree, b: Tree) -> bool:
     return a.n == b.n and canonical_code(a) == canonical_code(b)
 
 
-def relabel(tree: Tree, perm: Sequence[int]) -> Tree:
-    """Apply a vertex permutation, else InvalidVertex: vertex v becomes perm[v]."""
+def relabel(tree: Tree, perm: Iterable[int]) -> Tree:
+    """Vertex v becomes perm[v], for any iterable perm but a mapping, else InvalidVertex."""
     try:
-        ok = sorted(_vertex(w, tree.n) for w in _iter(perm, InvalidVertex)) == list(range(tree.n))
+        image = () if isinstance(perm, Mapping) else tuple(_iter(perm, InvalidVertex))
+        ok = sorted(_vertex(w, tree.n) for w in image) == list(range(tree.n))
     except InvalidVertex:
         ok = False
     if not ok:
         raise InvalidVertex("perm is not a permutation of 0..n-1")
-    return tree_from_edges(tree.n, [(perm[u], perm[v]) for u, v in tree.edges])
+    return tree_from_edges(tree.n, [(image[u], image[v]) for u, v in tree.edges])
 
 
 def _parse_uint(token: str, what: str) -> int:

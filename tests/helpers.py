@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
+import sys
 from itertools import combinations, permutations
 from typing import Iterator, NamedTuple, Sequence
 
@@ -24,11 +26,12 @@ from subtrees.oracle import (
 )
 from subtrees.trees import (
     Tree,
-    _centers,
+    _bfs,
     _code_from_adjacency,
-    _decimal,
+    _edge_ends,
     _parse_uint,
     canonical_code,
+    parse_edge_list,
     path_between,
     tree_from_edges,
     validate_degree_sequence,
@@ -82,6 +85,17 @@ def random_trees(draw, min_n: int = 1, max_n: int = 12) -> Tree:
     return tree_from_prufer(tuple(code), n)
 
 
+@contextlib.contextmanager
+def int_digit_limit(digits: int) -> Iterator[None]:
+    """Run the block under the interpreter's int-digit limit ``digits``."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def seeded_tree(seed: int, n: int) -> Tree:
     """A uniform labeled tree on n >= 2 vertices from a seeded Pruefer code."""
     rng = random.Random(seed)
@@ -111,6 +125,35 @@ def reference_parse_edge_list(text: str) -> Tree:
         if extra.strip():
             raise ParseError(f"trailing garbage after the edge list: {extra!r}")
     return tree_from_edges(n, edges)
+
+
+def reference_tree_bfs(text: str) -> tuple[list[int], list[int]]:
+    """The first rooting of ``count``: adjacency lists from the edge ends of
+    the text and one BFS from vertex 0, else ``parse_edge_list``'s error."""
+    n, ends = _edge_ends(text)
+    if max(ends, default=0) < n:
+        adjacency: list[list[int]] = [[] for _ in range(n)]
+        pairs = iter(ends)
+        for u, v in zip(pairs, pairs):
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        parent, order = _bfs(adjacency, 0)
+        if len(order) == n:
+            return parent, order
+    return _bfs(parse_edge_list(text).adjacency, 0)
+
+
+def reference_decimal(x: int) -> str:
+    """The first exact decimal text: ``str``, or past the int-digit limit a
+    split by a power of ten into two halves converted the same way."""
+    if x < 0:
+        return "-" + reference_decimal(-x)
+    try:
+        return str(x)
+    except ValueError:
+        half = x.bit_length() * 30103 // 200000
+        high, low = divmod(x, 10**half)
+        return reference_decimal(high) + reference_decimal(low).zfill(half)
 
 
 def reference_parse_degree_sequence(text: str) -> tuple[int, ...]:
@@ -204,7 +247,7 @@ def reference_greedy_bfs(pi: Sequence[int]) -> tuple[list[tuple[int, int]], tupl
 def reference_phi_star(chain: Sequence[Sequence[int]]) -> list[str]:
     """The first ``order`` loop: build each greedy tree and count its subtrees."""
     trees = (tree_from_edges(len(pi), reference_greedy_bfs(pi)[0]) for pi in chain)
-    return [_decimal(count_subtrees(t)) for t in trees]
+    return [reference_decimal(count_subtrees(t)) for t in trees]
 
 
 def _rendered(command: str, inputs: dict, outputs: dict, lines: list[str]) -> tuple[str, str]:
@@ -219,7 +262,7 @@ def reference_build_output(pi: Sequence[int]) -> tuple[str, str]:
     count, and read its sorted edges back.
     """
     tree, sizes = build_greedy_bfs(pi)
-    phi = _decimal(count_subtrees(tree))
+    phi = reference_decimal(count_subtrees(tree))
     outputs = {
         "edges": [list(e) for e in tree.edges],
         "layer_sizes": list(sizes),
@@ -248,8 +291,8 @@ def reference_class_output(kind: str, n: int, k: int) -> tuple[str, str]:
     outputs = {
         "pi": list(answer.extremal_pi),
         "edges": [list(e) for e in tree.edges],
-        "phi": _decimal(phi),
-        "printed_formula_value": None if printed is None else _decimal(printed),
+        "phi": reference_decimal(phi),
+        "printed_formula_value": None if printed is None else reference_decimal(printed),
         "discrepancy_flag": flag,
         "details": dict(sorted(answer.details.items())),
     }
@@ -259,8 +302,8 @@ def reference_class_output(kind: str, n: int, k: int) -> tuple[str, str]:
         f"k: {k}",
         "pi: " + ",".join(map(str, answer.extremal_pi)),
         *(f"{u} {v}" for u, v in tree.edges),
-        f"phi: {_decimal(phi)}",
-        *([] if printed is None else [f"printed_formula: {_decimal(printed)}"]),
+        f"phi: {reference_decimal(phi)}",
+        *([] if printed is None else [f"printed_formula: {reference_decimal(printed)}"]),
         f"discrepancy: {str(flag).lower()}",
     ]
     return _rendered("class", {"type": kind, "n": n, "k": k}, outputs, lines)
@@ -311,9 +354,30 @@ def reference_rooted_code(n: int, adjacency: Sequence[Sequence[int]], root: int)
     return code[root]
 
 
+def reference_centers(n: int, adjacency: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The one or two middle vertices found by repeatedly peeling all leaves."""
+    if n <= 2:
+        return tuple(range(n))
+    deg = [len(a) for a in adjacency]
+    layer = [v for v in range(n) if deg[v] == 1]
+    remaining = n
+    while remaining > 2:
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            deg[v] = 0
+            for w in adjacency[v]:
+                if deg[w] > 1:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    return tuple(sorted(layer))
+
+
 def reference_code(n: int, adjacency: Sequence[Sequence[int]]) -> bytes:
     """The smaller reference rooted code over the tree's one or two centers."""
-    return min(reference_rooted_code(n, adjacency, c) for c in _centers(n, adjacency))
+    return min(reference_rooted_code(n, adjacency, c) for c in reference_centers(n, adjacency))
 
 
 def reference_has_bfs_ordering(tree: Tree, root: int) -> bool:
@@ -366,7 +430,7 @@ def reference_enumerate_trees(pi: Sequence[int]) -> Iterator[Tree]:
         for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        key = _code_from_adjacency(n, adj)
+        key = _code_from_adjacency(adj)
         if key not in seen:
             seen.add(key)
             yield tree_from_edges(n, edges)
@@ -401,7 +465,7 @@ def reference_grow_trees(pi: Sequence[int]) -> Iterator[Tree]:
                 if not fits:
                     continue
                 child = [*adj[:v], [*adj[v], k], *adj[v + 1 :], [v]]
-                key = _code_from_adjacency(k + 1, child)
+                key = _code_from_adjacency(child)
                 if key not in seen:
                     seen.add(key)
                     grown.append(child)

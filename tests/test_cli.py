@@ -12,18 +12,22 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import unittest.mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    int_digit_limit,
     path,
     random_trees,
     reference_build_output,
     reference_class_output,
+    reference_decimal,
     reference_emit,
     reference_parse_edge_list,
     reference_phi_star,
+    reference_tree_bfs,
     reference_verify_outputs,
     seeded_tree,
     spider,
@@ -35,7 +39,8 @@ from subtrees.counting import count_subtrees, f_vector
 from subtrees.errors import InfeasibleConstraint, ParseError, SubtreeError
 from subtrees.majorization import majorization_chain, majorizes
 from subtrees.oracle import _ENUMERATION_LIMIT, enumerate_trees, realizable_sequences
-from subtrees.trees import Tree, _decimal, format_edge_list, parse_degree_sequence
+from subtrees.trees import Tree, _edge_ends, _peel_leaves, format_edge_list, parse_degree_sequence
+from subtrees.trees import tree_from_edges
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -396,7 +401,7 @@ class Digest:
 def expected_count_digests(tree: Tree, treefile: str) -> tuple[bytes, bytes]:
     """Digests of the human and JSON output, from the int counts and ``_decimal``."""
     phi, fv = count_subtrees(tree), f_vector(tree)
-    text = {x: _decimal(x) for x in {phi, *fv.values}}  # a star has 3 distinct values
+    text = {x: reference_decimal(x) for x in {phi, *fv.values}}  # a star has 3 distinct values
     f = [text[x] for x in fv.values]
     human, report = Digest(), Digest()
     human.write(f"n: {tree.n}\nphi: {text[phi]}\nf:")
@@ -457,9 +462,9 @@ def test_count_text_matches_ints(tmp_path, make):
     assert_count_text_matches_ints(make(), tmp_path / "tree.txt")
 
 
-# ``count`` fills adjacency lists from the file's edge ends and runs one
-# BFS, with no ``Tree``; it must answer as the first, ``Tree``-building
-# parser does, byte for byte, on valid and invalid files alike.
+# ``count`` roots its tree by peeling leaves off the file's edge ends,
+# with no ``Tree``; it must answer as the first, ``Tree``-building parser
+# does, byte for byte, on valid and invalid files alike.
 def reference_count_outputs(treefile) -> tuple[int, str, tuple[bytes, bytes]]:
     """``count_outputs`` as the first parser and the int counts give them."""
     try:
@@ -546,6 +551,130 @@ def test_count_matches_reference_on_edge_cases(tmp_path, text):
     assert_count_matches_reference(text, tmp_path / "tree.txt")
 
 
+# The leaf peel against the first rooting (adjacency lists and a BFS from
+# vertex 0): phi, f and the argmax do not depend on the root, so ``count``
+# must print the same bytes over either order.
+def assert_count_matches_bfs_route(text: str, treefile) -> None:
+    treefile.write_bytes(text.encode("ascii"))
+    got = count_outputs(treefile)
+    with unittest.mock.patch.object(cli, "_parents_first", reference_tree_bfs):
+        assert got == count_outputs(treefile), text[:200]
+
+
+def assert_rooting(n: int, edges, parent: list[int], order: list[int]) -> None:
+    """``parent`` and ``order`` root a tree with exactly these edges, parents
+    first, and the leaf children of each vertex form one run of ``order``."""
+    position = {v: i for i, v in enumerate(order)}
+    assert sorted(order) == list(range(n)) and parent[order[0]] == order[0]
+    assert all(position[parent[v]] < position[v] for v in order[1:])
+    assert sorted(tuple(sorted((v, parent[v]))) for v in order[1:]) == sorted(
+        tuple(sorted(e)) for e in edges
+    )
+    inner = {parent[v] for v in order[1:]}
+    runs: dict[int, list[int]] = {}
+    for i, v in enumerate(order[1:], 1):
+        if v not in inner:
+            runs.setdefault(parent[v], []).append(i)
+    assert all(run[-1] - run[0] == len(run) - 1 for run in runs.values())
+
+
+def edge_text(n: int, edges) -> str:
+    return f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+@st.composite
+def multigraphs(draw) -> tuple[int, list[tuple[int, int]]]:
+    """n - 1 edges on 0..n-1 with self-loops, duplicates and parts apart."""
+    n = draw(st.integers(1, 40))
+    end = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(end, end), min_size=n - 1, max_size=n - 1))
+
+
+@st.composite
+def shuffled_trees(draw) -> tuple[int, list[tuple[int, int]]]:
+    """Random trees with shuffled ids, edge lines and edge directions."""
+    t = draw(random_trees(max_n=40))
+    rng = draw(st.randoms(use_true_random=False))
+    perm = list(range(t.n))
+    rng.shuffle(perm)
+    edges = [(perm[v], perm[u]) if rng.random() < 0.5 else (perm[u], perm[v]) for u, v in t.edges]
+    rng.shuffle(edges)
+    return t.n, edges
+
+
+def is_tree(n: int, edges) -> bool:
+    try:
+        tree_from_edges(n, edges)
+    except SubtreeError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(multigraphs(), shuffled_trees()))
+def test_peel_matches_bfs_route(tmp_path_factory, graph):
+    n, edges = graph
+    ends = [x for e in edges for x in e]
+    rooted = _peel_leaves(n, list(ends))
+    assert (rooted is not None) == is_tree(n, edges)
+    if rooted is not None:
+        assert_rooting(n, edges, *rooted)
+    assert_count_matches_bfs_route(edge_text(n, edges), tmp_path_factory.getbasetemp() / "g.txt")
+
+
+@pytest.mark.parametrize(
+    "n, edges, rooted",
+    [
+        (1, [], ([0], [0])),
+        (2, [(0, 1)], ([0, 0], [0, 1])),
+        (2, [(1, 0)], ([0, 0], [0, 1])),
+        (2, [(0, 0)], None),
+        (2, [(1, 1)], None),
+    ],
+)
+def test_peel_on_one_and_two_vertices(tmp_path, n, edges, rooted):
+    assert _peel_leaves(n, [x for e in edges for x in e]) == rooted
+    assert_count_matches_bfs_route(edge_text(n, edges), tmp_path / "tree.txt")
+
+
+def test_peel_roots_every_small_tree():
+    for n in range(1, 10):
+        for pi in realizable_sequences(n):
+            for t in enumerate_trees(pi):
+                ends = [x for e in t.edges for x in e]
+                assert_rooting(n, t.edges, *_peel_leaves(n, ends))
+                assert ends == []
+
+
+def interleaved_double_star(n: int) -> list[tuple[int, int]]:
+    """Centres 0 and 1 joined; leaf v hangs on centre v % 2."""
+    return [(0, 1)] + [(v % 2, v) for v in range(2, n)]
+
+
+def interleaved_double_spider(n: int) -> list[tuple[int, int]]:
+    """Centres 0 and 1 joined; legs of two vertices hang on them in turn."""
+    return [(0, 1)] + [(v % 2 if v % 4 < 2 else v - 2, v) for v in range(2, n)]
+
+
+def test_peel_keeps_leaf_children_in_one_run():
+    # ``_rooted_counts`` merges equal sibling factors only when the siblings
+    # sit side by side in the order; BFS from 0 keeps them so, and a peel
+    # in id order would alternate the two centres' leaves.
+    n = 1001
+    edges = interleaved_double_star(n)
+    parent, order = _peel_leaves(*_edge_ends(edge_text(n, edges)))
+    assert_rooting(n, edges, parent, order)
+    assert sorted(order[:2]) == [0, 1]
+    leaves = [parent[v] for v in order[2:]]
+    assert leaves in (sorted(leaves), sorted(leaves, reverse=True))
+
+
+@pytest.mark.parametrize("make", [interleaved_double_star, interleaved_double_spider])
+def test_count_on_interleaved_trees_matches_bfs_route(tmp_path, make):
+    n = 2000
+    assert_count_matches_bfs_route(edge_text(n, make(n)), tmp_path / "tree.txt")
+
+
 @pytest.mark.parametrize("ring", ["int", "decimal"])
 def test_count_f_blocks_at_their_boundaries(tmp_path, monkeypatch, ring):
     # ``cli._BLOCK`` patched to hold k values a block, f written as " %s"
@@ -594,16 +723,6 @@ def test_count_json_with_f_key_in_file_name(tmp_path):
 # phi = 2^k + k; the largest such phi below 10^_INT_DIGITS sits on the
 # boundary.
 INT_ROUTE_LEAVES = max(k for k in range(1, 4 * cli._INT_DIGITS) if 2**k + k < 10**cli._INT_DIGITS)
-
-
-@contextlib.contextmanager
-def int_digit_limit(digits: int):
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(digits)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def spy_decimal(monkeypatch) -> list:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 import subprocess
 import sys
@@ -10,9 +11,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    int_digit_limit,
     path,
     random_trees,
+    reference_centers,
     reference_code,
+    reference_decimal,
     reference_parse_degree_sequence,
     seeded_tree,
     spider,
@@ -49,6 +53,7 @@ from subtrees.oracle import (
     tree_from_prufer,
 )
 from subtrees.trees import (
+    _centers,
     _code_from_adjacency,
     _decimal,
     _edge_ends,
@@ -144,6 +149,46 @@ def test_validate_degree_sequence():
         with pytest.raises(NotRealizable):
             validate_degree_sequence(bad)
     assert _decimal(-huge) == "-1" + "0" * 5000
+
+
+def decimal_cases() -> list[int]:
+    """0, +-1, 10^k and 10^k - 1 around the base case of the split (1024
+    bits, 309 digits), the least int-digit limit (640) and the default
+    (4300), powers of 2 around the split's widths, and random ints of up
+    to 10^5 digits."""
+    digits = (*range(300, 320), *range(630, 650), *range(4290, 4310))
+    tens = [10**k - d for k in digits for d in (0, 1)]
+    twos = [2**w + d for j in range(2, 9) for w in (1024 << j, (1024 << j) + 1) for d in (-1, 0, 1)]
+    rng = random.Random(18)
+    drawn = [rng.getrandbits(rng.randint(1, 332193)) for _ in range(12)]
+    values = [0, 1, *tens, *twos, *drawn, (1 << 332193) - 1]
+    return values + [-x for x in values]
+
+
+@pytest.mark.parametrize("limit", [None, 640])
+def test_decimal_matches_reference(limit):
+    with int_digit_limit(limit) if limit else contextlib.nullcontext():
+        for x in decimal_cases():
+            assert _decimal(x) == reference_decimal(x), x.bit_length()
+
+
+def test_decimal_is_subquadratic():
+    # 2^(10^6) - 1 has 301,030 digits.  The first split by powers of ten,
+    # quadratic in the digits, took 0.95-1.02 s to convert it, and the split
+    # by bits 0.09-0.11 s (Python 3.11.7, 2-CPU x86-64 VM).  The subprocess
+    # timeout keeps a slower regression from hanging the suite.
+    script = (
+        "import time\n"
+        "from subtrees.trees import _decimal\n"
+        "x = (1 << 10**6) - 1\n"
+        "start = time.perf_counter()\n"
+        "text = _decimal(x)\n"
+        "print(time.perf_counter() - start, len(text), text[-20:] == f'{x % 10**20:020}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=5)
+    seconds, digits, tail = proc.stdout.split()
+    assert (digits, tail) == ("301030", "True")
+    assert float(seconds) < 0.5
 
 
 def test_degree_sequence_of():
@@ -313,12 +358,14 @@ def test_canonical_code_matches_reference_on_every_small_tree():
                     adj[u].append(v)
                     adj[v].append(u)
                 expected = reference_code(n, adj)
-                assert _code_from_adjacency(n, adj) == expected
+                assert _centers(adj) == reference_centers(n, adj)
+                assert _code_from_adjacency(adj) == expected
                 assert canonical_code(tree_from_edges(n, edges)) == expected
 
 
 @given(random_trees(max_n=40))
 def test_canonical_code_matches_reference_on_random_trees(t):
+    assert _centers(t.adjacency) == reference_centers(t.n, t.adjacency)
     assert canonical_code(t) == reference_code(t.n, t.adjacency)
 
 
@@ -332,6 +379,19 @@ def test_relabel_preserves_isomorphism(t, rng):
 def test_relabel_rejects_non_permutation():
     with pytest.raises(InvalidVertex):
         relabel(path(3), [0, 0, 2])
+
+
+def test_relabel_reads_perm_once():
+    want = tree_from_edges(4, [(1, 3), (3, 0), (0, 2)])
+    for perm in ([1, 3, 0, 2], (1, 3, 0, 2), (v for v in (1, 3, 0, 2))):
+        assert relabel(P4, perm) == want
+
+
+@pytest.mark.parametrize("perm", [{0: 2, 1: 1, 2: 0}, {0: 5, 1: 1, 2: 0}])
+def test_relabel_refuses_a_mapping(perm):
+    # The keys would pass the check and the values relabel the tree.
+    with pytest.raises(InvalidVertex, match="^perm is not a permutation of 0..n-1$"):
+        relabel(P3, perm)
 
 
 def test_parse_edge_list_roundtrip():
