@@ -5,8 +5,8 @@ Building the subtree-richest tree of a degree sequence
 Handing the largest degrees out layer by layer from the root produces the
 greedy breadth-first tree, the unique subtree-count maximizer among all
 trees realizing the sequence.  This script builds one mid-sized example,
-inspects its BFS-ordering, and watches local search rediscover the
-optimum from a poor starting tree.
+inspects its BFS-ordering, and watches local search climb from a poor
+starting tree to the optimum, which it reaches here but not from every tree.
 """
 
 from subtrees import (

@@ -41,7 +41,7 @@ from .formulas import (
     max_degree_extremal,
 )
 from .majorization import majorization_chain, majorizes
-from .oracle import _order_census, labeled_tree_count, realizable_sequences
+from .oracle import _order_census, labeled_tree_count
 from .trees import _EXACT, _bfs, _decimal, _edge_ends, _peel_leaves
 from .trees import parse_degree_sequence, parse_edge_list
 
@@ -95,38 +95,35 @@ def _write_items(item: str, sep: str, columns: Sequence, longest: Any, head: str
     sys.stdout.write(tail)
 
 
-def _json_around(report: dict, key: str) -> tuple[str, str]:
-    """The JSON text of a report before and after the items of its empty
-    list ``key``, newline included, for a long list written between them
-    as plain text.  ``json`` escapes the quotes inside strings, so no
-    string in the report can hold the text ``"key": []``."""
-    head, _, tail = json.dumps(report, sort_keys=True).rpartition(f'"{key}": []')
-    return f'{head}"{key}": [', f"]{tail}\n"
-
-
 def _emit(
     args: argparse.Namespace,
     report: Callable[[], dict],
-    human: Callable[[], list[str | None]],
-    parent: Sequence[int] | None = None,
+    human: Callable[[], Sequence[str]],
+    items: tuple[str, str, str, Sequence, Any] | None = None,
 ) -> None:
-    """Print the JSON report or the human lines, building only the one printed.
+    """Print the JSON report or the human text, building only the one printed.
 
-    With ``parent``, the edges (parent[v], v) of that parents-first array
-    are written in blocks: into the report's empty "edges" list, or one
-    "u v" line each where the human lines hold None.
+    Without ``items``, ``human`` gives the lines.  ``items`` is the one long
+    list, (report key, JSON item, human item, columns, longest value), and
+    ``human`` then gives the text before and after it.  Its items are
+    written in blocks: back to back in the human text, or joined by ", "
+    into the report's empty list, whose JSON is cut around ``"key": []``;
+    ``json`` escapes the quotes inside strings, so no string can hold that.
     """
-    if not args.json:
-        for line in human():
-            if line is None:
-                _write_items("%d %d\n", "", (parent[1:], range(1, len(parent))), len(parent), "", "")
-            else:
-                print(line)
-    elif parent is None:
-        print(json.dumps(report(), sort_keys=True))
+    if items is None:
+        print(json.dumps(report(), sort_keys=True) if args.json else "\n".join(human()))
+        return
+    key, json_item, human_item, columns, longest = items
+    if args.json:
+        head, _, tail = json.dumps(report(), sort_keys=True).rpartition(f'"{key}": []')
+        _write_items(json_item, ", ", columns, longest, f'{head}"{key}": [', f"]{tail}\n")
     else:
-        head, tail = _json_around(report(), "edges")
-        _write_items("[%d, %d]", ", ", (parent[1:], range(1, len(parent))), len(parent), head, tail)
+        _write_items(human_item, "", columns, longest, *human())
+
+
+def _edge_items(parent: Sequence[int]) -> tuple[str, str, str, Sequence, Any]:
+    """``_emit``'s items for the edges (parent[v], v) of a parents-first array."""
+    return "edges", "[%d, %d]", "%d %d\n", (parent[1:], range(1, len(parent))), len(parent)
 
 
 def _parents_first(text: str) -> tuple[list[int], list[int]]:
@@ -173,14 +170,14 @@ def cmd_count(args: argparse.Namespace) -> int:
             phi = str(sum(map(f.__getitem__, reversed(order))))
             _rerooted_counts(parent, order, f)
     argmax = list(_argmax(f))
-    if args.json:
-        # The f texts are plain digits and need no escaping.
-        outputs = {"phi": phi, "f": [], "argmax": argmax}
-        report = _report("count", {"treefile": args.treefile, "n": n}, outputs)
-        _write_items('"%s"', ", ", (f,), phi, *_json_around(report, "f"))
-    else:
-        head = f"n: {n}\nphi: {phi}\nf:"
-        _write_items(" %s", "", (f,), phi, head, f"\nargmax: {' '.join(map(str, argmax))}\n")
+    # The f texts are plain digits and need no escaping.
+    outputs = {"phi": phi, "f": [], "argmax": argmax}
+    _emit(
+        args,
+        lambda: _report("count", {"treefile": args.treefile, "n": n}, outputs),
+        lambda: (f"n: {n}\nphi: {phi}\nf:", f"\nargmax: {' '.join(map(str, argmax))}\n"),
+        ("f", '"%s"', " %s", (f,), phi),
+    )
     return 0
 
 
@@ -189,26 +186,18 @@ def cmd_build(args: argparse.Namespace) -> int:
 
     The greedy parent array is the tree: ids are the BFS order and each
     parent precedes its children, so no ``Tree`` is built and no BFS run;
-    ``_emit`` writes its edges in blocks, at the None of the human lines.
+    ``_emit`` writes its edges in blocks.
     """
     pi = _sequence_argument(args.pi)
     parent = _greedy_parents(pi)
     sizes = _layer_sizes(parent)
     phi = _decimal(_phi_from_parents(parent))
+    outputs = {"edges": [], "layer_sizes": list(sizes), "phi": phi}
     _emit(
         args,
-        lambda: _report(
-            "build",
-            {"pi": list(pi)},
-            {"edges": [], "layer_sizes": list(sizes), "phi": phi},
-        ),
-        lambda: [
-            str(len(pi)),
-            None,
-            "layer_sizes: " + _fmt_seq(sizes),
-            f"phi: {phi}",
-        ],
-        parent,
+        lambda: _report("build", {"pi": list(pi)}, outputs),
+        lambda: (f"{len(pi)}\n", f"layer_sizes: {_fmt_seq(sizes)}\nphi: {phi}\n"),
+        _edge_items(parent),
     )
     return 0
 
@@ -256,24 +245,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if n < 1:
         raise NotRealizable(f"need n >= 1, got {n}")
     census = _order_census(n)
-    sequences = realizable_sequences(n)
+    sequences = sorted(census, reverse=True)  # every sequence of order n
     results = [_verify_sequence(pi, census) for pi in sequences]
     all_unique = all(r["greedy_is_unique_max"] for r in results)
     # Strict growth along the majorization order (distinct comparable
     # sequences must have distinct extremal counts, ordered the same way).
     monotonic_ok = True
     checked_pairs = 0
-    for i in range(len(sequences)):
-        for j in range(i + 1, len(sequences)):
-            relation = majorizes(sequences[i], sequences[j])
+    for i, a in enumerate(sequences):
+        for b in sequences[i + 1 :]:
+            relation = majorizes(a, b)
             if relation == "incomparable":
                 continue
             checked_pairs += 1
-            phi_i = int(results[i]["max_phi"])
-            phi_j = int(results[j]["max_phi"])
-            if relation == "greater" and phi_i <= phi_j:
-                monotonic_ok = False
-            if relation == "less" and phi_i >= phi_j:
+            phi_a, phi_b = census[a][1], census[b][1]
+            if relation == "greater" and phi_a <= phi_b or relation == "less" and phi_a >= phi_b:
                 monotonic_ok = False
     ok = all_unique and monotonic_ok
     _emit(
@@ -337,7 +323,7 @@ def cmd_class(args: argparse.Namespace) -> int:
 
     The edges print from the greedy parent array of the answer's sequence,
     so the answer's ``Tree`` is never built; ``_emit`` writes them in
-    blocks, at the None of the human lines.
+    blocks.
     """
     answer = _CLASS_FUNCTIONS[args.type](args.n, args.k)
     parent = _greedy_parents(answer.extremal_pi)
@@ -356,17 +342,13 @@ def cmd_class(args: argparse.Namespace) -> int:
                 "details": {k: answer.details[k] for k in sorted(answer.details)},
             },
         ),
-        lambda: [
-            f"type: {args.type}",
-            f"n: {args.n}",
-            f"k: {args.k}",
-            f"pi: {_fmt_seq(answer.extremal_pi)}",
-            None,
-            f"phi: {_decimal(answer.phi)}",
-            *([] if printed is None else [f"printed_formula: {_decimal(printed)}"]),
-            f"discrepancy: {str(answer.discrepancy_flag).lower()}",
-        ],
-        parent,
+        lambda: (
+            f"type: {args.type}\nn: {args.n}\nk: {args.k}\npi: {_fmt_seq(answer.extremal_pi)}\n",
+            f"phi: {_decimal(answer.phi)}\n"
+            + ("" if printed is None else f"printed_formula: {_decimal(printed)}\n")
+            + f"discrepancy: {str(answer.discrepancy_flag).lower()}\n",
+        ),
+        _edge_items(parent),
     )
     return 0
 

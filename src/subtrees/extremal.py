@@ -285,7 +285,9 @@ def local_search_optimize(tree: Tree) -> Tree:
     whose delta = (g(c) - g(d)) * (B - A) is positive (g(d) = 0 for a
     single-branch relocation), building only that tree, through
     ``swap_components`` with all its checks, and restarts.  phi strictly
-    grows and is bounded, so this terminates; degrees never change.
+    grows and is bounded, so this terminates; degrees never change.  The
+    search can stop short of the optimum: the two move families do not
+    reach the greedy tree from every tree of its degree sequence.
     """
     current = tree
     while True:

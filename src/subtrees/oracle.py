@@ -1,11 +1,13 @@
 """Brute-force ground truth: tree enumeration and direct subtree counting.
 
-Everything here is deliberately independent of the fast counting code so
-the two can check each other.  The free trees of an order come one per
-isomorphism class from the Wright-Richmond-Odlyzko-McKay stream, with no
-canonical codes and no dedupe; Pruefer sequences give the labeled trees
-and their count.  Subtrees are counted by explicit enumeration of
-connected vertex sets.
+The ground truth is Pruefer decoding (``tree_from_prufer``,
+``prufer_sequences``, ``labeled_tree_count``), ``connected_subsets`` and
+``count_subtrees_bruteforce``, which counts subtrees by explicit
+enumeration of connected vertex sets.  They share no code with the fast
+counters, so the two can check each other.  The free trees of an order
+come one per isomorphism class from the Wright-Richmond-Odlyzko-McKay
+stream, with no canonical codes and no dedupe; ``_order_census`` counts
+the phi of each with the fast ``counting._phi_from_parents``.
 """
 
 from __future__ import annotations

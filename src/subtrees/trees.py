@@ -109,16 +109,14 @@ def tree_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Tree:
     for e in _iter(edges, NotATree):
         try:
             u, v = e
-            if type(u) is not int or type(v) is not int:
-                e = u, v = operator.index(u), operator.index(v)
+            u, v = operator.index(u), operator.index(v)
         except (TypeError, ValueError):
             raise NotATree(f"edge {e!r} is not a pair of integer vertex ids") from None
         if not (0 <= u < n and 0 <= v < n):
             raise NotATree(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
         if u == v:
             raise NotATree(f"self-loop at vertex {u}")
-        # An ordered tuple is kept as is, so a parsed edge list is not copied.
-        norm.append((v, u) if u > v else e if type(e) is tuple else (u, v))
+        norm.append((v, u) if u > v else (u, v))
     if len(norm) != n - 1:
         raise NotATree(f"a tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
     norm.sort()

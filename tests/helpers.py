@@ -309,21 +309,21 @@ def reference_class_output(kind: str, n: int, k: int) -> tuple[str, str]:
     return _rendered("class", {"type": kind, "n": n, "k": k}, outputs, lines)
 
 
-def reference_emit(args, report, human, parent=None) -> None:
-    """``cli._emit`` with the edge text of the first parent-array path: one
-    ``%`` per edge, joined by ``str.join``, the JSON report spliced around it."""
-    edges = zip(parent[1:], range(1, len(parent))) if parent is not None else None
-    if not args.json:
-        for line in human():
-            if line is not None:
-                print(line)
-            elif len(parent) > 1:
-                print("\n".join(map("%d %d".__mod__, edges)))
-    elif parent is None:
-        print(json.dumps(report(), sort_keys=True))
+def reference_emit(args, report, human, items=None) -> None:
+    """``cli._emit`` with the list text of the first implementations: one
+    ``%`` per item, joined by ``str.join``, the JSON report spliced around it."""
+    if items is None:
+        for line in [json.dumps(report(), sort_keys=True)] if args.json else human():
+            print(line)
+        return
+    key, json_item, human_item, columns, _ = items
+    rows = list(zip(*columns))
+    if args.json:
+        head, _, tail = json.dumps(report(), sort_keys=True).rpartition(f'"{key}": []')
+        print(head, f'"{key}": [', ", ".join(map(json_item.__mod__, rows)), "]", tail, sep="")
     else:
-        head, _, tail = json.dumps(report(), sort_keys=True).rpartition('"edges": []')
-        print(head, '"edges": [', ", ".join(map("[%d, %d]".__mod__, edges)), "]", tail, sep="")
+        before, after = human()
+        print(before, "".join(map(human_item.__mod__, rows)), after, sep="", end="")
 
 
 def reference_argmax(values: Sequence) -> tuple[int, ...]:

@@ -191,6 +191,25 @@ def test_verify_all_n(capsys):
     assert len(report["outputs"]["sequences"]) == 5
 
 
+@pytest.mark.parametrize("change", ["swapped", "equal"])
+def test_verify_all_n_detects_maxima_out_of_order(capsys, monkeypatch, change):
+    # (3,2,2,1,1,1) majorizes (2,2,2,2,1,1); their maxima are 25 and 21.
+    # A census with the two swapped, or equal, breaks strict growth.
+    census = cli._order_census(6)
+    a, b = (3, 2, 2, 1, 1, 1), (2, 2, 2, 2, 1, 1)
+    assert majorizes(a, b) == "greater" and (census[a][1], census[b][1]) == (25, 21)
+    if change == "swapped":
+        census[a], census[b] = census[a][:1] + census[b][1:], census[b][:1] + census[a][1:]
+    else:
+        census[b] = census[b][:1] + census[a][1:]
+    monkeypatch.setattr(cli, "_order_census", lambda n: census)
+    code, out, _ = run(capsys, "verify", "--all-n", "6")
+    assert code == 4 and "monotonic_ok: false" in out and out.endswith("\nFAIL\n")
+    code, out, _ = run(capsys, "verify", "--all-n", "6", "--json")
+    outputs = json.loads(out)["outputs"]
+    assert code == 4 and outputs["monotonic_ok"] is False and outputs["pass"] is False
+
+
 def test_verify_all_n_inputs_and_no_jobs(capsys):
     code, out, _ = run(capsys, "verify", "--all-n", "6", "--json")
     assert code == 0 and json.loads(out)["inputs"] == {"all_n": 6}
@@ -836,9 +855,10 @@ def test_class_matches_reference_at_10e5(capsys, kind, k):
     assert_class_matches_reference(capsys, kind, 10**5, k)
 
 
-# ``_emit`` writes the edges in blocks of about ``cli._BLOCK`` characters,
-# one ``%`` call each; ``reference_emit`` formats one edge at a time.  A
-# block of 20 characters holds one to three edges, a block of 1 one edge.
+# ``_emit`` writes the edges of ``build`` and ``class`` and the f values of
+# ``count`` in blocks of about ``cli._BLOCK`` characters, one ``%`` call
+# each; ``reference_emit`` formats one item at a time.  A block of 20
+# characters holds one to three edges, a block of 1 one item.
 CI_BUILD_PI = ",".join(["5"] * 100 + ["2"] * 99598 + ["1"] * 302)
 
 
@@ -850,6 +870,11 @@ def assert_matches_reference_emit(capsys, monkeypatch, *argv: str) -> None:
     assert got == want, argv[:4]
 
 
+def assert_count_matches_reference_emit(capsys, monkeypatch, tree: Tree, treefile) -> None:
+    treefile.write_text(format_edge_list(tree))
+    assert_matches_reference_emit(capsys, monkeypatch, "count", str(treefile))
+
+
 def feasible_class_arguments(kind: str, n: int, k: int) -> tuple[str, ...] | None:
     try:
         cli._CLASS_FUNCTIONS[kind](n, k)
@@ -859,12 +884,15 @@ def feasible_class_arguments(kind: str, n: int, k: int) -> tuple[str, ...] | Non
 
 
 @pytest.mark.parametrize("block", [cli._BLOCK, 20, 1])
-def test_edge_blocks_match_reference_emit_up_to_12_vertices(capsys, monkeypatch, block):
+def test_edge_blocks_match_reference_emit_up_to_12_vertices(capsys, monkeypatch, tmp_path, block):
     monkeypatch.setattr(cli, "_BLOCK", block)
+    treefile = tmp_path / "tree.txt"
     for n in range(1, 13):
         for pi in realizable_sequences(n):
             argv = ("build", "--pi", ",".join(map(str, pi)))
             assert_matches_reference_emit(capsys, monkeypatch, *argv)
+            for tree in enumerate_trees(pi) if n <= 9 else ():
+                assert_count_matches_reference_emit(capsys, monkeypatch, tree, treefile)
         for kind in sorted(cli._CLASS_FUNCTIONS):
             for k in range(n + 1):
                 argv = feasible_class_arguments(kind, n, k)
@@ -873,10 +901,15 @@ def test_edge_blocks_match_reference_emit_up_to_12_vertices(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("block", [cli._BLOCK, 20])
-def test_edge_blocks_match_reference_emit_on_random_inputs(capsys, monkeypatch, block):
+def test_edge_blocks_match_reference_emit_on_random_inputs(capsys, monkeypatch, tmp_path, block):
     monkeypatch.setattr(cli, "_BLOCK", block)
     rng = random.Random(17)
+    treefile = tmp_path / "tree.txt"
+    for tree in (path(12), star(12), star(700)):  # star(700): phi past _INT_DIGITS
+        assert_count_matches_reference_emit(capsys, monkeypatch, tree, treefile)
     for seed in range(30):
+        tree = seeded_tree(seed, 2 + 67 * seed)
+        assert_count_matches_reference_emit(capsys, monkeypatch, tree, treefile)
         pi = random_degree_sequence(seed, rng.randint(1, 2000))
         assert_matches_reference_emit(capsys, monkeypatch, "build", "--pi", ",".join(map(str, pi)))
         kind, n = rng.choice(sorted(cli._CLASS_FUNCTIONS)), rng.randint(1, 2000)
@@ -885,8 +918,9 @@ def test_edge_blocks_match_reference_emit_on_random_inputs(capsys, monkeypatch, 
             assert_matches_reference_emit(capsys, monkeypatch, *argv)
 
 
-def test_edge_blocks_match_reference_emit_at_10e5(capsys, monkeypatch):
+def test_edge_blocks_match_reference_emit_at_10e5(capsys, monkeypatch, tmp_path):
     assert_matches_reference_emit(capsys, monkeypatch, "build", "--pi", CI_BUILD_PI)
+    assert_count_matches_reference_emit(capsys, monkeypatch, path(10**5), tmp_path / "path.txt")
     assert_matches_reference_emit(
         capsys, monkeypatch, "class", "--type", "beta", "--n", "100000", "--k", "16041"
     )
