@@ -248,19 +248,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     sequences = sorted(census, reverse=True)  # every sequence of order n
     results = [_verify_sequence(pi, census) for pi in sequences]
     all_unique = all(r["greedy_is_unique_max"] for r in results)
-    # Strict growth along the majorization order (distinct comparable
-    # sequences must have distinct extremal counts, ordered the same way).
+    # Strict growth along the majorization order: a sequence that
+    # majorizes another must have the larger extremal count.  The list
+    # descends lexicographically, and a distinct sequence that majorizes
+    # another is lexicographically larger, so a later b never majorizes
+    # an earlier a: the comparable pairs are those where a majorizes b.
     monotonic_ok = True
     checked_pairs = 0
     for i, a in enumerate(sequences):
         for b in sequences[i + 1 :]:
-            relation = majorizes(a, b)
-            if relation == "incomparable":
-                continue
-            checked_pairs += 1
-            phi_a, phi_b = census[a][1], census[b][1]
-            if relation == "greater" and phi_a <= phi_b or relation == "less" and phi_a >= phi_b:
-                monotonic_ok = False
+            if majorizes(a, b) == "greater":
+                checked_pairs += 1
+                if census[a][1] <= census[b][1]:
+                    monotonic_ok = False
     ok = all_unique and monotonic_ok
     _emit(
         args,

@@ -270,7 +270,7 @@ def _scored_moves(tree: Tree) -> Iterator[tuple[int, int, int, tuple[int, ...], 
     for x in inner:
         step, _, both = _root_row(tree, x, f, side)
         for y in range(tree.n):
-            if x == y or tree.degree(x) != tree.degree(y) + 1:
+            if tree.degree(x) != tree.degree(y) + 1:
                 continue
             only_x, only_y = f[x] - both[y], f[y] - both[y]
             for c, gc in side[x].items():

@@ -53,9 +53,6 @@ class ClassAnswer:
     exactly when that value differs from the exact count.
     """
 
-    kind: str
-    n: int
-    param: int
     details: dict[str, int]
     extremal_pi: tuple[int, ...]
     phi: int
@@ -88,19 +85,9 @@ def _check_class(
     return n, value
 
 
-def _answer(
-    kind: str,
-    n: int,
-    param: int,
-    details: dict[str, int],
-    pi: tuple[int, ...],
-    printed: int | None,
-) -> ClassAnswer:
+def _answer(details: dict[str, int], pi: tuple[int, ...], printed: int | None) -> ClassAnswer:
     phi = _phi_from_parents(_greedy_parents(pi))
     return ClassAnswer(
-        kind=kind,
-        n=n,
-        param=param,
         details=details,
         extremal_pi=pi,
         phi=phi,
@@ -150,7 +137,7 @@ def max_degree_extremal(n: int, delta: int) -> ClassAnswer:
         big_n = (delta * (delta - 1) ** p - 2) // (delta - 2)
         r, q = divmod(n - big_n, delta - 1)
         details = {"p": p, "r": r, "q": q}
-    return _answer("max_degree", n, delta, details, pi, printed=None)
+    return _answer(details, pi, printed=None)
 
 
 def leaves_extremal(n: int, s: int) -> ClassAnswer:
@@ -174,9 +161,7 @@ def leaves_extremal(n: int, s: int) -> ClassAnswer:
         + (s - t) * q * (q + 1) // 2
     )
     printed = (q + 2) ** t + (q + 1) ** (s - t + 2)
-    return _answer(
-        "leaves", n, s, {"q": q, "t": t, "closed_form": closed}, pi, printed
-    )
+    return _answer({"q": q, "t": t, "closed_form": closed}, pi, printed)
 
 
 def independence_extremal(n: int, alpha: int) -> ClassAnswer:
@@ -196,7 +181,7 @@ def independence_extremal(n: int, alpha: int) -> ClassAnswer:
     )
     pi = (alpha, *[2] * (n - alpha - 1), *[1] * alpha)
     printed = 2 ** (2 * alpha - n + 1) * 3 ** (n - alpha - 1) + 2 * n - alpha - 2
-    return _answer("independence", n, alpha, {}, pi, printed)
+    return _answer({}, pi, printed)
 
 
 def matching_extremal(n: int, beta: int) -> ClassAnswer:
@@ -214,7 +199,7 @@ def matching_extremal(n: int, beta: int) -> ClassAnswer:
     )
     pi = (n - beta, *[2] * (beta - 1), *[1] * (n - beta))
     printed = 2 ** (n - 2 * beta + 1) * 3 ** (beta - 1) + n - beta - 2
-    return _answer("matching", n, beta, {}, pi, printed)
+    return _answer({}, pi, printed)
 
 
 def wiener_index(tree: Tree) -> int:

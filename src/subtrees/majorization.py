@@ -55,7 +55,7 @@ def majorizes(a: Sequence[int], b: Sequence[int]) -> str:
     return "equal"
 
 
-def _chain_step(a: list[int], b: Sequence[int]) -> tuple[int, int]:
+def _chain_step(a: list[int], b: Sequence[int]) -> None:
     """One unit transfer moving a toward b, for a strictly below b.
 
     Let D(i) be the prefix-sum deficit of a against b.  The transfer adds 1
@@ -78,7 +78,6 @@ def _chain_step(a: list[int], b: Sequence[int]) -> tuple[int, int]:
             break
     a[j] += 1
     a[k] -= 1
-    return j, k
 
 
 def majorization_chain(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, ...]]:

@@ -244,6 +244,13 @@ def test_swap_components_rejects():
         match=re.escape("the branch at 2 contains 3; detaching it disconnects the middle"),
     ):
         swap_components(p5, 1, 3, (2,), ())
+    with pytest.raises(InvalidVertex, match=re.escape("0 is not a neighbor of 3")):
+        swap_components(p5, 1, 3, (), (0,))
+    with pytest.raises(
+        InvalidVertex,
+        match=re.escape("the branch at 2 contains 1; detaching it disconnects the middle"),
+    ):
+        swap_components(p5, 1, 3, (), (2,))
 
 
 def test_swap_path_edges_p6_isomorphic():

@@ -19,6 +19,7 @@ from helpers import (
 )
 from subtrees.counting import count_subtrees
 from subtrees.errors import InvalidVertex, NotRealizable, TooLarge
+from subtrees.majorization import majorizes
 from subtrees.oracle import (
     _ENUMERATION_LIMIT,
     _SEQUENCE_LIMIT,
@@ -48,6 +49,9 @@ def test_prufer_decode_rejects():
         tree_from_prufer((), 1)
     with pytest.raises(InvalidVertex):
         tree_from_prufer((4, 0), 4)
+    # A one-vertex sequence is valid, but it has no Pruefer sequences.
+    with pytest.raises(NotRealizable, match=re.escape("Pruefer sequences need n >= 2")):
+        next(prufer_sequences((0,)))
 
 
 @given(st.integers(3, 9), st.data())
@@ -114,7 +118,12 @@ def test_iso_class_totals_match_published_tree_counts():
     for n, want in known.items():
         census = _order_census(n)
         assert sum(classes for classes, _, _ in census.values()) == want
-        assert sorted(census, reverse=True) == realizable_sequences(n)
+        sequences = sorted(census, reverse=True)
+        assert sequences == realizable_sequences(n)
+        # ``verify --all-n`` checks only the pairs where the earlier
+        # sequence majorizes the later one: no later one majorizes an earlier.
+        for i, a in enumerate(sequences):
+            assert all(majorizes(a, b) != "less" for b in sequences[i + 1 :])
 
 
 def test_free_tree_stream_is_preorder_and_distinct():

@@ -28,6 +28,29 @@ def test_package_all_is_the_union_of_the_module_lists():
     assert set(subtrees.__all__) == union
 
 
+def test_package_init_declares_no_public_name():
+    # A public name is declared once, in its module's ``__all__``; the
+    # package file only re-exports each module with ``*`` and adds its list.
+    starred, added, named = [], [], set()
+    for node in ast.walk(ast.parse(Path(subtrees.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            assert [alias.name for alias in node.names] == ["*"], node.module
+            starred.append(node.module)
+        elif isinstance(node, ast.AugAssign):
+            assert ast.unparse(node.target) == "__all__"
+            assert isinstance(node.value, ast.Attribute) and node.value.attr == "__all__"
+            added.append(node.value.value.id)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+        elif isinstance(node, ast.Constant):
+            named.add(node.value)
+    assert sorted(starred) == sorted(added) == sorted(MODULES)
+    public = {attr for name in MODULES for attr in importlib.import_module(f"subtrees.{name}").__all__}
+    assert not named & public
+
+
 def commented_value(comment: str):
     """The literal a ``# value, prose`` comment starts with."""
     text = comment.lstrip("#").strip()
