@@ -20,7 +20,7 @@ from .errors import InvalidVertex
 from .trees import (
     Tree,
     _bfs,
-    _branch_codes,
+    _branch_labels,
     _iter,
     _vertex,
     degree_sequence_of,
@@ -85,32 +85,6 @@ def build_greedy_bfs(pi: Sequence[int]) -> tuple[Tree, tuple[int, ...]]:
     return tree, _layer_sizes(parent)
 
 
-def _satisfies_bfs_ordering(tree: Tree, root: int, order: Sequence[int]) -> bool:
-    """Whether ``order`` is a BFS-ordering of the tree rooted at ``root``.
-
-    Condition one: heights nondecreasing and degrees nonincreasing along
-    the order.  Condition two: children follow their parents' order, i.e.
-    listing the non-root vertices by position, their parents' positions
-    never decrease.
-    """
-    n = tree.n
-    if sorted(order) != list(range(n)) or order[0] != root:
-        return False
-    parent, bfs = _bfs(tree.adjacency, root)
-    height = [0] * n
-    for v in bfs[1:]:
-        height[v] = height[parent[v]] + 1
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    for i in range(n - 1):
-        u, v = order[i], order[i + 1]
-        if height[u] > height[v] or tree.degree(u) < tree.degree(v):
-            return False
-    parent_pos = [pos[parent[v]] for v in order[1:]]
-    return all(parent_pos[i] <= parent_pos[i + 1] for i in range(len(parent_pos) - 1))
-
-
 def has_bfs_ordering(tree: Tree, root: int) -> tuple[bool, tuple[int, ...] | None]:
     """Whether the tree rooted at ``root`` admits a BFS-ordering, with a witness.
 
@@ -122,23 +96,23 @@ def has_bfs_ordering(tree: Tree, root: int) -> tuple[bool, tuple[int, ...] | Non
     BFS-ordering that any rooted isomorphism carries over.  So the tree
     has one exactly when it is rooted-isomorphic to the greedy tree rooted
     at 0.  The witness maps each greedy vertex, parents first, onto an
-    unused child of its parent's image with the same branch code.
+    unused child of its parent's image with the same label.
     Raises InvalidVertex for a root outside 0..n-1.
     """
     root = _vertex(root, tree.n, "root")
     g_parent = _greedy_parents(degree_sequence_of(tree))
     g_order = range(len(g_parent))  # greedy ids are the BFS order
-    g_codes = _branch_codes(g_parent, g_order)
+    g_labels, g_keys = _branch_labels(g_parent, g_order)
     parent, order = _bfs(tree.adjacency, root)
-    codes = _branch_codes(parent, order)
-    if g_codes[0] != codes[root]:
+    labels, keys = _branch_labels(parent, order)
+    if g_keys != keys:
         return False, None
-    unused: dict[tuple[int, bytes], list[int]] = {}
+    unused: dict[tuple[int, int], list[int]] = {}
     for v in order[1:]:
-        unused.setdefault((parent[v], codes[v]), []).append(v)
+        unused.setdefault((parent[v], labels[v]), []).append(v)
     image = [root] * len(g_parent)
     for g in g_order[1:]:
-        image[g] = unused[image[g_parent[g]], g_codes[g]].pop()
+        image[g] = unused[image[g_parent[g]], g_labels[g]].pop()
     return True, tuple(image)
 
 

@@ -5,11 +5,14 @@ construction; operations return new objects and never mutate their inputs,
 so values can be shared freely between threads or processes.
 
 One breadth-first primitive, ``_bfs``, walks every ``Tree`` in the
-package (the connectivity check, ``path_between``, the canonical code,
-the subtree DP, the BFS-ordering check, the move scores) into flat
-``parent`` and ``order`` lists, the root its own parent; ``_peel_leaves``
-gives them from flat edge ends.  ``_int`` checks every integer that a
-public function takes (``_ints`` a whole sequence, ``_vertex`` a vertex id).
+package (the connectivity check, ``path_between``, the subtree DP, the
+BFS-ordering check, the move scores) into flat ``parent`` and ``order``
+lists, the root its own parent; ``_peel_leaves`` gives them from flat
+edge ends, rooted at a center.  ``_branch_labels`` gives the branches of
+any such rooting integer labels, which the canonical code (rooted at the
+peel's end) and the BFS-ordering check compare.  ``_int`` checks every
+integer that a public function takes (``_ints`` a whole sequence,
+``_vertex`` a vertex id).
 """
 
 from __future__ import annotations
@@ -255,45 +258,59 @@ def path_between(tree: Tree, u: int, v: int) -> tuple[int, ...]:
     return tuple(path)
 
 
-def _centers(adjacency: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The one or two middle vertices of a longest path, whose ends are the
-    last vertex a of a BFS and the last vertex of a BFS from a."""
-    a = _bfs(adjacency, 0)[1][-1]
-    parent, order = _bfs(adjacency, a)
-    path = [order[-1]]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    return tuple(sorted({path[(len(path) - 1) // 2], path[len(path) // 2]}))
+def _branch_labels(
+    parent: Sequence[int], order: Sequence[int]
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """An integer label for every vertex's branch, and the keys in label order.
 
-
-def _branch_codes(parent: Sequence[int], order: Sequence[int]) -> list[bytes]:
-    """Canonical byte code of every vertex's branch, bottom-up.
-
-    A branch's code is its children's codes, sorted, inside parentheses;
-    each finished code is pushed to its parent.  The root, its own
-    parent, comes last and pushes its code after its list is read.
+    ``order`` is any parents-first order, the root its own parent.  A
+    vertex's key is the sorted tuple of its children's labels (Aho,
+    Hopcroft and Ullman's tree isomorphism).  Labels go out by height, and
+    by sorted key within one height, so they are intrinsic: two rooted trees
+    are isomorphic exactly when their key lists are equal, and equal labels
+    then mark isomorphic branches.  Memory is O(n).
     """
-    kids: list[list[bytes]] = [[] for _ in parent]
-    code = [b""] * len(parent)
-    for v in reversed(order):
-        kids[v].sort()
-        code[v] = b"(" + b"".join(kids[v]) + b")"
-        kids[parent[v]].append(code[v])
-    return code
-
-
-def _code_from_adjacency(adjacency: Sequence[Sequence[int]]) -> bytes:
-    return min(_branch_codes(*_bfs(adjacency, c))[c] for c in _centers(adjacency))
+    height = [0] * len(parent)
+    for v in itertools.islice(reversed(order), len(order) - 1):  # all but the root
+        p = parent[v]
+        if height[p] <= height[v]:
+            height[p] = height[v] + 1
+    kids: list[list[int]] = [[] for _ in parent]
+    label = [0] * len(parent)
+    keys: list[tuple[int, ...]] = []
+    for _, layer in itertools.groupby(sorted(order, key=height.__getitem__), height.__getitem__):
+        # Labels reach the parents in increasing order, so each kids list is
+        # its sorted key, and the layer is labelled in key order.
+        last = None
+        for v in sorted(layer, key=kids.__getitem__):
+            if kids[v] != last:
+                last = kids[v]
+                keys.append(tuple(last))
+            label[v] = len(keys) - 1
+            kids[parent[v]].append(label[v])
+    return label, keys
 
 
 def canonical_code(tree: Tree) -> bytes:
     """A byte string equal for two trees exactly when they are isomorphic.
 
-    The tree is rooted at its center (for two centers, the smaller of the
-    two codes wins) and encoded bottom-up with sorted child codes, so the
-    result does not depend on the labeling.
+    The leaf peel ends at a center, and the vertex before it is the other
+    center when there are two; rooted anywhere else, the tree is taller.
+    The code is the least (height, keys of ``_branch_labels``) over those
+    two rootings, so it does not depend on the labeling.
     """
-    return _code_from_adjacency(tree.adjacency)
+    parent, order = _peel_leaves(tree.n, list(itertools.chain.from_iterable(tree.edges)))
+    rootings = [(parent, order)]
+    if tree.n > 1:
+        rootings.append(_bfs(tree.adjacency, order[1]))
+    codes = []
+    for parent, order in rootings:
+        keys = _branch_labels(parent, order)[1]
+        height, key = 0, keys[-1]
+        while key:  # the largest child label is a tallest child's
+            height, key = height + 1, keys[key[-1]]
+        codes.append((height, keys))
+    return repr(min(codes)).encode()
 
 
 def is_isomorphic(a: Tree, b: Tree) -> bool:
@@ -311,6 +328,13 @@ def relabel(tree: Tree, perm: Iterable[int]) -> Tree:
     if not ok:
         raise InvalidVertex("perm is not a permutation of 0..n-1")
     return tree_from_edges(tree.n, [(image[u], image[v]) for u, v in tree.edges])
+
+
+def _text(text: Any) -> str:
+    """text, when it is a str, else ParseError: the parsers read only text."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected text, got {type(text).__name__}")
+    return text
 
 
 def _parse_uint(token: str, what: str) -> int:
@@ -333,7 +357,7 @@ def _edge_ends(text: str) -> tuple[int, list[int]]:
     or the wrong edge count, goes through the line loop, which raises the
     ParseError that the text deserves.
     """
-    if re.fullmatch(r"[0-9]+\n(?:[0-9]+ [0-9]+\n)*", text):
+    if re.fullmatch(r"[0-9]+\n(?:[0-9]+ [0-9]+\n)*", _text(text)):
         start = text.index("\n") + 1
         try:
             n = int(text[:start])
@@ -375,7 +399,8 @@ def parse_edge_list(text: str) -> Tree:
     """Parse the edge-list format: first line n, then n-1 lines "u v".
 
     Anything after the last edge line other than blank lines is rejected.
-    Syntax problems raise ParseError; structural problems raise NotATree.
+    Syntax problems and a value that is not a str raise ParseError;
+    structural problems raise NotATree.
     """
     n, ends = _edge_ends(text)
     pairs = iter(ends)
@@ -389,10 +414,10 @@ def parse_degree_sequence(text: str) -> tuple[int, ...]:
     with one ``map(int, ...)``.  Any other text, and plain text with an
     entry past the int-digit limit, goes through the token loop, which
     gives every syntax error its message.  Raises ParseError on syntax
-    problems and NotRealizable when the parsed sequence is not a tree
-    degree sequence.
+    problems or a value that is not a str, and NotRealizable when the
+    parsed sequence is not a tree degree sequence.
     """
-    if re.fullmatch(r"[0-9]+(?:,[0-9]+)*", text):
+    if re.fullmatch(r"[0-9]+(?:,[0-9]+)*", _text(text)):
         try:
             degrees = list(map(int, text.split(",")))
         except ValueError:  # an entry longer than the interpreter's int-digit limit

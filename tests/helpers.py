@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from subtrees import cli
 from subtrees.counting import count_subtrees, f_vector
 from subtrees.errors import ParseError
-from subtrees.extremal import _satisfies_bfs_ordering, build_greedy_bfs, swap_components
+from subtrees.extremal import build_greedy_bfs, swap_components
 from subtrees.majorization import majorizes
 from subtrees.oracle import (
     _edges_from_prufer,
@@ -27,7 +27,6 @@ from subtrees.oracle import (
 from subtrees.trees import (
     Tree,
     _bfs,
-    _code_from_adjacency,
     _edge_ends,
     _parse_uint,
     canonical_code,
@@ -100,6 +99,11 @@ def seeded_tree(seed: int, n: int) -> Tree:
     """A uniform labeled tree on n >= 2 vertices from a seeded Pruefer code."""
     rng = random.Random(seed)
     return tree_from_prufer(tuple(rng.randrange(n) for _ in range(n - 2)), n)
+
+
+def random_recursive_tree(rng: random.Random, n: int) -> Tree:
+    """A tree on n vertices where each vertex v >= 1 hangs on a uniform earlier one."""
+    return tree_from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
 
 
 def reference_parse_edge_list(text: str) -> Tree:
@@ -336,8 +340,9 @@ def reference_rooted_code(n: int, adjacency: Sequence[Sequence[int]], root: int)
     """Rooted byte code with its own traversal: sorted child codes in parens.
 
     The first implementation of the canonical code, one BFS and one
-    bottom-up pass per root, kept as the reference that the package's
-    shared-BFS code must match byte for byte.
+    bottom-up pass per root, kept as the reference whose classes the
+    package's integer-label code must match; it takes quadratic memory,
+    so keep n small.
     """
     parent = [-1] * n
     order = [root]
@@ -380,13 +385,39 @@ def reference_code(n: int, adjacency: Sequence[Sequence[int]]) -> bytes:
     return min(reference_rooted_code(n, adjacency, c) for c in reference_centers(n, adjacency))
 
 
+def satisfies_bfs_ordering(tree: Tree, root: int, order: Sequence[int]) -> bool:
+    """Whether ``order`` is a BFS-ordering of the tree rooted at ``root``.
+
+    Condition one: heights nondecreasing and degrees nonincreasing along
+    the order.  Condition two: children follow their parents' order, i.e.
+    listing the non-root vertices by position, their parents' positions
+    never decrease.
+    """
+    n = tree.n
+    if sorted(order) != list(range(n)) or order[0] != root:
+        return False
+    parent, bfs = _bfs(tree.adjacency, root)
+    height = [0] * n
+    for v in bfs[1:]:
+        height[v] = height[parent[v]] + 1
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    for i in range(n - 1):
+        u, v = order[i], order[i + 1]
+        if height[u] > height[v] or tree.degree(u) < tree.degree(v):
+            return False
+    parent_pos = [pos[parent[v]] for v in order[1:]]
+    return all(parent_pos[i] <= parent_pos[i + 1] for i in range(len(parent_pos) - 1))
+
+
 def reference_has_bfs_ordering(tree: Tree, root: int) -> bool:
     """Whether any vertex order with the root first is a BFS-ordering.
 
     Tries all (n-1)! orders, so keep n small.
     """
     rest = [v for v in range(tree.n) if v != root]
-    return any(_satisfies_bfs_ordering(tree, root, (root, *perm)) for perm in permutations(rest))
+    return any(satisfies_bfs_ordering(tree, root, (root, *perm)) for perm in permutations(rest))
 
 
 class EnumeratedClass(NamedTuple):
@@ -430,7 +461,7 @@ def reference_enumerate_trees(pi: Sequence[int]) -> Iterator[Tree]:
         for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        key = _code_from_adjacency(adj)
+        key = reference_code(n, adj)
         if key not in seen:
             seen.add(key)
             yield tree_from_edges(n, edges)
@@ -465,7 +496,7 @@ def reference_grow_trees(pi: Sequence[int]) -> Iterator[Tree]:
                 if not fits:
                     continue
                 child = [*adj[:v], [*adj[v], k], *adj[v + 1 :], [v]]
-                key = _code_from_adjacency(child)
+                key = reference_code(k + 1, child)
                 if key not in seen:
                     seen.add(key)
                     grown.append(child)

@@ -17,6 +17,7 @@ from helpers import (
     reference_has_bfs_ordering,
     reference_local_search,
     reference_moves,
+    satisfies_bfs_ordering,
     seeded_tree,
     spider,
     star,
@@ -27,7 +28,6 @@ from subtrees.extremal import (
     _branch_tables,
     _greedy_parents,
     _root_row,
-    _satisfies_bfs_ordering,
     _scored_moves,
     build_greedy_bfs,
     has_bfs_ordering,
@@ -37,6 +37,7 @@ from subtrees.extremal import (
 from subtrees.oracle import enumerate_trees, realizable_sequences
 from subtrees.trees import (
     Tree,
+    canonical_code,
     degree_sequence_of,
     is_isomorphic,
     path_between,
@@ -91,7 +92,7 @@ def test_greedy_small_shapes():
 
 def test_greedy_edge_cases():
     t, sizes = build_greedy_bfs((0,))
-    assert t.n == 1 and _satisfies_bfs_ordering(t, 0, (0,)) and sizes == (1,)
+    assert t.n == 1 and satisfies_bfs_ordering(t, 0, (0,)) and sizes == (1,)
     t, sizes = build_greedy_bfs((1, 1))
     assert t.edges == ((0, 1),) and sizes == (1, 1)
 
@@ -100,7 +101,7 @@ def test_greedy_19_vertex_layers():
     pi = (4, 4, 3, 3, 3, 3, 3, 2) + (1,) * 11
     t, sizes = build_greedy_bfs(pi)
     assert sizes == (1, 4, 9, 5)
-    assert _satisfies_bfs_ordering(t, 0, tuple(range(19)))
+    assert satisfies_bfs_ordering(t, 0, tuple(range(19)))
     assert count_subtrees(t) == 9608
 
 
@@ -108,7 +109,7 @@ def test_greedy_19_vertex_layers():
 def test_greedy_degree_sequence_and_labeling(pi):
     t, _ = build_greedy_bfs(pi)
     assert degree_sequence_of(t) == pi
-    assert _satisfies_bfs_ordering(t, 0, tuple(range(t.n)))
+    assert satisfies_bfs_ordering(t, 0, tuple(range(t.n)))
 
 
 def assert_greedy_matches_reference(pi) -> None:
@@ -141,7 +142,7 @@ def test_bfs_ordering_path_cases():
     assert not ok
     ok, witness = has_bfs_ordering(p5, 2)
     assert ok
-    assert _satisfies_bfs_ordering(p5, 2, witness)
+    assert satisfies_bfs_ordering(p5, 2, witness)
 
 
 def test_bfs_ordering_on_greedy_trees():
@@ -149,7 +150,7 @@ def test_bfs_ordering_on_greedy_trees():
         t, _ = build_greedy_bfs(pi)
         ok, witness = has_bfs_ordering(t, 0)
         assert ok
-        assert _satisfies_bfs_ordering(t, 0, witness)
+        assert satisfies_bfs_ordering(t, 0, witness)
 
 
 def test_bfs_ordering_spider_cases():
@@ -157,7 +158,7 @@ def test_bfs_ordering_spider_cases():
     assert all(not has_bfs_ordering(bad, r)[0] for r in range(bad.n))
     good = spider(1, 2, 2)
     ok, witness = has_bfs_ordering(good, 0)
-    assert ok and _satisfies_bfs_ordering(good, 0, witness)
+    assert ok and satisfies_bfs_ordering(good, 0, witness)
     # Away from the center the degree condition already fails.
     assert not has_bfs_ordering(good, 1)[0]
 
@@ -166,14 +167,32 @@ def test_bfs_ordering_on_deep_path():
     # 1501 layers below the middle vertex; the search must not recurse per layer.
     p = path(3001)
     ok, witness = has_bfs_ordering(p, 1500)
-    assert ok and _satisfies_bfs_ordering(p, 1500, witness)
+    assert ok and satisfies_bfs_ordering(p, 1500, witness)
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_codes_and_bfs_ordering_memory_on_a_20001_path():
+    # Integer branch labels take O(n): about 6 MiB each.  Byte codes, each
+    # branch's full text, peaked at 193.8 MiB and 387.7 MiB here.
+    p = path(20001)
+    assert traced_peak(lambda: canonical_code(p)) < 16 * 2**20
+    assert traced_peak(lambda: has_bfs_ordering(p, 10000)) < 16 * 2**20
 
 
 def test_bfs_ordering_on_wide_star():
     # 3000 tied leaves under the root; no search over their orders.
     s = star(3001)
     ok, witness = has_bfs_ordering(s, 0)
-    assert ok and _satisfies_bfs_ordering(s, 0, witness)
+    assert ok and satisfies_bfs_ordering(s, 0, witness)
 
 
 def test_bfs_ordering_spider_with_distinct_legs():
@@ -190,7 +209,7 @@ def test_bfs_ordering_matches_reference_on_every_small_view():
                     ok, witness = has_bfs_ordering(t, r)
                     assert ok == reference_has_bfs_ordering(t, r)
                     if ok:
-                        assert _satisfies_bfs_ordering(t, r, witness)
+                        assert satisfies_bfs_ordering(t, r, witness)
                     else:
                         assert witness is None
                     rootings += 1
@@ -203,7 +222,7 @@ def test_bfs_ordering_witness_is_valid(t, data):
     root = data.draw(st.integers(0, t.n - 1))
     ok, witness = has_bfs_ordering(t, root)
     if ok:
-        assert _satisfies_bfs_ordering(t, root, witness)
+        assert satisfies_bfs_ordering(t, root, witness)
     else:
         assert witness is None
 
@@ -450,13 +469,7 @@ def test_local_search_reaches_optimum_on_a_random_recursive_tree():
 
 def test_first_scored_move_needs_linear_memory():
     t = seeded_tree(7, 3000)
-    tracemalloc.start()
-    try:
-        next(_scored_moves(t))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2**20
+    assert traced_peak(lambda: next(_scored_moves(t))) < 10 * 2**20
 
 
 def test_local_search_fixed_point():

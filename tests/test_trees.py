@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from helpers import (
     int_digit_limit,
     path,
+    random_recursive_tree,
     random_trees,
     reference_centers,
     reference_code,
@@ -53,10 +54,9 @@ from subtrees.oracle import (
     tree_from_prufer,
 )
 from subtrees.trees import (
-    _centers,
-    _code_from_adjacency,
     _decimal,
     _edge_ends,
+    _peel_leaves,
     canonical_code,
     degree_sequence_of,
     format_edge_list,
@@ -346,30 +346,56 @@ def test_canonical_code_bicentral():
     )
 
 
+def assert_same_classes(pairs) -> None:
+    """Canonical codes and reference codes, one (code, reference) pair per
+    tree, induce the same partition: each determines the other."""
+    ours: dict[bytes, bytes] = {}
+    theirs: dict[bytes, bytes] = {}
+    for code, ref in pairs:
+        assert ours.setdefault(code, ref) == ref
+        assert theirs.setdefault(ref, code) == code
+
+
 def test_canonical_code_matches_reference_on_every_small_tree():
-    # Every labeled tree of every degree sequence up to n = 9, both through
-    # the raw adjacency the enumeration dedupes on and through a Tree.
-    for n in range(2, 10):
-        for pi in realizable_sequences(n):
-            for code in prufer_sequences(pi):
-                edges = _edges_from_prufer(code, n)
-                adj: list[list[int]] = [[] for _ in range(n)]
-                for u, v in edges:
-                    adj[u].append(v)
-                    adj[v].append(u)
-                expected = reference_code(n, adj)
-                assert _centers(adj) == reference_centers(n, adj)
-                assert _code_from_adjacency(adj) == expected
-                assert canonical_code(tree_from_edges(n, edges)) == expected
+    # Every labeled tree of every degree sequence up to n = 9.  The leaf
+    # peel, where the code roots, ends at the centers.
+    def pairs():
+        for n in range(2, 10):
+            for pi in realizable_sequences(n):
+                for code in prufer_sequences(pi):
+                    edges = _edges_from_prufer(code, n)
+                    adj: list[list[int]] = [[] for _ in range(n)]
+                    for u, v in edges:
+                        adj[u].append(v)
+                        adj[v].append(u)
+                    centers = reference_centers(n, adj)
+                    order = _peel_leaves(n, [x for e in edges for x in e])[1]
+                    assert sorted(order[: len(centers)]) == list(centers)
+                    yield canonical_code(tree_from_edges(n, edges)), reference_code(n, adj)
+
+    assert_same_classes(pairs())
 
 
-@given(random_trees(max_n=40))
-def test_canonical_code_matches_reference_on_random_trees(t):
-    assert _centers(t.adjacency) == reference_centers(t.n, t.adjacency)
-    assert canonical_code(t) == reference_code(t.n, t.adjacency)
+@given(random_trees(max_n=40), random_trees(max_n=40), st.randoms(use_true_random=False))
+def test_canonical_code_matches_reference_on_random_trees(a, b, rng):
+    # Against an unrelated tree, a relabelled copy and a copy with one
+    # leaf moved, so that equal and unequal codes both occur.
+    perm = list(range(a.n))
+    rng.shuffle(perm)
+    edges = list(a.edges)
+    if a.n > 2:
+        leaf = rng.choice([v for v in range(a.n) if a.degree(v) == 1])
+        edges.remove(tuple(sorted((leaf, a.adjacency[leaf][0]))))
+        edges.append((leaf, rng.choice([v for v in range(a.n) if v != leaf])))
+    trees = [a, b, relabel(a, perm), tree_from_edges(a.n, edges)]
+    assert_same_classes((canonical_code(t), reference_code(t.n, t.adjacency)) for t in trees)
 
 
-@given(random_trees(max_n=10), st.randoms(use_true_random=False))
+@given(
+    random_trees(max_n=10)
+    | st.builds(random_recursive_tree, st.randoms(use_true_random=False), st.integers(1, 1000)),
+    st.randoms(use_true_random=False),
+)
 def test_relabel_preserves_isomorphism(t, rng):
     perm = list(range(t.n))
     rng.shuffle(perm)
@@ -432,6 +458,13 @@ def test_parse_edge_list_rejects_non_ascii_digits(token):
         parse_edge_list(f"3\n0 1\n1 {token}\n")
     with pytest.raises(ParseError, match="expected a nonnegative decimal vertex count"):
         parse_edge_list(f"{token}\n")
+
+
+@pytest.mark.parametrize("parse", [parse_edge_list, parse_degree_sequence])
+@pytest.mark.parametrize("value", [0, b"3,1", b"2\n0 1\n", None, ["3", "1"]])
+def test_parsers_refuse_values_that_are_not_text(parse, value):
+    with pytest.raises(ParseError, match=f"^expected text, got {type(value).__name__}$"):
+        parse(value)
 
 
 def test_parse_edge_list_structural_errors_are_not_parse_errors():
