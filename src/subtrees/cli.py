@@ -42,7 +42,7 @@ from .formulas import (
 )
 from .majorization import majorization_chain, majorizes
 from .oracle import _order_census, labeled_tree_count
-from .trees import _EXACT, _bfs, _decimal, _edge_ends, _peel_leaves
+from .trees import _EXACT, _decimal, _edge_ends, _peel_leaves
 from .trees import parse_degree_sequence, parse_edge_list
 
 __all__ = ["build_parser", "main"]
@@ -130,12 +130,14 @@ def _parents_first(text: str) -> tuple[list[int], list[int]]:
     """Parent links and a parents-first order of the tree in an edge-list text.
 
     Leaves are peeled off the flat edge ends, so no ``Tree`` and no
-    adjacency list is built; input that is not a tree goes through
-    ``parse_edge_list``, whose full check raises the exact error.
+    adjacency list is built; the peel fails only on a non-tree, whose
+    exact error ``parse_edge_list``'s full check raises.
     """
     n, ends = _edge_ends(text)
     rooted = _peel_leaves(n, ends) if max(ends, default=0) < n else None
-    return rooted or _bfs(parse_edge_list(text).adjacency, 0)
+    if rooted is None:
+        parse_edge_list(text)
+    return rooted
 
 
 def cmd_count(args: argparse.Namespace) -> int:

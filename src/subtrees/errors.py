@@ -51,4 +51,4 @@ class InfeasibleConstraint(SubtreeError):
 
 class TooLarge(SubtreeError):
     """Input exceeds a documented size cap (exhaustive work, a sequence listing,
-    a class answer, a path-star bound, a majorization chain) or a cap not an integer."""
+    a class answer, a path-star bound, a majorization chain)."""

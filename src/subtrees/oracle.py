@@ -259,14 +259,11 @@ def connected_subsets(tree: Tree, anchor: int | None = None) -> Iterator[frozens
             stack.append((chosen, rest))
 
 
-def count_subtrees_bruteforce(tree: Tree, limit: int = _BRUTEFORCE_LIMIT) -> int:
-    """Count subtrees by enumerating connected sets one by one.
-
-    Exponential on purpose; refuses trees above ``limit`` vertices
-    (default 16) with TooLarge, also for a limit that is not an integer.
-    """
-    if tree.n > _int(limit, TooLarge, "limit"):
-        raise TooLarge(f"brute force capped at {limit} vertices, tree has {tree.n}")
+def count_subtrees_bruteforce(tree: Tree) -> int:
+    """Count subtrees by enumerating connected sets one by one: exponential
+    on purpose, so a tree above 16 vertices raises TooLarge."""
+    if tree.n > _BRUTEFORCE_LIMIT:
+        raise TooLarge(f"brute force capped at {_BRUTEFORCE_LIMIT} vertices, tree has {tree.n}")
     return sum(1 for _ in connected_subsets(tree))
 
 

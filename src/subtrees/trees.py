@@ -4,15 +4,15 @@ Vertices are dense integers 0..n-1.  Every value is immutable after
 construction; operations return new objects and never mutate their inputs,
 so values can be shared freely between threads or processes.
 
-One breadth-first primitive, ``_bfs``, walks every ``Tree`` in the
-package (the connectivity check, ``path_between``, the subtree DP, the
-BFS-ordering check, the move scores) into flat ``parent`` and ``order``
-lists, the root its own parent; ``_peel_leaves`` gives them from flat
-edge ends, rooted at a center.  ``_branch_labels`` gives the branches of
-any such rooting integer labels, which the canonical code (rooted at the
-peel's end) and the BFS-ordering check compare.  ``_int`` checks every
-integer that a public function takes (``_ints`` a whole sequence,
-``_vertex`` a vertex id).
+One breadth-first primitive, ``_bfs``, walks a ``Tree`` from a root the
+caller picks (the connectivity check, ``path_between``, the subtree DP,
+the BFS-ordering check, the move scores) into flat ``parent`` and
+``order`` lists, the root its own parent; ``_peel_leaves`` gives them
+from flat edge ends, rooted at a center.  ``_branch_labels`` gives the
+branches of any such rooting integer labels, which the canonical code
+(at the peel's end, or between two centers) and the BFS-ordering check
+compare.  ``_int`` checks every integer that a public function takes
+(``_ints`` a whole sequence, ``_vertex`` a vertex id).
 """
 
 from __future__ import annotations
@@ -258,6 +258,16 @@ def path_between(tree: Tree, u: int, v: int) -> tuple[int, ...]:
     return tuple(path)
 
 
+def _heights(parent: Sequence[int], order: Sequence[int]) -> list[int]:
+    """Every vertex's height, for any parents-first order, the root its own parent."""
+    height = [0] * len(parent)
+    for v in itertools.islice(reversed(order), len(order) - 1):  # all but the root
+        p = parent[v]
+        if height[p] <= height[v]:
+            height[p] = height[v] + 1
+    return height
+
+
 def _branch_labels(
     parent: Sequence[int], order: Sequence[int]
 ) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -270,11 +280,7 @@ def _branch_labels(
     are isomorphic exactly when their key lists are equal, and equal labels
     then mark isomorphic branches.  Memory is O(n).
     """
-    height = [0] * len(parent)
-    for v in itertools.islice(reversed(order), len(order) - 1):  # all but the root
-        p = parent[v]
-        if height[p] <= height[v]:
-            height[p] = height[v] + 1
+    height = _heights(parent, order)
     kids: list[list[int]] = [[] for _ in parent]
     label = [0] * len(parent)
     keys: list[tuple[int, ...]] = []
@@ -294,23 +300,18 @@ def _branch_labels(
 def canonical_code(tree: Tree) -> bytes:
     """A byte string equal for two trees exactly when they are isomorphic.
 
-    The leaf peel ends at a center, and the vertex before it is the other
-    center when there are two; rooted anywhere else, the tree is taller.
-    The code is the least (height, keys of ``_branch_labels``) over those
-    two rootings, so it does not depend on the labeling.
+    The leaf peel roots the tree at its center c, or, when a child t of c
+    is strictly taller than all others, at a new vertex n splitting the
+    edge c-t between the two centers.  The code is n with the keys of that
+    rooting's ``_branch_labels`` (n tells P4 split so from P5, same shape).
     """
     parent, order = _peel_leaves(tree.n, list(itertools.chain.from_iterable(tree.edges)))
-    rootings = [(parent, order)]
-    if tree.n > 1:
-        rootings.append(_bfs(tree.adjacency, order[1]))
-    codes = []
-    for parent, order in rootings:
-        keys = _branch_labels(parent, order)[1]
-        height, key = 0, keys[-1]
-        while key:  # the largest child label is a tallest child's
-            height, key = height + 1, keys[key[-1]]
-        codes.append((height, keys))
-    return repr(min(codes)).encode()
+    c, height = order[0], _heights(parent, order)
+    tall = [v for v, p in enumerate(parent) if p == c and height[v] == height[c] - 1]
+    if len(tall) == 1:  # tall[0] is the second center
+        parent[c] = parent[tall[0]] = tree.n
+        parent, order = parent + [tree.n], [tree.n, *order]
+    return repr((tree.n, _branch_labels(parent, order)[1])).encode()
 
 
 def is_isomorphic(a: Tree, b: Tree) -> bool:

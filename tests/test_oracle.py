@@ -198,10 +198,9 @@ def test_count_subtrees_bruteforce_examples():
 
 
 def test_bruteforce_limit():
-    big = path(17)
-    with pytest.raises(TooLarge):
-        count_subtrees_bruteforce(big)
-    assert count_subtrees_bruteforce(big, limit=17) == 17 * 18 // 2
+    assert count_subtrees_bruteforce(path(16)) == 16 * 17 // 2
+    with pytest.raises(TooLarge, match="brute force capped at 16 vertices, tree has 17"):
+        count_subtrees_bruteforce(path(17))
 
 
 @settings(max_examples=30)

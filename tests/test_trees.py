@@ -33,7 +33,6 @@ from subtrees.errors import (
     NotRealizable,
     ParseError,
     SubtreeError,
-    TooLarge,
 )
 from subtrees.extremal import build_greedy_bfs, has_bfs_ordering, swap_components
 from subtrees.formulas import (
@@ -46,7 +45,6 @@ from subtrees.majorization import majorizes
 from subtrees.oracle import (
     _edges_from_prufer,
     connected_subsets,
-    count_subtrees_bruteforce,
     enumerate_trees,
     labeled_tree_count,
     prufer_sequences,
@@ -291,7 +289,6 @@ def test_vertex_ids_are_checked(call, error, message):
             NotRealizable,
             "expected a sequence, got list_iterator",
         ),
-        (lambda: count_subtrees_bruteforce(P3, limit="x"), TooLarge, "limit 'x' is not an integer"),
     ],
 )
 def test_non_iterable_sequence_arguments_are_checked(call, error, message):
@@ -344,6 +341,29 @@ def test_canonical_code_bicentral():
     assert canonical_code(path(4)) == canonical_code(
         tree_from_edges(4, [(1, 3), (3, 0), (0, 2)])
     )
+
+
+def test_canonical_code_labels_one_rooting(monkeypatch):
+    # One labelling, at the center or on the central edge: no second
+    # rooting through ``_bfs``, and no read of the adjacency lists.
+    shapes = [
+        path(4),
+        path(5),
+        star(6),
+        build_greedy_bfs((4, 3, 3, 2, 1, 1, 1, 1, 1, 1))[0],
+        random_recursive_tree(random.Random(1), 1000),
+    ]
+    calls: list[str] = []
+    for name in ("_branch_labels", "_bfs"):
+        spied = getattr(trees, name)
+        monkeypatch.setattr(trees, name, lambda *a, f=spied, s=name: calls.append(s) or f(*a))
+    codes = set()
+    for t in shapes:
+        calls.clear()
+        codes.add(canonical_code(trees.Tree(t.n, t.edges, adjacency=None)))
+        assert calls == ["_branch_labels"]
+    # P4 subdivided on its central edge has the shape of P5 rooted at its center.
+    assert len(codes) == len(shapes)
 
 
 def assert_same_classes(pairs) -> None:
