@@ -25,10 +25,11 @@ vertices, a class answer past 10^6, an order chain of n * length past
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from decimal import Decimal, localcontext
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__
 from .counting import _argmax, _phi_from_parents, _rerooted_counts, _rooted_counts
@@ -204,7 +205,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_sequence(pi: tuple[int, ...], census: dict) -> dict:
+def _verify_sequence(pi: tuple[int, ...], census: Mapping) -> dict:
     """Check one degree sequence against its order's census: the greedy tree
     must be the unique subtree-count maximizer among all realizations."""
     classes, max_phi, at_max = census[pi]
@@ -222,12 +223,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Verify extremality claims by exhaustive enumeration.
 
     One pass over the free trees of the order gives every sequence's
-    census; for one sequence, trees of other sequences are skipped before
-    their subtrees are counted.
+    census, once per process; one sequence reads its own bucket of it, so
+    further sequences of that order cost no enumeration.
     """
     if args.pi is not None:
         pi = _sequence_argument(args.pi)
-        result = _verify_sequence(pi, _order_census(len(pi), only=pi))
+        result = _verify_sequence(pi, _order_census(len(pi)))
         ok = result["greedy_is_unique_max"]
         _emit(
             args,
@@ -356,6 +357,7 @@ def cmd_class(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the command line; ``main`` keeps one of its own."""
     parser = argparse.ArgumentParser(
         prog="subtrees",
         description="Exact subtree counts and extremal trees for degree sequences.",
@@ -398,8 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; the parser is built on the first call and reused."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -6,15 +6,19 @@ The ground truth is Pruefer decoding (``tree_from_prufer``,
 enumeration of connected vertex sets.  They share no code with the fast
 counters, so the two can check each other.  The free trees of an order
 come one per isomorphism class from the Wright-Richmond-Odlyzko-McKay
-stream, with no canonical codes and no dedupe; ``_order_census`` counts
-the phi of each with the fast ``counting._phi_from_parents``.
+stream, with no canonical codes and no dedupe.  The stream updates one
+parent array in place and gives with it the first index that changed, so
+a caller copies the array to keep it; ``_order_census`` updates the rooted
+subtree counts and degrees of the last tree over what changed, and keeps
+its result for the rest of the process.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import functools
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
-from .counting import _phi_from_parents
 from .errors import NotRealizable, TooLarge
 from .trees import Tree, _decimal, _int, _vertex, tree_from_edges, validate_degree_sequence
 
@@ -121,36 +125,7 @@ def prufer_sequences(pi: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield tuple(current)
 
 
-def _next_rooted_tree(levels: list[int], p: int | None = None) -> bool:
-    """Step a level sequence to the next rooted tree in place (Beyer-Hedetniemi).
-
-    From p, by default the last vertex off level 1, the tail repeats the
-    block that starts at p's parent q.  False after the star.
-    """
-    if p is None:
-        p = len(levels) - 1
-        while levels[p] == 1:
-            p -= 1
-    if p == 0:
-        return False
-    q = p - 1
-    while levels[q] != levels[p] - 1:
-        q -= 1
-    for i in range(p, len(levels)):
-        levels[i] = levels[i - p + q]
-    return True
-
-
-def _split_levels(levels: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The root's first branch as a rooted tree, and the rest with the root."""
-    try:
-        m = levels.index(1, 2)
-    except ValueError:
-        m = len(levels)
-    return [x - 1 for x in levels[1:m]], [0, *levels[m:]]
-
-
-def _free_trees(n: int) -> Iterator[list[int]]:
+def _free_trees(n: int) -> Iterator[tuple[list[int], int]]:
     """One parent array per free tree of order n: the WROM stream.
 
     Wright, Richmond, Odlyzko and McKay (SIAM J. Comput. 15(2), 1986) walk
@@ -161,31 +136,72 @@ def _free_trees(n: int) -> Iterator[list[int]]:
     rooting the walk jumps to the next candidate.  Ids are the preorder,
     so parent[v] < v, and the root 0 is its own parent.  Raises TooLarge
     above the enumeration cap.
+
+    Each item is (parent, k), and ``parent`` is one list, updated in place
+    from tree to tree: copy it to keep it.  parent[:k] is as in the
+    previous tree, and k = 1 for the first.  A Beyer-Hedetniemi step from
+    p rewrites only the suffix from p, copying the block of p's parent.
+    The levels stay canonical, so the first branch and the rest are as
+    high as the runs 1, 2, 3, ... that start at vertex 1 and at the second
+    root child m; the walk keeps m and the ends h1 and h2 of those runs as
+    it goes.  A tree thus costs its changed suffix, 1.94 entries on average
+    at n = 18, plus a comparison of the two halves when they are equal in
+    height and size.
     """
     if n > _ENUMERATION_LIMIT:
         raise TooLarge(f"exhaustive enumeration capped at {_ENUMERATION_LIMIT} vertices, got {n}")
-    if n == 1:
-        yield [0]
-        return
-    levels = [*range(n // 2 + 1), *range(1, (n + 1) // 2)]
+    # levels[n] = 1 ends every search for the second root child.
+    levels = [*range(n // 2 + 1), *range(1, (n + 1) // 2), 1]
+    parent = [0, *range(n - 1)]
+    if n > 2:
+        parent[n // 2 + 1] = 0
+    h1, m, h2 = n // 2, n // 2 + 1, n - 1
+
+    def step(p: int) -> None:
+        """Rewrite levels[p:] and parent[p:] as the next rooted tree, and
+        h1, m and h2 with them; p is never 1, so p < m puts m at or past p."""
+        nonlocal h1, m, h2
+        q = parent[p]
+        d, lq, pq = p - q, levels[q], parent[q]
+        for i in range(p, n):
+            lv = levels[i] = levels[i - d]
+            parent[i] = pq if lv == lq else parent[i - d] + d
+        h1 = min(h1, p - 1)
+        if p < m:
+            m = h2 = levels.index(1, p)
+            while h2 + 1 < n and levels[h2 + 1] == levels[h2] + 1:
+                h2 += 1
+        else:
+            h2 = min(h2, p - 1)
+
+    k = 1
     while True:
-        left, rest = _split_levels(levels)
-        lh, rh = max(left), max(rest)
-        if lh > rh or lh == rh and (len(left), left) > (len(rest), rest):
-            p = len(left)
+        # The heights of the first branch, from its own root, and of the rest.
+        # A first branch higher, or as high and larger or later, means this
+        # is not the kept rooting: jump past every rooting like it.
+        left, right = h1 - 1, levels[h2] if m < n else 0
+        if left > right or left == right and (
+            m - 1 > n + 1 - m or m - 1 == n + 1 - m and levels[2:m] > [x + 1 for x in levels[m:n]]
+        ):
+            p = m - 1
             deep = levels[p] > 2
-            _next_rooted_tree(levels, p)
+            step(p)
+            k = min(k, p)
             if deep:
-                h = max(_split_levels(levels)[0])
-                levels[n - h - 1 :] = range(1, h + 2)
-        last = [0] * n
-        parent = [0] * n
-        for v in range(1, n):
-            parent[v] = last[levels[v] - 1]
-            last[levels[v]] = v
-        yield parent
-        if not _next_rooted_tree(levels):
+                # The step left no vertex past p on level 1, so the root has
+                # one child; the tail becomes a second, as high as the first.
+                t = n - h1
+                levels[t:n] = range(1, h1 + 1)
+                parent[t:n] = [0, *range(t, n - 1)]
+                k, m, h2 = min(k, t), t, n - 1
+        yield parent, k
+        # The next step starts at the last vertex off level 1: the first change.
+        k = n - 1
+        while levels[k] == 1:
+            k -= 1
+        if k == 0:
             return
+        step(k)
 
 
 def _degrees(parent: Sequence[int]) -> tuple[int, ...]:
@@ -197,37 +213,79 @@ def _degrees(parent: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(degree, reverse=True))
 
 
-def _order_census(
-    n: int, only: tuple[int, ...] | None = None
-) -> dict[tuple[int, ...], tuple[int, int, int]]:
+@functools.cache
+def _order_census(n: int) -> Mapping[tuple[int, ...], tuple[int, int, int]]:
     """(classes, max phi, classes at the max) per degree sequence of order n.
 
-    One pass over the free-tree stream, bucketed by sorted degrees.  With
-    ``only`` given, trees of any other sequence are skipped before their
-    phi is counted, and only that bucket is returned.
+    One pass over the free-tree stream, computed once per process and
+    handed out read-only.  Each tree updates the last one's rooted counts
+    g, degrees and phi = sum(g) over what the stream changed: the suffix
+    from k, whose old parents ``old`` keeps, and the chain from k - 1 to
+    the root, the only vertices that a suffix vertex can hang from.  The
+    chain's links are divided out from the top, (1 + g) exactly, the old
+    suffix is taken out and the new one counted children first, and the
+    chain is multiplied back in from the bottom.  A tree is bucketed by
+    the sum of (n + 1)**degree over its vertices, whose digits in base
+    n + 1 count the vertices of each degree.
     """
-    buckets: dict[tuple[int, ...], tuple[int, int, int]] = {}
-    for parent in _free_trees(n):
-        key = _degrees(parent)
-        if only is not None and key != only:
-            continue
-        phi = _phi_from_parents(parent)
+    power = [(n + 1) ** d for d in range(n)]
+    # The state before the first tree is that of the star rooted at 0.
+    old = [0] * n
+    g = [2 ** (n - 1), *[1] * (n - 1)]
+    degree = [n - 1, *[1] * (n - 1)]
+    phi, key = sum(g), sum(power[d] for d in degree)
+    buckets: dict[int, tuple[int, int, int]] = {}
+    for parent, k in _free_trees(n):
+        chain = [k - 1]
+        while chain[-1]:
+            chain.append(parent[chain[-1]])
+        for u in reversed(chain):
+            phi -= g[u]
+            key -= power[degree[u]]
+            if u:
+                g[parent[u]] //= 1 + g[u]
+        for v in range(n - 1, k - 1, -1):
+            phi -= g[v]
+            key -= power[degree[v]]
+            if old[v] < k:
+                g[old[v]] //= 1 + g[v]
+                degree[old[v]] -= 1
+        g[k:] = degree[k:] = [1] * (n - k)
+        for v in range(n - 1, k - 1, -1):
+            phi += g[v]
+            key += power[degree[v]]
+            g[parent[v]] *= 1 + g[v]
+            degree[parent[v]] += 1
+        for u in chain:
+            phi += g[u]
+            key += power[degree[u]]
+            if u:
+                g[parent[u]] *= 1 + g[u]
+        old[k:] = parent[k:]
         classes, best, at_best = buckets.get(key, (0, phi, 0))
         if phi > best:
             best, at_best = phi, 0
         buckets[key] = (classes + 1, best, at_best + (phi == best))
-    return buckets
+    census = {}
+    for key, value in buckets.items():
+        pi: list[int] = []
+        for d in reversed(range(n)):
+            count, key = divmod(key, power[d])
+            pi += [d] * count
+        census[tuple(pi)] = value
+    return MappingProxyType(census)
 
 
 def enumerate_trees(pi: Sequence[int]) -> Iterator[Tree]:
     """One representative per isomorphism class with degree sequence pi.
 
     Filters the deterministic free-tree stream of order len(pi), so it
-    raises TooLarge above the enumeration cap.
+    raises TooLarge above the enumeration cap.  Each ``Tree`` is built
+    from the stream's shared parent list before the stream moves on.
     """
     pi = validate_degree_sequence(pi)
     n = len(pi)
-    for parent in _free_trees(n):
+    for parent, _ in _free_trees(n):
         if _degrees(parent) == pi:
             yield tree_from_edges(n, list(zip(parent[1:], range(1, n))))
 

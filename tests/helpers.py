@@ -12,11 +12,12 @@ from typing import Iterator, NamedTuple, Sequence
 from hypothesis import strategies as st
 
 from subtrees import cli
-from subtrees.counting import count_subtrees, f_vector
+from subtrees.counting import _phi_from_parents, count_subtrees, f_vector
 from subtrees.errors import ParseError
 from subtrees.extremal import build_greedy_bfs, swap_components
 from subtrees.majorization import majorizes
 from subtrees.oracle import (
+    _degrees,
     _edges_from_prufer,
     enumerate_trees,
     labeled_tree_count,
@@ -503,6 +504,81 @@ def reference_grow_trees(pi: Sequence[int]) -> Iterator[Tree]:
         level = grown
     for adj in level:
         yield tree_from_edges(n, [(u, w) for u in range(n) for w in adj[u] if u < w])
+
+
+def _reference_next_rooted_tree(levels: list[int], p: int | None = None) -> bool:
+    """Step a level sequence to the next rooted tree in place (Beyer-Hedetniemi).
+
+    From p, by default the last vertex off level 1, the tail repeats the
+    block that starts at p's parent q.  False after the star.
+    """
+    if p is None:
+        p = len(levels) - 1
+        while levels[p] == 1:
+            p -= 1
+    if p == 0:
+        return False
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    for i in range(p, len(levels)):
+        levels[i] = levels[i - p + q]
+    return True
+
+
+def _reference_split_levels(levels: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The root's first branch as a rooted tree, and the rest with the root."""
+    try:
+        m = levels.index(1, 2)
+    except ValueError:
+        m = len(levels)
+    return [x - 1 for x in levels[1:m]], [0, *levels[m:]]
+
+
+def reference_free_trees(n: int) -> Iterator[list[int]]:
+    """The WROM free-tree stream from scratch: a fresh parent list per tree.
+
+    The second implementation of ``oracle._free_trees``, which keeps its
+    split and heights as it walks and rewrites only a suffix.  This one
+    splits the level sequence, takes both heights with ``max`` and
+    rebuilds the whole parent array for every tree.
+    """
+    if n == 1:
+        yield [0]
+        return
+    levels = [*range(n // 2 + 1), *range(1, (n + 1) // 2)]
+    while True:
+        left, rest = _reference_split_levels(levels)
+        lh, rh = max(left), max(rest)
+        if lh > rh or lh == rh and (len(left), left) > (len(rest), rest):
+            p = len(left)
+            deep = levels[p] > 2
+            _reference_next_rooted_tree(levels, p)
+            if deep:
+                h = max(_reference_split_levels(levels)[0])
+                levels[n - h - 1 :] = range(1, h + 2)
+        last = [0] * n
+        parent = [0] * n
+        for v in range(1, n):
+            parent[v] = last[levels[v] - 1]
+            last[levels[v]] = v
+        yield parent
+        if not _reference_next_rooted_tree(levels):
+            return
+
+
+def reference_order_census(n: int) -> dict[tuple[int, ...], tuple[int, int, int]]:
+    """``oracle._order_census`` from scratch: every tree's sorted degrees and
+    phi counted afresh, with no state carried from one tree to the next."""
+    buckets: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    for parent in reference_free_trees(n):
+        key = _degrees(parent)
+        phi = _phi_from_parents(parent)
+        classes, best, at_best = buckets.get(key, (0, phi, 0))
+        if phi > best:
+            best, at_best = phi, 0
+        buckets[key] = (classes + 1, best, at_best + (phi == best))
+    return buckets
 
 
 def reference_verify_outputs(n: int) -> dict:

@@ -194,8 +194,9 @@ def test_verify_all_n(capsys):
 @pytest.mark.parametrize("change", ["swapped", "equal"])
 def test_verify_all_n_detects_maxima_out_of_order(capsys, monkeypatch, change):
     # (3,2,2,1,1,1) majorizes (2,2,2,2,1,1); their maxima are 25 and 21.
-    # A census with the two swapped, or equal, breaks strict growth.
-    census = cli._order_census(6)
+    # A census with the two swapped, or equal, breaks strict growth.  The
+    # cached census is read-only, so the test changes a copy.
+    census = dict(cli._order_census(6))
     a, b = (3, 2, 2, 1, 1, 1), (2, 2, 2, 2, 1, 1)
     assert majorizes(a, b) == "greater" and (census[a][1], census[b][1]) == (25, 21)
     if change == "swapped":
@@ -232,6 +233,51 @@ def test_verify_limits(capsys):
     assert run(capsys, "verify", "--pi", nineteen_path)[0] == 5
     eighteen_path = ",".join(["2"] * 16 + ["1", "1"])
     assert run(capsys, "verify", "--pi", eighteen_path)[0] == 0
+
+
+def test_verify_pi_matches_its_all_n_entry(capsys):
+    # One sequence reads its bucket of the order's census: its outputs are
+    # the --all-n entry of that sequence, byte for byte, plus "pass".
+    for n in range(1, 12):
+        entries = json.loads(run(capsys, "verify", "--all-n", str(n), "--json")[1])["outputs"]
+        for entry in entries["sequences"]:
+            pi = ",".join(map(str, entry["pi"]))
+            code, out, _ = run(capsys, "verify", "--pi", pi, "--json")
+            outputs = json.loads(out)["outputs"]
+            assert outputs.pop("pass") is entry["greedy_is_unique_max"] is (code == 0)
+            assert json.dumps(outputs, sort_keys=True) == json.dumps(entry, sort_keys=True)
+
+
+def outcome(capsys, argv: list[str]) -> tuple[object, str, str]:
+    """Exit code, stdout and stderr of ``main(argv)``, argparse exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch, p4_file, tmp_path):
+    commands = [
+        ["verify", "--pi", "3,2,2,1,1,1"],
+        ["verify", "--all-n", "6", "--json"],
+        ["count", p4_file, "--json"],
+        ["count", str(tmp_path / "absent.txt")],
+        ["verify", "--pi", "3,1,1,1", "--all-n", "4"],
+        ["--version"],
+    ]
+    with monkeypatch.context() as fresh:
+        fresh.setattr(cli, "_parser", cli.build_parser)
+        want = [outcome(capsys, argv) for argv in commands]
+    assert [code for code, _, _ in want] == [0, 0, 0, 2, 2, 0]
+    cli._parser.cache_clear()
+    # A parser from build_parser is the caller's own: changing it leaves main's alone.
+    changed = cli.build_parser()
+    changed.prog = "changed"
+    for order in (commands, commands[::-1]):
+        got = {tuple(argv): outcome(capsys, argv) for argv in order}
+        assert [got[tuple(argv)] for argv in commands] == want
 
 
 def test_order_comparable(capsys):

@@ -13,7 +13,9 @@ from helpers import (
     path,
     random_trees,
     reference_enumerate_trees,
+    reference_free_trees,
     reference_grow_trees,
+    reference_order_census,
     spider,
     star,
 )
@@ -129,18 +131,31 @@ def test_iso_class_totals_match_published_tree_counts():
 def test_free_tree_stream_is_preorder_and_distinct():
     for n in range(1, 15):
         codes = set()
-        for parent in _free_trees(n):
+        for parent, _ in _free_trees(n):
             assert parent[0] == 0 and all(parent[v] < v for v in range(1, n))
             codes.add(canonical_code(tree_from_edges(n, list(zip(parent[1:], range(1, n))))))
         assert len(codes) == sum(classes for classes, _, _ in _order_census(n).values())
 
 
-def test_order_census_of_one_sequence():
-    # Skipping the other sequences' trees leaves the asked bucket as it was.
-    for n in range(1, 12):
-        census = _order_census(n)
-        for pi in realizable_sequences(n):
-            assert _order_census(n, only=pi) == {pi: census[pi]}
+def test_incremental_stream_and_census_match_the_reference():
+    # The in-place stream gives the reference's parent arrays tree by tree,
+    # and changes none before the index it reports; the census it feeds
+    # equals the one counted from scratch for every tree.
+    for n in range(1, 15):
+        previous = None
+        for (parent, k), want in zip(_free_trees(n), reference_free_trees(n), strict=True):
+            assert parent == want
+            assert 1 <= k <= n and (previous is None or previous[:k] == parent[:k])
+            previous = list(parent)
+        assert _order_census.__wrapped__(n) == reference_order_census(n)
+
+
+def test_order_census_is_cached_read_only():
+    census = _order_census(6)
+    assert _order_census(6) is census
+    with pytest.raises(TypeError):
+        census[(5, 1, 1, 1, 1, 1)] = (0, 0, 0)
+    assert census[(5, 1, 1, 1, 1, 1)] == (1, 37, 1)
 
 
 def test_enumeration_cap():
