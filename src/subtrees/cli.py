@@ -150,8 +150,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     in ints, which are faster there; above it, both passes rerun in exact
     decimals, whose text is linear in their digits, where an int's is
     quadratic (1,500-digit f values of a random 10^4-vertex tree took nine
-    times as long to print as ints as the DP took to find them).  The f
-    values are written with ``%s``, linear for a decimal, in 64 KiB blocks.
+    times as long to print as ints as the DP took to find them).  phi is
+    the int pass's sum either way, printed with ``_decimal``.  The f values
+    are written with ``%s``, linear for a decimal, in 64 KiB blocks.
     """
     try:
         with open(args.treefile, encoding="ascii") as fh:
@@ -165,13 +166,12 @@ def cmd_count(args: argparse.Namespace) -> int:
     phi = sum(map(f.__getitem__, reversed(order)))
     if phi < 10**_INT_DIGITS:
         _rerooted_counts(parent, order, f)
-        phi = str(phi)
     else:
         del f
         with localcontext(_EXACT):
             f = _rooted_counts(parent, order, Decimal(1))
-            phi = str(sum(map(f.__getitem__, reversed(order))))
             _rerooted_counts(parent, order, f)
+    phi = _decimal(phi)
     argmax = list(_argmax(f))
     # The f texts are plain digits and need no escaping.
     outputs = {"phi": phi, "f": [], "argmax": argmax}

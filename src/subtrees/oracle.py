@@ -4,13 +4,15 @@ The ground truth is Pruefer decoding (``tree_from_prufer``,
 ``prufer_sequences``, ``labeled_tree_count``), ``connected_subsets`` and
 ``count_subtrees_bruteforce``, which counts subtrees by explicit
 enumeration of connected vertex sets.  They share no code with the fast
-counters, so the two can check each other.  The free trees of an order
-come one per isomorphism class from the Wright-Richmond-Odlyzko-McKay
-stream, with no canonical codes and no dedupe.  The stream updates one
-parent array in place and gives with it the first index that changed, so
-a caller copies the array to keep it; ``_order_census`` updates the rooted
-subtree counts and degrees of the last tree over what changed, and keeps
-its result for the rest of the process.
+counters, so the two can check each other.  ``realizable_sequences``
+lists the degree sequences of an order in one loop over the partitions of
+n - 2.  The free trees of an order come one per isomorphism class from
+the Wright-Richmond-Odlyzko-McKay stream, with no canonical codes and no
+dedupe.  The stream updates one parent array in place and gives with it
+the first index that changed, so a caller copies the array to keep it;
+``_order_census`` updates the rooted subtree counts and degrees of the
+last tree over what changed, and keeps its result for the rest of the
+process.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "tree_from_prufer",
     "prufer_sequences",
     "enumerate_trees",
+    "connected_subsets",
     "count_subtrees_bruteforce",
     "labeled_tree_count",
     "realizable_sequences",
@@ -36,41 +39,32 @@ _BRUTEFORCE_LIMIT = 16
 # Vertex cap for the free-tree stream, so for class enumeration and full
 # sweeps: at n = 18 a sweep of all 123,867 classes takes a few seconds.
 _ENUMERATION_LIMIT = 18
-# Length cap for listing degree sequences, which also bounds the recursion
-# depth: n = 40 gives 26,015 sequences in 3.1-3.9 s, n = 45 63,261 in
-# 7.7-8.3 s, and the time grows about 1.2x per vertex (Python 3.11.7,
-# 2-CPU x86-64 VM).
+# Length cap for listing degree sequences, which bounds the output: it grows
+# about 1.2x per vertex, n = 40 gives 26,015 sequences in 0.07-0.11 s and
+# n = 45 63,261 in 0.18-0.26 s (Python 3.11.7, 2-CPU x86-64 VM).
 _SEQUENCE_LIMIT = 40
 
 
 def _edges_from_prufer(code: Sequence[int], n: int) -> list[tuple[int, int]]:
     """Decode a Pruefer sequence into an edge list, assuming valid input.
 
-    Smallest-leaf scan: ptr sweeps left to right; leaf tracks the current
-    smallest degree-1 vertex, dipping below ptr only when a code entry's
-    degree drops to 1 at a smaller id.
+    One left-to-right scan: the next leaf is the next degree-1 id past ptr,
+    unless a code entry's degree drops to 1 at an id below ptr; that entry
+    is then the smallest leaf.
     """
     degree = [1] * n
     for v in code:
         degree[v] += 1
+    ptr = leaf = degree.index(1)
     edges = []
-    ptr = 0
-    leaf = -1
     for v in code:
-        if leaf < 0:
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
         edges.append((leaf, v))
-        degree[leaf] -= 1
         degree[v] -= 1
         if degree[v] == 1 and v < ptr:
             leaf = v
         else:
-            leaf = -1
-            ptr += 1
-    last = [v for v in range(n) if degree[v] == 1]
-    edges.append((last[0], last[1]))
+            leaf = ptr = degree.index(1, ptr + 1)
+    edges.append((leaf, n - 1))
     return edges
 
 
@@ -290,17 +284,15 @@ def enumerate_trees(pi: Sequence[int]) -> Iterator[Tree]:
             yield tree_from_edges(n, list(zip(parent[1:], range(1, n))))
 
 
-def connected_subsets(tree: Tree, anchor: int | None = None) -> Iterator[frozenset[int]]:
+def connected_subsets(tree: Tree) -> Iterator[frozenset[int]]:
     """Every nonempty connected vertex set, each exactly once.
 
-    Sets are grouped by their smallest vertex: for each anchor a, the sets
-    whose minimum is a are grown by include/exclude branching over the
-    neighbors above a, kept on an explicit stack of (chosen, frontier)
-    pairs.  With ``anchor`` given, only that group is produced.
+    Sets are grouped by their smallest vertex, in increasing order: for each
+    a, the sets whose minimum is a are grown by include/exclude branching
+    over the neighbors above a, kept on an explicit stack of (chosen,
+    frontier) pairs.
     """
-    n = tree.n
-    anchors = range(n) if anchor is None else (_vertex(anchor, n, "anchor"),)
-    for a in anchors:
+    for a in range(tree.n):
         stack = [(frozenset((a,)), tuple(w for w in tree.adjacency[a] if w > a))]
         while stack:
             chosen, frontier = stack.pop()
@@ -356,18 +348,17 @@ def realizable_sequences(n: int) -> list[tuple[int, ...]]:
         raise TooLarge(f"sequence listing capped at {_SEQUENCE_LIMIT} vertices, got {_decimal(n)}")
     if n == 1:
         return [(0,)]
-    out: list[tuple[int, ...]] = []
-
-    def build(prefix: list[int], remaining: int, slots: int, cap: int) -> None:
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        # Each later entry is at least 1 and at most cap.
-        for d in range(min(cap, remaining - (slots - 1)), 0, -1):
-            prefix.append(d)
-            build(prefix, remaining - d, slots - 1, d)
-            prefix.pop()
-
-    build([], 2 * (n - 1), n, n - 1)
-    return out
+    # The partitions of n - 2, each part one higher and padded with 1s, in
+    # reverse lexicographic order: each step lowers the last part t > 1 and
+    # refills the freed total, trailing 1s included, with parts of t - 1.
+    parts = [n - 2] if n > 2 else []
+    out = []
+    while True:
+        out.append(tuple([p + 1 for p in parts] + [1] * (n - len(parts))))
+        ones = parts.count(1)
+        del parts[len(parts) - ones :]
+        if not parts:
+            return out
+        t = parts.pop()
+        q, r = divmod(ones + 1, t - 1)
+        parts += [t - 1] * (q + 1) + [r] * (r > 0)

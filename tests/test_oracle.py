@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -35,13 +39,37 @@ from subtrees.oracle import (
     realizable_sequences,
     tree_from_prufer,
 )
-from subtrees.trees import canonical_code, degree_sequence_of, is_isomorphic, tree_from_edges
+from subtrees.trees import (
+    canonical_code,
+    degree_sequence_of,
+    is_isomorphic,
+    tree_from_edges,
+    validate_degree_sequence,
+)
 
 
 def test_prufer_decode_hand_traced():
     assert tree_from_prufer((0, 0), 4).edges == ((0, 1), (0, 2), (0, 3))
     assert tree_from_prufer((1, 2), 4).edges == ((0, 1), (1, 2), (2, 3))
     assert tree_from_prufer((), 2).edges == ((0, 1),)
+
+
+def test_prufer_decode_matches_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def check(code, n):
+        # Tree edges are sorted pairs, u < v, in lexicographic order.
+        theirs = sorted((min(e), max(e)) for e in nx.from_prufer_sequence(list(code)).edges)
+        assert tree_from_prufer(code, n).edges == tuple(theirs)
+
+    for n in range(2, 8):
+        for code in itertools.product(range(n), repeat=n - 2):
+            check(code, n)
+    # Orders spread evenly on a log scale up to 2000.
+    rng = random.Random(24)
+    for _ in range(200):
+        n = max(2, round(2000 ** rng.random()))
+        check([rng.randrange(n) for _ in range(n - 2)], n)
 
 
 def test_prufer_decode_rejects():
@@ -186,21 +214,20 @@ def test_connected_subsets_exact_on_path():
     assert frozenset({0, 1, 2}) in sets and frozenset({0, 2}) not in sets
 
 
-def test_connected_subsets_anchor_partition():
+def test_connected_subsets_grouped_by_smallest_vertex():
     t = spider(1, 2, 2)
-    total = list(connected_subsets(t))
-    by_anchor = []
-    for a in range(t.n):
-        part = list(connected_subsets(t, anchor=a))
-        assert all(min(s) == a for s in part)
-        by_anchor.extend(part)
-    assert sorted(map(sorted, by_anchor)) == sorted(map(sorted, total))
+    sets = list(connected_subsets(t))
+    assert len(sets) == len(set(sets)) == count_subtrees(t)
+    minima = [min(s) for s in sets]
+    assert minima == sorted(minima)
+    assert set(minima) == set(range(t.n))
 
 
 def test_connected_subsets_on_long_path():
-    # One set per prefix {0..k}; a recursive grower overflows the stack here.
+    # The first group, of the sets through vertex 0, is one set per prefix
+    # {0..k}; a recursive grower overflows the stack here.
     sizes = []
-    for s in connected_subsets(path(2000), anchor=0):
+    for s in itertools.islice(connected_subsets(path(2000)), 2000):
         assert s == frozenset(range(len(s)))
         sizes.append(len(s))
     assert sorted(sizes) == list(range(1, 2001))
@@ -271,12 +298,38 @@ def test_realizable_sequences():
             assert all(pi[i] >= pi[i + 1] for i in range(n - 1))
 
 
+def test_realizable_sequences_are_every_partition_once():
+    # Distinct valid sequences, strictly descending, as many as the
+    # partitions of n - 2: that is every sequence of order n, in order.
+    partitions = [1] + [0] * (_SEQUENCE_LIMIT - 2)
+    for part in range(1, _SEQUENCE_LIMIT - 1):
+        for total in range(part, _SEQUENCE_LIMIT - 1):
+            partitions[total] += partitions[total - part]
+    assert partitions[38] == 26015
+    for n in range(2, _SEQUENCE_LIMIT + 1):
+        sequences = realizable_sequences(n)
+        assert len(sequences) == partitions[n - 2]
+        assert all(a > b for a, b in zip(sequences, sequences[1:]))
+        assert all(validate_degree_sequence(pi) == pi for pi in sequences)
+
+
+def test_realizable_sequences_do_not_recurse():
+    script = (
+        "import sys\n"
+        "from subtrees.oracle import realizable_sequences\n"
+        "sys.setrecursionlimit(30)\n"
+        "print(len(realizable_sequences(40)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "26015\n", "")
+
+
 def test_realizable_sequences_cap():
     # verify --all-n lists the sequences at the enumeration cap.
     assert _SEQUENCE_LIMIT >= _ENUMERATION_LIMIT
     assert len(realizable_sequences(_ENUMERATION_LIMIT)) == 231
-    # Above the cap the listing ran for hours, or recursed past the
-    # interpreter's depth limit from n = 1100 on.
+    # The list grows about 1.2x per vertex, so the cap bounds the output;
+    # a length above it is refused before any work, however large.
     for n in (_SEQUENCE_LIMIT + 1, 1100, 10**5000):
         start = time.perf_counter()
         with pytest.raises(TooLarge, match=f"^sequence listing capped at {_SEQUENCE_LIMIT} "):

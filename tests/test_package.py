@@ -28,6 +28,21 @@ def test_package_all_is_the_union_of_the_module_lists():
     assert set(subtrees.__all__) == union
 
 
+def test_every_public_definition_is_declared():
+    # A module-level def or class without a leading underscore is public,
+    # so it is in its module's ``__all__``.
+    for name in MODULES:
+        module = importlib.import_module(f"subtrees.{name}")
+        tree = ast.parse(Path(module.__file__).read_text())
+        defined = {
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        }
+        assert defined <= set(module.__all__), (name, defined - set(module.__all__))
+
+
 def test_package_init_declares_no_public_name():
     # A public name is declared once, in its module's ``__all__``; the
     # package file only re-exports each module with ``*`` and adds its list.

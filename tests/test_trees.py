@@ -44,7 +44,6 @@ from subtrees.formulas import (
 from subtrees.majorization import majorizes
 from subtrees.oracle import (
     _edges_from_prufer,
-    connected_subsets,
     enumerate_trees,
     labeled_tree_count,
     prufer_sequences,
@@ -241,7 +240,6 @@ def in_subprocess(expression: str) -> None:
         (lambda: count_rooted(P3, 3), InvalidVertex, "root 3 outside 0..2"),
         (lambda: has_bfs_ordering(P3, "1"), InvalidVertex, "root '1' is not an integer"),
         (lambda: has_bfs_ordering(P3, -1), InvalidVertex, "root -1 outside 0..2"),
-        (lambda: list(connected_subsets(P3, 0.5)), InvalidVertex, "anchor 0.5 is not"),
         (lambda: labeled_tree_count([2.0, 1.0, 1.0]), NotRealizable, "degree 2.0 is not an"),
         (lambda: build_greedy_bfs(["1", "1"]), NotRealizable, "degree '1' is not an integer"),
         (lambda: list(prufer_sequences([2.0, 1.0, 1.0])), NotRealizable, "degree 2.0 is not"),
