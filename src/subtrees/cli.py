@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from decimal import Decimal, localcontext
@@ -55,7 +56,7 @@ __all__ = ["build_parser", "main"]
 # accepts, so str of such an int never raises.
 _INT_DIGITS = 200
 
-_BLOCK = 1 << 16  # characters per written block, as ``trees._edge_ends`` reads
+_BLOCK = 1 << 16  # characters per written block
 
 
 def _sequence_argument(text: str) -> tuple[int, ...]:
@@ -66,8 +67,11 @@ def _sequence_argument(text: str) -> tuple[int, ...]:
         raise NotRealizable(str(exc)) from exc
 
 
-def _fmt_seq(seq: Sequence[int]) -> str:
-    return ",".join(str(d) for d in seq)
+def _fmt_seq(seq: Sequence[int], sep: str = ",") -> str:
+    """``sep.join(map(str, seq))``, one run of equal entries at a time: a
+    degree sequence of 10^5 entries has only a few distinct values."""
+    text = "".join([f"{d}{sep}" * len(list(run)) for d, run in itertools.groupby(seq)])
+    return text[: len(text) - len(sep)]
 
 
 def _report(command: str, inputs: dict, outputs: dict) -> dict:
@@ -101,6 +105,7 @@ def _emit(
     report: Callable[[], dict],
     human: Callable[[], Sequence[str]],
     items: tuple[str, str, str, Sequence, Any] | None = None,
+    pi: Sequence[int] | None = None,
 ) -> None:
     """Print the JSON report or the human text, building only the one printed.
 
@@ -110,13 +115,20 @@ def _emit(
     written in blocks: back to back in the human text, or joined by ", "
     into the report's empty list, whose JSON is cut around ``"key": []``;
     ``json`` escapes the quotes inside strings, so no string can hold that.
+    ``pi`` fills the report's empty ``"pi": []`` the same way, from
+    ``_fmt_seq``, so a long degree sequence skips ``json.dumps``.
     """
+    if args.json:
+        text = json.dumps(report(), sort_keys=True)
+        if pi is not None:
+            head, _, tail = text.rpartition('"pi": []')
+            text = f'{head}"pi": [{_fmt_seq(pi, ", ")}]{tail}'
     if items is None:
-        print(json.dumps(report(), sort_keys=True) if args.json else "\n".join(human()))
+        print(text if args.json else "\n".join(human()))
         return
     key, json_item, human_item, columns, longest = items
     if args.json:
-        head, _, tail = json.dumps(report(), sort_keys=True).rpartition(f'"{key}": []')
+        head, _, tail = text.rpartition(f'"{key}": []')
         _write_items(json_item, ", ", columns, longest, f'{head}"{key}": [', f"]{tail}\n")
     else:
         _write_items(human_item, "", columns, longest, *human())
@@ -198,9 +210,10 @@ def cmd_build(args: argparse.Namespace) -> int:
     outputs = {"edges": [], "layer_sizes": list(sizes), "phi": phi}
     _emit(
         args,
-        lambda: _report("build", {"pi": list(pi)}, outputs),
+        lambda: _report("build", {"pi": []}, outputs),
         lambda: (f"{len(pi)}\n", f"layer_sizes: {_fmt_seq(sizes)}\nphi: {phi}\n"),
         _edge_items(parent),
+        pi,
     )
     return 0
 
@@ -337,7 +350,7 @@ def cmd_class(args: argparse.Namespace) -> int:
             "class",
             {"type": args.type, "n": args.n, "k": args.k},
             {
-                "pi": list(answer.extremal_pi),
+                "pi": [],
                 "edges": [],
                 "phi": _decimal(answer.phi),
                 "printed_formula_value": None if printed is None else _decimal(printed),
@@ -352,6 +365,7 @@ def cmd_class(args: argparse.Namespace) -> int:
             + f"discrepancy: {str(answer.discrepancy_flag).lower()}\n",
         ),
         _edge_items(parent),
+        answer.extremal_pi,
     )
     return 0
 

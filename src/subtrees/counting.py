@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .errors import InvalidVertex
-from .trees import Tree, _bfs, _iter, _vertex
+from .trees import Tree, _bfs, _iter, _tree, _vertex
 
 __all__ = [
     "FVector",
@@ -84,7 +84,7 @@ def count_rooted(tree: Tree, root: int) -> tuple[int, ...]:
     its own rooted subtrees or stay out, hence the product of (1 + child
     count).  Raises InvalidVertex for a root outside 0..n-1.
     """
-    parent, order = _bfs(tree.adjacency, _vertex(root, tree.n, "root"))
+    parent, order = _bfs(_tree(tree).adjacency, _vertex(root, tree.n, "root"))
     return tuple(_rooted_counts(parent, order))
 
 
@@ -96,7 +96,7 @@ def count_subtrees(tree: Tree) -> int:
     The sum runs children first, as counts grow toward the root: root
     first, each of the n additions would copy a number as long as phi.
     """
-    parent, order = _bfs(tree.adjacency, 0)
+    parent, order = _bfs(_tree(tree).adjacency, 0)
     g = _rooted_counts(parent, order)
     return sum(map(g.__getitem__, reversed(order)))
 
@@ -134,7 +134,7 @@ def f_vector(tree: Tree) -> FVector:
     where A(c) = f(v) // (1 + g(c)) for c's parent v is exact because
     f(v) = (1 + g(c)) * A(c).
     """
-    parent, order = _bfs(tree.adjacency, 0)
+    parent, order = _bfs(_tree(tree).adjacency, 0)
     values = tuple(_rerooted_counts(parent, order, _rooted_counts(parent, order)))
     return FVector(values=values, argmax=_argmax(values))
 
@@ -156,16 +156,17 @@ def count_containing_all(tree: Tree, vertices: Sequence[int]) -> int:
     Raises InvalidVertex for an empty or non-iterable selection and for an
     id that is not an integer in 0..n-1.
     """
-    targets = sorted({_vertex(v, tree.n) for v in _iter(vertices, InvalidVertex)})
+    n = _tree(tree).n
+    targets = sorted({_vertex(v, n) for v in _iter(vertices, InvalidVertex)})
     if not targets:
         raise InvalidVertex("need at least one vertex")
     parent, order = _bfs(tree.adjacency, targets[0])
     g = _rooted_counts(parent, order)
-    in_steiner = bytearray(tree.n)
+    in_steiner = bytearray(n)
     for w in targets:
         while not in_steiner[w]:
             in_steiner[w] = 1
             w = parent[w]
     return math.prod(
-        1 + g[c] for c in range(tree.n) if not in_steiner[c] and in_steiner[parent[c]]
+        1 + g[c] for c in range(n) if not in_steiner[c] and in_steiner[parent[c]]
     )

@@ -23,7 +23,8 @@ class ParseError(SubtreeError):
 
 
 class NotATree(SubtreeError):
-    """Edge set does not describe a tree on the given vertex range."""
+    """Edge set does not describe a tree on the given vertex range, or a
+    value that is not a ``Tree`` where a function takes one."""
 
 
 class NotRealizable(SubtreeError):

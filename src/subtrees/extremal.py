@@ -22,6 +22,7 @@ from .trees import (
     _bfs,
     _branch_labels,
     _iter,
+    _tree,
     _vertex,
     degree_sequence_of,
     path_between,
@@ -99,7 +100,7 @@ def has_bfs_ordering(tree: Tree, root: int) -> tuple[bool, tuple[int, ...] | Non
     unused child of its parent's image with the same label.
     Raises InvalidVertex for a root outside 0..n-1.
     """
-    root = _vertex(root, tree.n, "root")
+    root = _vertex(root, _tree(tree).n, "root")
     g_parent = _greedy_parents(degree_sequence_of(tree))
     g_order = range(len(g_parent))  # greedy ids are the BFS order
     g_labels, g_keys = _branch_labels(g_parent, g_order)
@@ -140,7 +141,7 @@ def swap_components(
     ``swap_components(tree, x_k, y_k, (x_{k+1},), (y_{k+1},))``, since
     both x_{k+1} and y_{k+1} sit off the x_k-y_k path.
     """
-    n = tree.n
+    n = _tree(tree).n
     x, y = _vertex(x, n), _vertex(y, n)
     if x == y:
         raise InvalidVertex("attachment vertices must be distinct")
@@ -263,7 +264,7 @@ def local_search_optimize(tree: Tree) -> Tree:
     search can stop short of the optimum: the two move families do not
     reach the greedy tree from every tree of its degree sequence.
     """
-    current = tree
+    current = _tree(tree)
     while True:
         for delta, x, y, xc, yc in _scored_moves(current):
             if delta > 0:

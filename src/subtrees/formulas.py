@@ -20,7 +20,7 @@ from typing import Callable
 from .counting import _phi_from_parents
 from .errors import InfeasibleConstraint, TooLarge
 from .extremal import _greedy_parents, build_greedy_bfs
-from .trees import Tree, _bfs, _decimal, _int
+from .trees import Tree, _bfs, _decimal, _int, _tree
 
 __all__ = [
     "ClassAnswer",
@@ -210,7 +210,7 @@ def wiener_index(tree: Tree) -> int:
     by deleting that edge: the edge from v to its parent, rooted at 0,
     splits off v's branch.  The root's term is n * 0.
     """
-    n = tree.n
+    n = _tree(tree).n
     parent, order = _bfs(tree.adjacency, 0)
     size = [1] * n
     for v in order[:0:-1]:
@@ -225,7 +225,7 @@ def matching_number(tree: Tree) -> int:
     children-first, match a vertex to its parent whenever both are free
     (a leaf's only hope is its parent, so matching there never hurts).
     """
-    parent, order = _bfs(tree.adjacency, 0)
+    parent, order = _bfs(_tree(tree).adjacency, 0)
     matched = bytearray(tree.n)
     count = 0
     for v in order[:0:-1]:
@@ -242,4 +242,4 @@ def independence_number(tree: Tree) -> int:
     Trees are bipartite, so the complement of a minimum vertex cover is a
     maximum independent set and the cover size equals the matching number.
     """
-    return tree.n - matching_number(tree)
+    return _tree(tree).n - matching_number(tree)

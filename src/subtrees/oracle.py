@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .errors import NotRealizable, TooLarge
-from .trees import Tree, _decimal, _int, _vertex, tree_from_edges, validate_degree_sequence
+from .trees import Tree, _decimal, _int, _tree, _vertex, tree_from_edges, validate_degree_sequence
 
 __all__ = [
     "tree_from_prufer",
@@ -292,7 +292,7 @@ def connected_subsets(tree: Tree) -> Iterator[frozenset[int]]:
     over the neighbors above a, kept on an explicit stack of (chosen,
     frontier) pairs.
     """
-    for a in range(tree.n):
+    for a in range(_tree(tree).n):
         stack = [(frozenset((a,)), tuple(w for w in tree.adjacency[a] if w > a))]
         while stack:
             chosen, frontier = stack.pop()
@@ -312,7 +312,7 @@ def connected_subsets(tree: Tree) -> Iterator[frozenset[int]]:
 def count_subtrees_bruteforce(tree: Tree) -> int:
     """Count subtrees by enumerating connected sets one by one: exponential
     on purpose, so a tree above 16 vertices raises TooLarge."""
-    if tree.n > _BRUTEFORCE_LIMIT:
+    if _tree(tree).n > _BRUTEFORCE_LIMIT:
         raise TooLarge(f"brute force capped at {_BRUTEFORCE_LIMIT} vertices, tree has {tree.n}")
     return sum(1 for _ in connected_subsets(tree))
 

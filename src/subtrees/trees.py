@@ -12,13 +12,15 @@ from flat edge ends, rooted at a center.  ``_branch_labels`` gives the
 branches of any such rooting integer labels, which the canonical code
 (at the peel's end, or between two centers) and the BFS-ordering check
 compare.  ``_int`` checks every integer that a public function takes
-(``_ints`` a whole sequence, ``_vertex`` a vertex id).
+(``_ints`` a whole sequence, ``_vertex`` a vertex id), and ``_tree``
+every tree.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 import operator
 import re
 from dataclasses import dataclass
@@ -95,6 +97,13 @@ def _vertex(w: Any, n: int, what: str = "vertex") -> int:
     if not 0 <= v < n:
         raise InvalidVertex(f"{what} {v} outside 0..{n - 1}")
     return v
+
+
+def _tree(t: Any) -> Tree:
+    """t, when it is a Tree, else NotATree: where a public function reads its tree."""
+    if not isinstance(t, Tree):
+        raise NotATree(f"expected a Tree, got {type(t).__name__}")
+    return t
 
 
 def tree_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Tree:
@@ -196,7 +205,7 @@ def validate_degree_sequence(degrees: Iterable[int]) -> tuple[int, ...]:
 
 def degree_sequence_of(tree: Tree) -> tuple[int, ...]:
     """The nonincreasing degree multiset of the tree."""
-    return tuple(sorted((len(a) for a in tree.adjacency), reverse=True))
+    return tuple(sorted((len(a) for a in _tree(tree).adjacency), reverse=True))
 
 
 def _bfs(adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
@@ -250,7 +259,7 @@ def _peel_leaves(n: int, ends: list[int]) -> tuple[list[int], list[int]] | None:
 
 def path_between(tree: Tree, u: int, v: int) -> tuple[int, ...]:
     """The unique u-v path, endpoints included; dist(u,v) = length - 1."""
-    u, v = _vertex(u, tree.n), _vertex(v, tree.n)
+    u, v = _vertex(u, _tree(tree).n), _vertex(v, tree.n)
     parent, _ = _bfs(tree.adjacency, v)
     path = [u]
     while path[-1] != v:
@@ -305,7 +314,7 @@ def canonical_code(tree: Tree) -> bytes:
     edge c-t between the two centers.  The code is n with the keys of that
     rooting's ``_branch_labels`` (n tells P4 split so from P5, same shape).
     """
-    parent, order = _peel_leaves(tree.n, list(itertools.chain.from_iterable(tree.edges)))
+    parent, order = _peel_leaves(_tree(tree).n, list(itertools.chain.from_iterable(tree.edges)))
     c, height = order[0], _heights(parent, order)
     tall = [v for v, p in enumerate(parent) if p == c and height[v] == height[c] - 1]
     if len(tall) == 1:  # tall[0] is the second center
@@ -316,19 +325,20 @@ def canonical_code(tree: Tree) -> bytes:
 
 def is_isomorphic(a: Tree, b: Tree) -> bool:
     """Whether the two trees are isomorphic (equal canonical codes)."""
-    return a.n == b.n and canonical_code(a) == canonical_code(b)
+    return _tree(a).n == _tree(b).n and canonical_code(a) == canonical_code(b)
 
 
 def relabel(tree: Tree, perm: Iterable[int]) -> Tree:
     """Vertex v becomes perm[v], for any iterable perm but a mapping, else InvalidVertex."""
+    n = _tree(tree).n
     try:
         image = () if isinstance(perm, Mapping) else tuple(_iter(perm, InvalidVertex))
-        ok = sorted(_vertex(w, tree.n) for w in image) == list(range(tree.n))
+        ok = sorted(_vertex(w, n) for w in image) == list(range(n))
     except InvalidVertex:
         ok = False
     if not ok:
         raise InvalidVertex("perm is not a permutation of 0..n-1")
-    return tree_from_edges(tree.n, [(image[u], image[v]) for u, v in tree.edges])
+    return tree_from_edges(n, [(image[u], image[v]) for u, v in tree.edges])
 
 
 def _text(text: Any) -> str:
@@ -347,27 +357,27 @@ def _parse_uint(token: str, what: str) -> int:
         raise ParseError(f"{what} of {len(token)} digits is too large") from exc
 
 
+_COMMAS = str.maketrans(" \n", ",,")
+
+
 def _edge_ends(text: str) -> tuple[int, list[int]]:
     """The vertex count n and the flat edge ends [u0, v0, u1, v1, ...] of an
     edge list, checked for syntax and for n - 1 edge lines only.
 
     Canonical text (digits, one space inside each edge line, a newline
-    after every line) converts about 64 KiB at a time, cut at newlines,
-    so only a few thousand token strings are alive at once.  Any other
-    text, and canonical text with a token past the int-digit limit, n < 1
-    or the wrong edge count, goes through the line loop, which raises the
-    ParseError that the text deserves.
+    after every line) becomes one JSON array: one ``str.translate`` turns
+    the spaces and newlines of the body into commas, and ``json.loads``
+    reads all its ints in C.  Any other text, and canonical text with a
+    leading zero (which JSON refuses), a token past the int-digit limit,
+    n < 1 or the wrong edge count, goes through the line loop, which
+    accepts it or raises the ParseError that the text deserves.
     """
     if re.fullmatch(r"[0-9]+\n(?:[0-9]+ [0-9]+\n)*", _text(text)):
         start = text.index("\n") + 1
         try:
             n = int(text[:start])
-            ends: list[int] = []
-            while start < len(text):
-                stop = text.find("\n", start + 65536) + 1 or len(text)
-                ends += map(int, text[start:stop].split())
-                start = stop
-        except ValueError:  # a token longer than the interpreter's int-digit limit
+            ends = json.loads(f"[{text[start:-1].translate(_COMMAS)}]")
+        except ValueError:  # a leading zero, or a token past the int-digit limit
             pass
         else:
             if n >= 1 and len(ends) == 2 * (n - 1):
@@ -411,17 +421,18 @@ def parse_edge_list(text: str) -> Tree:
 def parse_degree_sequence(text: str) -> tuple[int, ...]:
     """Parse comma-separated positive integers on one line and validate.
 
-    Plain text (ASCII digits and single commas, nothing else) converts
-    with one ``map(int, ...)``.  Any other text, and plain text with an
-    entry past the int-digit limit, goes through the token loop, which
-    gives every syntax error its message.  Raises ParseError on syntax
-    problems or a value that is not a str, and NotRealizable when the
-    parsed sequence is not a tree degree sequence.
+    Plain text (ASCII digits and single commas, nothing else) is read as
+    one JSON array, in C.  Any other text, and plain text with a leading
+    zero (which JSON refuses) or an entry past the int-digit limit, goes
+    through the token loop, which accepts it or gives the syntax error its
+    message.  Raises ParseError on syntax problems or a value that is not a
+    str, and NotRealizable when the parsed sequence is not a tree degree
+    sequence.
     """
     if re.fullmatch(r"[0-9]+(?:,[0-9]+)*", _text(text)):
         try:
-            degrees = list(map(int, text.split(",")))
-        except ValueError:  # an entry longer than the interpreter's int-digit limit
+            degrees = json.loads(f"[{text}]")
+        except ValueError:  # a leading zero, or an entry past the int-digit limit
             pass
         else:
             return validate_degree_sequence(degrees)
@@ -436,6 +447,6 @@ def parse_degree_sequence(text: str) -> tuple[int, ...]:
 
 def format_edge_list(tree: Tree) -> str:
     """Render a tree in the edge-list format accepted by parse_edge_list."""
-    out = [str(tree.n)]
+    out = [str(_tree(tree).n)]
     out.extend(f"{u} {v}" for u, v in tree.edges)
     return "\n".join(out) + "\n"

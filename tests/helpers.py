@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import json
 import random
+import re
 import sys
 from itertools import combinations, permutations
 from typing import Iterator, NamedTuple, Sequence
@@ -109,6 +110,14 @@ def random_recursive_tree(rng: random.Random, n: int) -> Tree:
 
 def reference_parse_edge_list(text: str) -> Tree:
     """The first edge-list parser: one line at a time, into ``tree_from_edges``."""
+    n, ends = reference_line_ends(text)
+    pairs = iter(ends)
+    return tree_from_edges(n, zip(pairs, pairs))
+
+
+def reference_line_ends(text: str) -> tuple[int, list[int]]:
+    """``trees._edge_ends`` one line at a time: n and the flat edge ends,
+    checked for syntax and for n - 1 edge lines only."""
     lines = text.splitlines()
     if not lines or not lines[0].split():
         raise ParseError("missing vertex count on the first line")
@@ -120,16 +129,36 @@ def reference_parse_edge_list(text: str) -> Tree:
         raise ParseError("vertex count must be at least 1")
     if len(lines) < n:
         raise ParseError(f"expected {n - 1} edge lines, found {len(lines) - 1}")
-    edges = []
+    ends = []
     for i in range(1, n):
         tokens = lines[i].split()
         if len(tokens) != 2:
             raise ParseError(f"edge line {i + 1} must be 'u v', got {lines[i]!r}")
-        edges.append((_parse_uint(tokens[0], "vertex"), _parse_uint(tokens[1], "vertex")))
+        ends += (_parse_uint(tokens[0], "vertex"), _parse_uint(tokens[1], "vertex"))
     for extra in lines[n:]:
         if extra.strip():
             raise ParseError(f"trailing garbage after the edge list: {extra!r}")
-    return tree_from_edges(n, edges)
+    return n, ends
+
+
+def reference_edge_ends(text: str) -> tuple[int, list[int]]:
+    """``trees._edge_ends`` with ``map(int, ...)`` over canonical text, about
+    64 KiB at a time cut at newlines, and the line loop for the rest."""
+    if re.fullmatch(r"[0-9]+\n(?:[0-9]+ [0-9]+\n)*", text):
+        start = text.index("\n") + 1
+        try:
+            n = int(text[:start])
+            ends: list[int] = []
+            while start < len(text):
+                stop = text.find("\n", start + 65536) + 1 or len(text)
+                ends += map(int, text[start:stop].split())
+                start = stop
+        except ValueError:  # a token longer than the interpreter's int-digit limit
+            pass
+        else:
+            if n >= 1 and len(ends) == 2 * (n - 1):
+                return n, ends
+    return reference_line_ends(text)
 
 
 def reference_tree_bfs(text: str) -> tuple[list[int], list[int]]:
@@ -159,6 +188,19 @@ def reference_decimal(x: int) -> str:
         half = x.bit_length() * 30103 // 200000
         high, low = divmod(x, 10**half)
         return reference_decimal(high) + reference_decimal(low).zfill(half)
+
+
+def reference_map_degree_sequence(text: str) -> tuple[int, ...]:
+    """``parse_degree_sequence`` with one ``map(int, ...)`` over plain text
+    and the token loop for the rest."""
+    if re.fullmatch(r"[0-9]+(?:,[0-9]+)*", text):
+        try:
+            degrees = list(map(int, text.split(",")))
+        except ValueError:  # an entry longer than the interpreter's int-digit limit
+            pass
+        else:
+            return validate_degree_sequence(degrees)
+    return reference_parse_degree_sequence(text)
 
 
 def reference_parse_degree_sequence(text: str) -> tuple[int, ...]:
@@ -314,17 +356,22 @@ def reference_class_output(kind: str, n: int, k: int) -> tuple[str, str]:
     return _rendered("class", {"type": kind, "n": n, "k": k}, outputs, lines)
 
 
-def reference_emit(args, report, human, items=None) -> None:
+def reference_emit(args, report, human, items=None, pi=None) -> None:
     """``cli._emit`` with the list text of the first implementations: one
-    ``%`` per item, joined by ``str.join``, the JSON report spliced around it."""
+    ``%`` per item, joined by ``str.join``, the JSON report spliced around
+    it, and ``pi`` through ``json.dumps``."""
+    text = json.dumps(report(), sort_keys=True)
+    if pi is not None:
+        head, _, tail = text.rpartition('"pi": []')
+        text = f'{head}"pi": {json.dumps(list(pi))}{tail}'
     if items is None:
-        for line in [json.dumps(report(), sort_keys=True)] if args.json else human():
+        for line in [text] if args.json else human():
             print(line)
         return
     key, json_item, human_item, columns, _ = items
     rows = list(zip(*columns))
     if args.json:
-        head, _, tail = json.dumps(report(), sort_keys=True).rpartition(f'"{key}": []')
+        head, _, tail = text.rpartition(f'"{key}": []')
         print(head, f'"{key}": [', ", ".join(map(json_item.__mod__, rows)), "]", tail, sep="")
     else:
         before, after = human()

@@ -37,6 +37,7 @@ from subtrees import cli, extremal, trees
 from subtrees.cli import main
 from subtrees.counting import count_subtrees, f_vector
 from subtrees.errors import InfeasibleConstraint, ParseError, SubtreeError
+from subtrees.extremal import _greedy_parents, _layer_sizes
 from subtrees.majorization import majorization_chain, majorizes
 from subtrees.oracle import _ENUMERATION_LIMIT, enumerate_trees, realizable_sequences
 from subtrees.trees import Tree, _edge_ends, _peel_leaves, format_edge_list, parse_degree_sequence
@@ -972,6 +973,27 @@ def test_edge_blocks_match_reference_emit_at_10e5(capsys, monkeypatch, tmp_path)
     )
 
 
+def fmt_seq_cases():
+    """Every degree sequence of up to 12 vertices and its greedy layer
+    sizes, which need not be monotone, the empty and one-entry sequences,
+    and random sequences of up to 10^5 entries."""
+    for n in range(1, 13):
+        for pi in realizable_sequences(n):
+            yield pi
+            yield _layer_sizes(_greedy_parents(pi))
+    yield from [(), (0,), (7,), (12345,)]
+    rng = random.Random(23)
+    for size in (2, 3, 10, 1000, 10**5):
+        yield [rng.randrange(rng.choice([2, 10, 10**6])) for _ in range(size)]
+        yield random_degree_sequence(size, size)
+
+
+def test_fmt_seq_matches_str_join_and_json():
+    for seq in fmt_seq_cases():
+        assert cli._fmt_seq(seq) == ",".join(map(str, seq)), seq[:5]
+        assert cli._fmt_seq(seq, ", ") == json.dumps(list(seq))[1:-1], seq[:5]
+
+
 def json_peak(*argv: str) -> int:
     """The tracemalloc peak of the command with --json, in bytes; the
     output goes to a digest, so the text is not kept."""
@@ -985,14 +1007,16 @@ def json_peak(*argv: str) -> int:
 
 
 def test_build_json_memory_at_10e5():
-    # 12.8 MiB, most of it the parse of --pi; one text for all edges
-    # peaked at 13.3 MiB.  Margin 0.3 MiB.
+    # 12.6 MiB, most of it the parse of --pi: the backtracking state of its
+    # plain-text ``re.fullmatch``, as the JSON read peaks at 0.8 MiB.  One
+    # text for all edges peaked at 13.3 MiB.  Margin 0.5 MiB.
     assert json_peak("build", "--pi", CI_BUILD_PI) < 13.1 * 2**20
 
 
 def test_class_json_memory_at_10e5():
-    # 6.3 MiB; one text for all edges peaked at 10.0 MiB.  Margin 1.2 MiB.
-    assert json_peak("class", "--type", "beta", "--n", "100000", "--k", "16041") < 7.5 * 2**20
+    # 4.3 MiB; pi through ``json.dumps`` peaked at 7.1 MiB, and one text
+    # for all edges at 10.0 MiB.  Margin 1.2 MiB.
+    assert json_peak("class", "--type", "beta", "--n", "100000", "--k", "16041") < 5.5 * 2**20
 
 
 def test_build_and_class_build_no_tree(capsys, monkeypatch):

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import io
 import re
 import tokenize
 from pathlib import Path
 
+import pytest
+
 import subtrees
+from subtrees.errors import NotATree
 
 MODULES = ("trees", "counting", "extremal", "formulas", "majorization", "oracle", "errors")
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -64,6 +68,46 @@ def test_package_init_declares_no_public_name():
     assert sorted(starred) == sorted(added) == sorted(MODULES)
     public = {attr for name in MODULES for attr in importlib.import_module(f"subtrees.{name}").__all__}
     assert not named & public
+
+
+# A valid value for every parameter of a public function that takes a
+# ``Tree``, other than the tree, on the 2-vertex tree.
+TREE_FUNCTION_ARGUMENTS = {
+    "root": 0,
+    "u": 0,
+    "v": 1,
+    "x": 0,
+    "y": 1,
+    "x_child_set": (),
+    "y_child_set": (),
+    "vertices": [0],
+    "perm": [1, 0],
+}
+
+
+@pytest.mark.parametrize("value", [0, None, "text"])
+def test_every_tree_parameter_refuses_a_value_that_is_not_a_tree(value):
+    # Each function once ended in AttributeError here.  A generator, such
+    # as connected_subsets, is run to its first item.
+    tree = subtrees.tree_from_edges(2, [(0, 1)])
+    checked = []
+    for name in subtrees.__all__:
+        function = getattr(subtrees, name)
+        if not inspect.isfunction(function):
+            continue
+        params = inspect.signature(function).parameters
+        trees = [p for p in params if params[p].annotation == "Tree"]
+        for bad in trees:
+            args = {
+                p: value if p == bad else tree if p in trees else TREE_FUNCTION_ARGUMENTS[p]
+                for p in params
+            }
+            with pytest.raises(NotATree, match=f"^expected a Tree, got {type(value).__name__}$"):
+                result = function(**args)
+                if inspect.isgenerator(result):
+                    next(result)
+            checked.append(name)
+    assert len(checked) == 19, checked  # 18 functions; is_isomorphic takes two trees
 
 
 def commented_value(comment: str):

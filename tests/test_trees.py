@@ -18,6 +18,9 @@ from helpers import (
     reference_centers,
     reference_code,
     reference_decimal,
+    reference_edge_ends,
+    reference_line_ends,
+    reference_map_degree_sequence,
     reference_parse_degree_sequence,
     seeded_tree,
     spider,
@@ -490,8 +493,8 @@ def test_parse_edge_list_structural_errors_are_not_parse_errors():
         parse_edge_list("3\n0 1\n0 1\n")
 
 
-def test_edge_ends_pieces_match_the_line_loop(monkeypatch):
-    # About 330 KB: the canonical route converts it in several 64 KiB pieces.
+def test_edge_ends_canonical_route_matches_the_line_loop(monkeypatch):
+    # About 330 KB, read by one ``json.loads``.
     t = seeded_tree(4, 30000)
     text = format_edge_list(t)
     ends = [x for e in t.edges for x in e]
@@ -501,11 +504,77 @@ def test_edge_ends_pieces_match_the_line_loop(monkeypatch):
 
 
 def parse_outcome(parse, text: str) -> object:
-    """The parsed sequence, or the class and message of the error raised."""
+    """The parsed value, or the class and message of the error raised."""
     try:
         return parse(text)
     except SubtreeError as exc:
         return type(exc), str(exc)
+
+
+HUGE_DEGREE = "9" * 5000  # past the int-digit limit
+EDGE_TEXTS = [
+    "1\n",
+    "2\n0 1\n",
+    "3\n007 1\n1 2\n",  # JSON refuses a leading zero; the line loop reads 7
+    "03\n0 1\n1 2\n",
+    "3\n00 1\n1 2\n",
+    f"3\n0 1\n1 {HUGE_DEGREE}\n",
+    f"{HUGE_DEGREE}\n0 1\n",
+    "3\n0 1\n",  # the wrong edge count
+    "3\n0 1\n1 2\n2 0\n",
+    "0\n",
+    "3\r\n0 1\r\n1 2\r\n",
+    "3\n0 1\n1 2\n\n",
+    "3\n0 1\n1 2",
+    # JSON would take these tokens, but the canonical regex refuses them.
+    "3\n-1 1\n1 2\n",
+    "3\n1e3 1\n1 2\n",
+    "3\n1.0 1\n1 2\n",
+    "3\n 1 1\n1 2\n",
+    "3\n0,1\n1 2\n",
+    "[3]\n0 1\n1 2\n",
+]
+
+
+@st.composite
+def edge_texts(draw) -> str:
+    """Edge lists of up to 60 vertices, canonical or one edit away: any
+    edge count, leading zeros, CRLF, a second space, a blank or missing
+    last line."""
+    n = draw(st.integers(0, 60))
+    count = draw(st.sampled_from([max(n - 1, 0), n, max(n - 2, 0), n + 1]))
+    zeros = draw(st.booleans()) and draw(st.booleans())
+    token = st.integers(0, 70).map(str)
+    if zeros:
+        token = st.tuples(st.sampled_from(["", "0", "00"]), token).map("".join)
+    lines = [str(n)] + [f"{draw(token)} {draw(token)}" for _ in range(count)]
+    text = "\n".join(lines) + "\n"
+    edit = draw(st.sampled_from(["", "", "crlf", "space", "blank", "cut"]))
+    if edit == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif edit == "space":
+        text = text.replace(" ", "  ", 1)
+    elif edit == "blank":
+        text += "\n"
+    elif edit == "cut":
+        text = text[:-1]
+    return text
+
+
+def assert_edge_routes_agree(text: str) -> None:
+    got = parse_outcome(_edge_ends, text)
+    assert got == parse_outcome(reference_edge_ends, text), text[:40]
+    assert got == parse_outcome(reference_line_ends, text), text[:40]
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS, ids=range(len(EDGE_TEXTS)))
+def test_edge_ends_match_the_map_route_and_the_line_loop(text):
+    assert_edge_routes_agree(text)
+
+
+@given(edge_texts())
+def test_edge_ends_match_the_map_route_and_the_line_loop_on_drawn_texts(text):
+    assert_edge_routes_agree(text)
 
 
 def random_degree_text(seed: int, n: int) -> str:
@@ -517,7 +586,6 @@ def random_degree_text(seed: int, n: int) -> str:
     return ",".join(map(str, sorted(degrees, reverse=True)))
 
 
-HUGE_DEGREE = "9" * 5000
 DEGREE_TEXTS = [
     # Plain text, for the bulk route.
     "3,2,2,1,1,1",
@@ -548,6 +616,12 @@ DEGREE_TEXTS = [
     "1,-1",
     "x",
     "2.0,1,1",
+    # Appended: a leading zero, and JSON numbers that the plain-text regex refuses.
+    "03,1,1,1",
+    "1e3",
+    "1.0",
+    " 1",
+    "2,1E0",
 ]
 
 
@@ -555,6 +629,12 @@ DEGREE_TEXTS = [
 def test_parse_degree_sequence_matches_the_token_loop(text):
     got = parse_outcome(parse_degree_sequence, text)
     assert got == parse_outcome(reference_parse_degree_sequence, text)
+
+
+@pytest.mark.parametrize("text", DEGREE_TEXTS, ids=range(len(DEGREE_TEXTS)))
+def test_parse_degree_sequence_matches_the_map_route(text):
+    got = parse_outcome(parse_degree_sequence, text)
+    assert got == parse_outcome(reference_map_degree_sequence, text)
 
 
 def test_parse_degree_sequence_bulk_route(monkeypatch):
