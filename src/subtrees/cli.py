@@ -105,30 +105,30 @@ def _emit(
     report: Callable[[], dict],
     human: Callable[[], Sequence[str]],
     items: tuple[str, str, str, Sequence, Any] | None = None,
-    pi: Sequence[int] | None = None,
+    splice: Callable[[], Mapping[str, str]] | None = None,
 ) -> None:
     """Print the JSON report or the human text, building only the one printed.
 
-    Without ``items``, ``human`` gives the lines.  ``items`` is the one long
-    list, (report key, JSON item, human item, columns, longest value), and
-    ``human`` then gives the text before and after it.  Its items are
-    written in blocks: back to back in the human text, or joined by ", "
-    into the report's empty list, whose JSON is cut around ``"key": []``;
-    ``json`` escapes the quotes inside strings, so no string can hold that.
-    ``pi`` fills the report's empty ``"pi": []`` the same way, from
-    ``_fmt_seq``, so a long degree sequence skips ``json.dumps``.
+    The report holds None at each key that is spliced in, and its JSON is
+    cut around that ``"key": null``; ``json`` escapes the quotes inside
+    strings, so no string can hold that.  ``splice`` maps report keys to
+    the JSON text of their values.  Without ``items``, ``human`` gives the
+    lines.  ``items`` is the one long list, (report key, JSON item, human
+    item, columns, longest value), and ``human`` then gives the text before
+    and after it.  Its items are written in blocks: back to back in the
+    human text, or joined by ", " into the report's list.
     """
     if args.json:
         text = json.dumps(report(), sort_keys=True)
-        if pi is not None:
-            head, _, tail = text.rpartition('"pi": []')
-            text = f'{head}"pi": [{_fmt_seq(pi, ", ")}]{tail}'
+        for key, value in (splice() if splice else {}).items():
+            head, _, tail = text.rpartition(f'"{key}": null')
+            text = f'{head}"{key}": {value}{tail}'
     if items is None:
         print(text if args.json else "\n".join(human()))
         return
     key, json_item, human_item, columns, longest = items
     if args.json:
-        head, _, tail = text.rpartition(f'"{key}": []')
+        head, _, tail = text.rpartition(f'"{key}": null')
         _write_items(json_item, ", ", columns, longest, f'{head}"{key}": [', f"]{tail}\n")
     else:
         _write_items(human_item, "", columns, longest, *human())
@@ -186,7 +186,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     phi = _decimal(phi)
     argmax = list(_argmax(f))
     # The f texts are plain digits and need no escaping.
-    outputs = {"phi": phi, "f": [], "argmax": argmax}
+    outputs = {"phi": phi, "f": None, "argmax": argmax}
     _emit(
         args,
         lambda: _report("count", {"treefile": args.treefile, "n": n}, outputs),
@@ -207,13 +207,13 @@ def cmd_build(args: argparse.Namespace) -> int:
     parent = _greedy_parents(pi)
     sizes = _layer_sizes(parent)
     phi = _decimal(_phi_from_parents(parent))
-    outputs = {"edges": [], "layer_sizes": list(sizes), "phi": phi}
+    outputs = {"edges": None, "layer_sizes": list(sizes), "phi": phi}
     _emit(
         args,
-        lambda: _report("build", {"pi": []}, outputs),
+        lambda: _report("build", {"pi": None}, outputs),
         lambda: (f"{len(pi)}\n", f"layer_sizes: {_fmt_seq(sizes)}\nphi: {phi}\n"),
         _edge_items(parent),
-        pi,
+        lambda: {"pi": f"[{_fmt_seq(pi, ', ')}]"},
     )
     return 0
 
@@ -339,7 +339,9 @@ def cmd_class(args: argparse.Namespace) -> int:
 
     The edges print from the greedy parent array of the answer's sequence,
     so the answer's ``Tree`` is never built; ``_emit`` writes them in
-    blocks.
+    blocks.  The ``details`` values are ints, such as the leaves class's
+    exact spider count, so they are spliced in as JSON numbers written by
+    ``_decimal``, which has no int-digit limit.
     """
     answer = _CLASS_FUNCTIONS[args.type](args.n, args.k)
     parent = _greedy_parents(answer.extremal_pi)
@@ -350,12 +352,12 @@ def cmd_class(args: argparse.Namespace) -> int:
             "class",
             {"type": args.type, "n": args.n, "k": args.k},
             {
-                "pi": [],
-                "edges": [],
+                "pi": None,
+                "edges": None,
                 "phi": _decimal(answer.phi),
                 "printed_formula_value": None if printed is None else _decimal(printed),
                 "discrepancy_flag": answer.discrepancy_flag,
-                "details": {k: answer.details[k] for k in sorted(answer.details)},
+                "details": None,
             },
         ),
         lambda: (
@@ -365,7 +367,11 @@ def cmd_class(args: argparse.Namespace) -> int:
             + f"discrepancy: {str(answer.discrepancy_flag).lower()}\n",
         ),
         _edge_items(parent),
-        answer.extremal_pi,
+        lambda: {
+            "pi": f"[{_fmt_seq(answer.extremal_pi, ', ')}]",
+            "details": "{%s}"
+            % ", ".join(f'"{k}": {_decimal(answer.details[k])}' for k in sorted(answer.details)),
+        },
     )
     return 0
 

@@ -22,7 +22,6 @@ from .trees import Tree, _bfs, _iter, _tree, _vertex
 
 __all__ = [
     "FVector",
-    "count_rooted",
     "count_subtrees",
     "f_vector",
     "count_containing_all",
@@ -74,18 +73,6 @@ def _phi_from_parents(parent: Sequence[int]) -> int:
     the sum runs children first, as in ``count_subtrees``.
     """
     return sum(reversed(_rooted_counts(parent, range(len(parent)))))
-
-
-def count_rooted(tree: Tree, root: int) -> tuple[int, ...]:
-    """For each vertex v, the number of subtrees rooted at v.
-
-    With the tree rooted at ``root``, a subtree rooted at v lives inside
-    v's branch and contains v.  Each child's branch can contribute any of
-    its own rooted subtrees or stay out, hence the product of (1 + child
-    count).  Raises InvalidVertex for a root outside 0..n-1.
-    """
-    parent, order = _bfs(_tree(tree).adjacency, _vertex(root, tree.n, "root"))
-    return tuple(_rooted_counts(parent, order))
 
 
 def count_subtrees(tree: Tree) -> int:

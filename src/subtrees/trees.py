@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from decimal import DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import InvalidVertex, NotATree, NotRealizable, ParseError, SubtreeError
 
@@ -38,7 +38,6 @@ __all__ = [
     "path_between",
     "canonical_code",
     "is_isomorphic",
-    "relabel",
     "parse_edge_list",
     "parse_degree_sequence",
     "format_edge_list",
@@ -328,19 +327,6 @@ def is_isomorphic(a: Tree, b: Tree) -> bool:
     return _tree(a).n == _tree(b).n and canonical_code(a) == canonical_code(b)
 
 
-def relabel(tree: Tree, perm: Iterable[int]) -> Tree:
-    """Vertex v becomes perm[v], for any iterable perm but a mapping, else InvalidVertex."""
-    n = _tree(tree).n
-    try:
-        image = () if isinstance(perm, Mapping) else tuple(_iter(perm, InvalidVertex))
-        ok = sorted(_vertex(w, n) for w in image) == list(range(n))
-    except InvalidVertex:
-        ok = False
-    if not ok:
-        raise InvalidVertex("perm is not a permutation of 0..n-1")
-    return tree_from_edges(n, [(image[u], image[v]) for u, v in tree.edges])
-
-
 def _text(text: Any) -> str:
     """text, when it is a str, else ParseError: the parsers read only text."""
     if not isinstance(text, str):
@@ -446,7 +432,8 @@ def parse_degree_sequence(text: str) -> tuple[int, ...]:
 
 
 def format_edge_list(tree: Tree) -> str:
-    """Render a tree in the edge-list format accepted by parse_edge_list."""
+    """Render a tree in the edge-list format that ``parse_edge_list`` and the
+    ``count`` command read, so that ``parse_edge_list`` inverts it."""
     out = [str(_tree(tree).n)]
     out.extend(f"{u} {v}" for u, v in tree.edges)
     return "\n".join(out) + "\n"

@@ -356,14 +356,18 @@ def reference_class_output(kind: str, n: int, k: int) -> tuple[str, str]:
     return _rendered("class", {"type": kind, "n": n, "k": k}, outputs, lines)
 
 
-def reference_emit(args, report, human, items=None, pi=None) -> None:
-    """``cli._emit`` with the list text of the first implementations: one
-    ``%`` per item, joined by ``str.join``, the JSON report spliced around
-    it, and ``pi`` through ``json.dumps``."""
-    text = json.dumps(report(), sort_keys=True)
-    if pi is not None:
-        head, _, tail = text.rpartition('"pi": []')
-        text = f'{head}"pi": {json.dumps(list(pi))}{tail}'
+def reference_emit(args, report, human, items=None, splice=None) -> None:
+    """``cli._emit`` with the text of the first implementations: each
+    spliced JSON text is decoded with ``json.loads`` and put back in its
+    place in the report, the whole report goes through ``json.dumps``, and
+    the long list is one ``%`` per item, joined by ``str.join`` and spliced
+    around ``"key": null``."""
+    data = report()
+    for key, value in (splice() if splice else {}).items():
+        for part in (data["inputs"], data["outputs"]):
+            if key in part:
+                part[key] = json.loads(value)
+    text = json.dumps(data, sort_keys=True)
     if items is None:
         for line in [text] if args.json else human():
             print(line)
@@ -371,7 +375,7 @@ def reference_emit(args, report, human, items=None, pi=None) -> None:
     key, json_item, human_item, columns, _ = items
     rows = list(zip(*columns))
     if args.json:
-        head, _, tail = text.rpartition(f'"{key}": []')
+        head, _, tail = text.rpartition(f'"{key}": null')
         print(head, f'"{key}": [', ", ".join(map(json_item.__mod__, rows)), "]", tail, sep="")
     else:
         before, after = human()

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -1127,6 +1128,44 @@ def test_out_of_range_arguments_exit_cleanly():
     assert_clean_exit("class", "--type", "maxdeg", "--n", HUGE, "--k", "3")
     assert_clean_exit("class", "--type", "leaves", "--n", "7", "--k", HUGE)
     assert_clean_exit("order", "--a", f"{HUGE},1", "--b", "1,1")
+
+
+def test_every_command_exits_cleanly_at_the_least_int_digit_limit(tmp_path):
+    # Each command in a fresh interpreter under the least int-digit limit an
+    # interpreter accepts, with a number past it in its arguments, its tree
+    # file or its output.  The leaves report's spider count has 4,772
+    # digits; json.dumps once raised ValueError on it, exit 1.
+    big = "9" * 700
+    treefile = tmp_path / "big.txt"
+    treefile.write_text(f"2\n0 {big}\n")
+    expected = {
+        ("class", "--type", "leaves", "--n", "20000", "--k", "10000", "--json"): 0,
+        ("class", "--type", "leaves", "--n", big, "--k", "3"): 2,
+        ("verify", "--all-n", big): 2,
+        ("count", str(treefile)): 2,
+        ("build", "--pi", f"{big},1", "--json"): 3,
+        ("verify", "--pi", f"{big},1", "--json"): 3,
+        ("order", "--a", f"{big},1", "--b", "2,2"): 3,
+    }
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}
+    procs = {
+        argv: subprocess.Popen(
+            [sys.executable, "-m", "subtrees.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        for argv in expected
+    }
+    outputs = []
+    for argv, proc in procs.items():
+        out, err = proc.communicate(timeout=60)
+        outputs.append(out)
+        assert (proc.returncode, "Traceback" in err) == (expected[argv], False), (argv, err[-300:])
+    # The one count printed as a JSON number equals phi, a decimal string.
+    phi = re.search(r'"phi": "([0-9]+)"', outputs[0])[1]
+    assert re.search(r'"closed_form": ([0-9]+)', outputs[0])[1] == phi and len(phi) == 4772
 
 
 @pytest.mark.parametrize("n", [10**15, 10**20])

@@ -22,7 +22,7 @@ from helpers import (
     spider,
     star,
 )
-from subtrees.counting import count_containing_all, count_rooted, count_subtrees
+from subtrees.counting import _rooted_counts, count_containing_all, count_subtrees
 from subtrees.errors import InvalidVertex
 from subtrees.extremal import (
     _branch_tables,
@@ -37,6 +37,7 @@ from subtrees.extremal import (
 from subtrees.oracle import enumerate_trees, realizable_sequences
 from subtrees.trees import (
     Tree,
+    _bfs,
     canonical_code,
     degree_sequence_of,
     is_isomorphic,
@@ -406,7 +407,7 @@ def _every_class_tree(max_n: int):
 def test_root_rows_match_paths_and_joint_counts(t):
     f, side = _branch_tables(t)
     for x in range(t.n):
-        g = count_rooted(t, x)
+        g = _rooted_counts(*_bfs(t.adjacency, x))
         assert side[x] == {w: g[w] for w in t.adjacency[x]}
         step, back, both = _root_row(t, x, f, side)
         assert both[x] == f[x] == count_containing_all(t, [x])

@@ -27,7 +27,7 @@ from helpers import (
     star,
 )
 from subtrees import errors, trees
-from subtrees.counting import count_containing_all, count_rooted
+from subtrees.counting import count_containing_all
 from subtrees.errors import (
     InfeasibleConstraint,
     InvalidVertex,
@@ -64,7 +64,6 @@ from subtrees.trees import (
     parse_degree_sequence,
     parse_edge_list,
     path_between,
-    relabel,
     tree_from_edges,
     validate_degree_sequence,
 )
@@ -233,14 +232,12 @@ def in_subprocess(expression: str) -> None:
         (lambda: tree_from_edges(2, [0]), NotATree, "edge 0 is not a pair"),
         (lambda: path_between(P3, 0, 2.0), InvalidVertex, "vertex 2.0 is not an integer"),
         (lambda: count_containing_all(P3, [0, 1.0]), InvalidVertex, "vertex 1.0 is not"),
-        (lambda: relabel(P3, [0.0, 1.0, 2.0]), InvalidVertex, "perm is not a permutation"),
-        (lambda: relabel(P3, [0, 1, 3]), InvalidVertex, "perm is not a permutation"),
         (lambda: tree_from_prufer([1.0], 3), InvalidVertex, "code entry 1.0 is not"),
         (lambda: tree_from_prufer([3], 3), InvalidVertex, "code entry 3 outside 0..2"),
         (lambda: swap_components(P4, 1, 2, (0.0,), ()), InvalidVertex, "vertex 0.0 is not"),
         (lambda: swap_components(P4, 1, 2.0, (0,), ()), InvalidVertex, "vertex 2.0 is not"),
-        (lambda: count_rooted(P3, 1.0), InvalidVertex, "root 1.0 is not an integer"),
-        (lambda: count_rooted(P3, 3), InvalidVertex, "root 3 outside 0..2"),
+        (lambda: has_bfs_ordering(P3, 1.0), InvalidVertex, "root 1.0 is not an integer"),
+        (lambda: has_bfs_ordering(P3, 3), InvalidVertex, "root 3 outside 0..2"),
         (lambda: has_bfs_ordering(P3, "1"), InvalidVertex, "root '1' is not an integer"),
         (lambda: has_bfs_ordering(P3, -1), InvalidVertex, "root -1 outside 0..2"),
         (lambda: labeled_tree_count([2.0, 1.0, 1.0]), NotRealizable, "degree 2.0 is not an"),
@@ -281,7 +278,6 @@ def test_vertex_ids_are_checked(call, error, message):
     [
         (lambda: validate_degree_sequence(5), NotRealizable, "expected a sequence, got int"),
         (lambda: majorizes(5, (1, 1)), NotComparable, "expected a sequence, got int"),
-        (lambda: relabel(P3, 5), InvalidVertex, "perm is not a permutation of 0..n-1"),
         (lambda: count_containing_all(P3, 5), InvalidVertex, "expected a sequence, got int"),
         (lambda: swap_components(P4, 0, 2, 5, ()), InvalidVertex, "expected a sequence, got int"),
         (lambda: tree_from_edges(2, 5), NotATree, "expected a sequence, got int"),
@@ -310,7 +306,7 @@ def test_integer_types_pass_as_vertex_ids():
 
     assert tree_from_edges(3, [(Id(1), Id(0)), (True, 2)]) == P3
     assert path_between(P3, Id(0), True) == (0, 1)
-    assert count_rooted(P3, Id(1)) == (1, 4, 1)
+    assert has_bfs_ordering(P3, Id(1)) == has_bfs_ordering(P3, 1) == (True, (1, 2, 0))
     # Degrees, and the sequences built from class parameters, are plain ints.
     pi = validate_degree_sequence([Id(1), Id(2), True])
     assert pi == (2, 1, 1) and all(type(d) is int for d in pi)
@@ -408,7 +404,8 @@ def test_canonical_code_matches_reference_on_random_trees(a, b, rng):
         leaf = rng.choice([v for v in range(a.n) if a.degree(v) == 1])
         edges.remove(tuple(sorted((leaf, a.adjacency[leaf][0]))))
         edges.append((leaf, rng.choice([v for v in range(a.n) if v != leaf])))
-    trees = [a, b, relabel(a, perm), tree_from_edges(a.n, edges)]
+    relabelled = tree_from_edges(a.n, [(perm[u], perm[v]) for u, v in a.edges])
+    trees = [a, b, relabelled, tree_from_edges(a.n, edges)]
     assert_same_classes((canonical_code(t), reference_code(t.n, t.adjacency)) for t in trees)
 
 
@@ -420,25 +417,7 @@ def test_canonical_code_matches_reference_on_random_trees(a, b, rng):
 def test_relabel_preserves_isomorphism(t, rng):
     perm = list(range(t.n))
     rng.shuffle(perm)
-    assert is_isomorphic(t, relabel(t, perm))
-
-
-def test_relabel_rejects_non_permutation():
-    with pytest.raises(InvalidVertex):
-        relabel(path(3), [0, 0, 2])
-
-
-def test_relabel_reads_perm_once():
-    want = tree_from_edges(4, [(1, 3), (3, 0), (0, 2)])
-    for perm in ([1, 3, 0, 2], (1, 3, 0, 2), (v for v in (1, 3, 0, 2))):
-        assert relabel(P4, perm) == want
-
-
-@pytest.mark.parametrize("perm", [{0: 2, 1: 1, 2: 0}, {0: 5, 1: 1, 2: 0}])
-def test_relabel_refuses_a_mapping(perm):
-    # The keys would pass the check and the values relabel the tree.
-    with pytest.raises(InvalidVertex, match="^perm is not a permutation of 0..n-1$"):
-        relabel(P3, perm)
+    assert is_isomorphic(t, tree_from_edges(t.n, [(perm[u], perm[v]) for u, v in t.edges]))
 
 
 def test_parse_edge_list_roundtrip():
