@@ -22,7 +22,6 @@ import contextlib
 import itertools
 import json
 import operator
-import re
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from decimal import DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
@@ -344,6 +343,7 @@ def _parse_uint(token: str, what: str) -> int:
 
 
 _COMMAS = str.maketrans(" \n", ",,")
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 
 
 def _edge_ends(text: str) -> tuple[int, list[int]]:
@@ -353,17 +353,26 @@ def _edge_ends(text: str) -> tuple[int, list[int]]:
     Canonical text (digits, one space inside each edge line, a newline
     after every line) becomes one JSON array: one ``str.translate`` turns
     the spaces and newlines of the body into commas, and ``json.loads``
-    reads all its ints in C.  Any other text, and canonical text with a
+    reads all its ints in C.  The guard keeps no state per line: the first
+    line is ASCII digits, the text ends in a newline, and the body with its
+    digits deleted is " \\n" repeated, so each line holds one space; JSON
+    refuses an empty token.  Any other text, and canonical text with a
     leading zero (which JSON refuses), a token past the int-digit limit,
     n < 1 or the wrong edge count, goes through the line loop, which
     accepts it or raises the ParseError that the text deserves.
     """
-    if re.fullmatch(r"[0-9]+\n(?:[0-9]+ [0-9]+\n)*", _text(text)):
-        start = text.index("\n") + 1
+    head, _, body = _text(text).partition("\n")
+    skeleton = body.translate(_NO_DIGITS)
+    if (
+        head.isascii()
+        and head.isdigit()
+        and text.endswith("\n")
+        and skeleton.count(" \n") * 2 == len(skeleton)
+    ):
         try:
-            n = int(text[:start])
-            ends = json.loads(f"[{text[start:-1].translate(_COMMAS)}]")
-        except ValueError:  # a leading zero, or a token past the int-digit limit
+            n = int(head)
+            ends = json.loads(f"[{body[:-1].translate(_COMMAS)}]")
+        except ValueError:  # an empty token, a leading zero, or one past the int-digit limit
             pass
         else:
             if n >= 1 and len(ends) == 2 * (n - 1):
@@ -407,18 +416,18 @@ def parse_edge_list(text: str) -> Tree:
 def parse_degree_sequence(text: str) -> tuple[int, ...]:
     """Parse comma-separated positive integers on one line and validate.
 
-    Plain text (ASCII digits and single commas, nothing else) is read as
-    one JSON array, in C.  Any other text, and plain text with a leading
-    zero (which JSON refuses) or an entry past the int-digit limit, goes
-    through the token loop, which accepts it or gives the syntax error its
-    message.  Raises ParseError on syntax problems or a value that is not a
-    str, and NotRealizable when the parsed sequence is not a tree degree
-    sequence.
+    Text of ASCII digits and commas only is read as one JSON array, in C;
+    JSON refuses an empty entry, a stray comma and a leading zero.  Any
+    other text, and such text that JSON refuses or with an entry past the
+    int-digit limit, goes through the token loop, which accepts it or gives
+    the syntax error its message.  Raises ParseError on syntax problems or
+    a value that is not a str, and NotRealizable when the parsed sequence
+    is not a tree degree sequence.
     """
-    if re.fullmatch(r"[0-9]+(?:,[0-9]+)*", _text(text)):
+    if _text(text) and not text.strip("0123456789,"):
         try:
             degrees = json.loads(f"[{text}]")
-        except ValueError:  # a leading zero, or an entry past the int-digit limit
+        except ValueError:  # an empty entry, a leading zero, or one past the int-digit limit
             pass
         else:
             return validate_degree_sequence(degrees)

@@ -449,9 +449,11 @@ def test_count_json_memory_on_a_10k_tree(tmp_path):
 
 
 def test_count_json_memory_on_a_10e5_path(tmp_path):
-    # The Tree is dropped before the text is built: kept alive, it peaked
-    # near 41.5 MB; dropped, near 31 MB.
-    assert count_json_peak(path(10**5), tmp_path / "path.txt") < 36 * 10**6
+    # 11.0 MB, in the parse: the 2 x 10^5 edge ends as a JSON list (7.2 MB)
+    # beside the file text and its comma copy; the DP and the output stay
+    # below it.  The regex guard of the edge list kept one backtracking
+    # frame per line and peaked near 21.7 MB.  Margin 1 MB.
+    assert count_json_peak(path(10**5), tmp_path / "path.txt") < 12 * 10**6
 
 
 # The decimal counts of ``count`` print as the int API's values do.
@@ -1008,10 +1010,11 @@ def json_peak(*argv: str) -> int:
 
 
 def test_build_json_memory_at_10e5():
-    # 12.6 MiB, most of it the parse of --pi: the backtracking state of its
-    # plain-text ``re.fullmatch``, as the JSON read peaks at 0.8 MiB.  One
-    # text for all edges peaked at 13.3 MiB.  Margin 0.5 MiB.
-    assert json_peak("build", "--pi", CI_BUILD_PI) < 13.1 * 2**20
+    # 6.9 MiB, in the edge blocks of the report, with pi and the parent
+    # array alive; the phi DP peaks at 6.1 MiB and the parse of --pi at
+    # 2.3 MiB.  The regex guard of --pi kept one backtracking frame per
+    # entry and peaked at 12.6 MiB.  Margin 0.6 MiB.
+    assert json_peak("build", "--pi", CI_BUILD_PI) < 7.5 * 2**20
 
 
 def test_class_json_memory_at_10e5():

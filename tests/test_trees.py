@@ -512,6 +512,14 @@ EDGE_TEXTS = [
     "3\n 1 1\n1 2\n",
     "3\n0,1\n1 2\n",
     "[3]\n0 1\n1 2\n",
+    # Holes for a guard that counts spaces and newlines but not their lines,
+    # or does not ask for a newline at the end.
+    "2\n0\n1 ",
+    "3\n0 1 2\n1\n",
+    "2\n 0 1\n",
+    "2\n0  1\n",
+    "999999999999999999\n0 1\n",
+    "1\n5",
 ]
 
 
@@ -519,16 +527,24 @@ EDGE_TEXTS = [
 def edge_texts(draw) -> str:
     """Edge lists of up to 60 vertices, canonical or one edit away: any
     edge count, leading zeros, CRLF, a second space, a blank or missing
-    last line."""
+    last line, or the first token of an edge line moved to the end of the
+    edge line before, which keeps the count of every character and token
+    of a canonical text."""
     n = draw(st.integers(0, 60))
-    count = draw(st.sampled_from([max(n - 1, 0), n, max(n - 2, 0), n + 1]))
+    edit = draw(st.sampled_from(["", "", "crlf", "space", "blank", "cut", "move"]))
+    count = max(n - 1, 0)
+    if edit != "move":
+        count = draw(st.sampled_from([count, n, max(n - 2, 0), n + 1]))
     zeros = draw(st.booleans()) and draw(st.booleans())
     token = st.integers(0, 70).map(str)
     if zeros:
         token = st.tuples(st.sampled_from(["", "0", "00"]), token).map("".join)
     lines = [str(n)] + [f"{draw(token)} {draw(token)}" for _ in range(count)]
+    if edit == "move" and count >= 2:
+        i = draw(st.integers(2, count))
+        first, rest = lines[i].split(" ")
+        lines[i - 1 : i + 1] = [f"{lines[i - 1]} {first}", rest]
     text = "\n".join(lines) + "\n"
-    edit = draw(st.sampled_from(["", "", "crlf", "space", "blank", "cut"]))
     if edit == "crlf":
         text = text.replace("\n", "\r\n")
     elif edit == "space":
@@ -601,6 +617,11 @@ DEGREE_TEXTS = [
     "1.0",
     " 1",
     "2,1E0",
+    # Appended: a newline and a space, which the digits-and-commas guard
+    # refuses; JSON would read the last as 1,1, where it spans two lines.
+    "1,2\n",
+    "1, 2",
+    "1\n,1",
 ]
 
 
