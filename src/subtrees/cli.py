@@ -8,8 +8,8 @@ Usage:
     subtrees class --type {maxdeg,leaves,alpha,beta} --n N --k K [--json]
 
 TREEFILE holds an edge list: the vertex count on the first line, then one
-"u v" pair per line.  SEQ is a comma-separated nonincreasing degree
-sequence such as 3,2,2,1,1,1.  An argument @FILE stands for the lines of
+"u v" pair per line.  SEQ is a comma-separated degree sequence in any
+order, such as 1,2,1,3,2,1.  An argument @FILE stands for the lines of
 FILE, one argument per line, so a sequence too long for one command-line
 argument can be passed as "subtrees build @FILE" with "--pi" and SEQ on
 two lines.  All counts print exactly; --json swaps the human-readable

@@ -3,23 +3,22 @@
 The class answers follow the paper's corollaries: within each class one
 degree sequence majorizes every other, so the greedy tree of that
 sequence is the class's subtree maximizer.  Each class operation builds
-its sequence and returns a ClassAnswer bundling it, its greedy BFS tree
-(built on first access), the exact subtree count and, where the
-literature states a closed form for that count, the published value with
-a discrepancy flag.  Several published expressions disagree with exact
-enumeration at small sizes; the answers report the published value
-verbatim next to the exact count instead of silently correcting it.
+its sequence and returns a ClassAnswer bundling it, the exact subtree
+count of its greedy BFS tree and, where the literature states a closed
+form for that count, the published value with a discrepancy flag.
+Several published expressions disagree with exact enumeration at small
+sizes; the answers report the published value verbatim next to the
+exact count instead of silently correcting it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 from .counting import _phi_from_parents
 from .errors import InfeasibleConstraint, TooLarge
-from .extremal import _greedy_parents, build_greedy_bfs
+from .extremal import _greedy_parents
 from .trees import Tree, _bfs, _decimal, _int, _tree
 
 __all__ = [
@@ -46,11 +45,11 @@ _CLASS_LIMIT = 10**6
 class ClassAnswer:
     """The extremal answer for one constrained class of trees.
 
-    ``phi`` is always the exact subtree count of ``extremal_tree``, the
-    greedy BFS tree of ``extremal_pi``; the tree is built on first access
-    from ``extremal_pi`` and kept.  ``printed_formula_value`` holds the
-    published closed form when one exists; ``discrepancy_flag`` is set
-    exactly when that value differs from the exact count.
+    ``phi`` is always the exact subtree count of the greedy BFS tree of
+    ``extremal_pi``, which is ``build_greedy_bfs(extremal_pi)[0]``.
+    ``printed_formula_value`` holds the published closed form when one
+    exists; ``discrepancy_flag`` is set exactly when that value differs
+    from the exact count.
     """
 
     details: dict[str, int]
@@ -58,10 +57,6 @@ class ClassAnswer:
     phi: int
     printed_formula_value: int | None
     discrepancy_flag: bool
-
-    @cached_property
-    def extremal_tree(self) -> Tree:
-        return build_greedy_bfs(self.extremal_pi)[0]
 
 
 def _check_class(

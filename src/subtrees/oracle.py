@@ -222,6 +222,8 @@ def _order_census(n: int) -> Mapping[tuple[int, ...], tuple[int, int, int]]:
     the sum of (n + 1)**degree over its vertices, whose digits in base
     n + 1 count the vertices of each degree.
     """
+    if n > _ENUMERATION_LIMIT:  # before the tables, which grow with n^2 digits
+        raise TooLarge(f"exhaustive enumeration capped at {_ENUMERATION_LIMIT} vertices, got {n}")
     power = [(n + 1) ** d for d in range(n)]
     # The state before the first tree is that of the star rooted at 0.
     old = [0] * n

@@ -129,6 +129,22 @@ def test_build_bad_sequences(capsys):
     assert run(capsys, "build", "--pi", "")[0] == 3
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_sequences_may_come_in_any_order(capsys, flags):
+    # A sequence is sorted nonincreasing before use, so a shuffled one
+    # prints the same bytes as the sorted one.
+    a, shuffled_a = "3,2,2,1,1,1", "1,2,1,3,2,1"
+    b, shuffled_b = "2,2,2,2,1,1", "2,1,2,2,1,2"
+    for argv, shuffled in [
+        (("build", "--pi", a), ("build", "--pi", shuffled_a)),
+        (("verify", "--pi", a), ("verify", "--pi", shuffled_a)),
+        (("order", "--a", a, "--b", b), ("order", "--a", shuffled_a, "--b", shuffled_b)),
+    ]:
+        want = run(capsys, *argv, *flags)
+        assert want[0] == 0 and want[1]
+        assert run(capsys, *shuffled, *flags) == want
+
+
 def test_huge_integer_tokens_exit_cleanly(capsys, tmp_path):
     # Tokens longer than the interpreter's int-digit limit are parse errors.
     huge = "9" * 5000
@@ -1050,6 +1066,22 @@ def test_build_reads_arguments_from_an_args_file(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == out.getvalue()
+
+
+def test_verify_far_above_the_enumeration_cap_exits_5_at_once(tmp_path):
+    # The census's tables grow with n^2 digits, so the cap is checked before
+    # any is built: a huge --all-n, or a --pi of 10^5 entries, exits 5 at once.
+    argfile = tmp_path / "args.txt"
+    argfile.write_text("--pi\n" + ",".join(["2"] * (10**5 - 2) + ["1", "1"]) + "\n")
+    for argv, n in ((("--all-n", "1000000"), "1000000"), ((f"@{argfile}",), "100000")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "subtrees.cli", "verify", *argv],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        message = f"exhaustive enumeration capped at {_ENUMERATION_LIMIT} vertices, got {n}"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (5, "", f"error: {message}\n")
 
 
 def test_missing_args_file_exits_2(capsys, tmp_path):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,11 +188,26 @@ def test_order_census_is_cached_read_only():
 
 
 def test_enumeration_cap():
-    too_long = (2,) * (_ENUMERATION_LIMIT - 1) + (1, 1)
-    with pytest.raises(TooLarge):
+    cap = _ENUMERATION_LIMIT
+    too_long = (2,) * (cap - 1) + (1, 1)
+    message = f"^exhaustive enumeration capped at {cap} vertices, got {cap + 1}$"
+    with pytest.raises(TooLarge, match=message):
         next(enumerate_trees(too_long))
-    with pytest.raises(TooLarge):
-        _order_census(_ENUMERATION_LIMIT + 1)
+    with pytest.raises(TooLarge, match=message):
+        _order_census(len(too_long))
+
+
+def test_order_census_checks_the_cap_before_building_anything():
+    # The census's power table alone has about n^2 digits: at n = 3000,
+    # built before the check, it took 0.2-0.3 s and a 6.8 MiB peak.
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match=f"capped at {_ENUMERATION_LIMIT} vertices, got 3000$"):
+            _order_census(3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 / 10
 
 
 def test_iso_classes_match_networkx():
