@@ -28,9 +28,10 @@ import argparse
 import functools
 import itertools
 import json
+import operator
 import sys
 from decimal import Decimal, localcontext
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .counting import _argmax, _phi_from_parents, _rerooted_counts, _rooted_counts
@@ -84,59 +85,52 @@ def _report(command: str, inputs: dict, outputs: dict) -> dict:
     }
 
 
-def _write_items(item: str, sep: str, columns: Sequence, longest: Any, head: str, tail: str) -> None:
-    """Write ``head``, the items ``item % (column[i] for column in columns)``
-    joined by ``sep``, and ``tail``.  One C-level ``%`` call on a flat tuple
-    formats each block of about ``_BLOCK`` characters, a size ``longest`` sets."""
+def _blocks(item: str, sep: str, columns: Sequence, longest: Any) -> Iterator[str]:
+    """The items ``item % (column[i] for column in columns)`` joined by
+    ``sep``, in blocks of about ``_BLOCK`` characters, a size ``longest``
+    sets.  One C-level ``%`` call on a flat tuple formats each block."""
     k, stop = len(columns), len(columns[0])
     per_block = max(1, _BLOCK // (len(item % ((longest,) * k)) + len(sep)))
-    sys.stdout.write(head)
     for i in range(0, stop, per_block):
         flat = [None] * (k * (min(i + per_block, stop) - i))
         for c, column in enumerate(columns):
             flat[c::k] = column[i : i + per_block]
         text = sep.join([item] * (len(flat) // k)) % tuple(flat)
-        sys.stdout.write(sep + text if i else text)
-    sys.stdout.write(tail)
+        yield sep + text if i else text
+
+
+def _edges(parent: Sequence[int], item: str, sep: str) -> Iterator[str]:
+    """The blocks of the edges (parent[v], v) of a parents-first array."""
+    return _blocks(item, sep, (parent[1:], range(1, len(parent))), len(parent))
 
 
 def _emit(
     args: argparse.Namespace,
     report: Callable[[], dict],
-    human: Callable[[], Sequence[str]],
-    items: tuple[str, str, str, Sequence, Any] | None = None,
-    splice: Callable[[], Mapping[str, str]] | None = None,
+    human: Callable[[], Sequence[str | Iterator[str]]],
+    splice: Callable[[], Mapping[str, Sequence[str | Iterator[str]]]] | None = None,
 ) -> None:
     """Print the JSON report or the human text, building only the one printed.
 
-    The report holds None at each key that is spliced in, and its JSON is
-    cut around that ``"key": null``; ``json`` escapes the quotes inside
-    strings, so no string can hold that.  ``splice`` maps report keys to
-    the JSON text of their values.  Without ``items``, ``human`` gives the
-    lines.  ``items`` is the one long list, (report key, JSON item, human
-    item, columns, longest value), and ``human`` then gives the text before
-    and after it.  Its items are written in blocks: back to back in the
-    human text, or joined by ", " into the report's list.
+    Both are written as pieces, each a str or a ``_blocks`` iterator, in
+    turn and never joined.  ``human`` gives the pieces of the human text.
+    The report holds None at each key that ``splice`` maps to the pieces
+    of its JSON value, and its JSON is cut once at each ``"key": null``,
+    in the order of the text; ``json`` escapes the quotes inside strings,
+    so no string can hold that.
     """
     if args.json:
         text = json.dumps(report(), sort_keys=True)
-        for key, value in (splice() if splice else {}).items():
-            head, _, tail = text.rpartition(f'"{key}": null')
-            text = f'{head}"{key}": {value}{tail}'
-    if items is None:
-        print(text if args.json else "\n".join(human()))
-        return
-    key, json_item, human_item, columns, longest = items
-    if args.json:
-        head, _, tail = text.rpartition(f'"{key}": null')
-        _write_items(json_item, ", ", columns, longest, f'{head}"{key}": [', f"]{tail}\n")
+        pieces, values = [], splice() if splice else {}
+        for key in sorted(values, key=lambda key: text.index(f'"{key}": null')):
+            head, _, text = text.partition(f'"{key}": null')
+            pieces += [head, f'"{key}": ', *values[key]]
+        pieces += [text, "\n"]
     else:
-        _write_items(human_item, "", columns, longest, *human())
-
-
-def _edge_items(parent: Sequence[int]) -> tuple[str, str, str, Sequence, Any]:
-    """``_emit``'s items for the edges (parent[v], v) of a parents-first array."""
-    return "edges", "[%d, %d]", "%d %d\n", (parent[1:], range(1, len(parent))), len(parent)
+        pieces = human()
+    for piece in pieces:
+        for block in [piece] if isinstance(piece, str) else piece:
+            sys.stdout.write(block)
 
 
 def _parents_first(text: str) -> tuple[list[int], list[int]]:
@@ -190,8 +184,12 @@ def cmd_count(args: argparse.Namespace) -> int:
     _emit(
         args,
         lambda: _report("count", {"treefile": args.treefile, "n": n}, outputs),
-        lambda: (f"n: {n}\nphi: {phi}\nf:", f"\nargmax: {' '.join(map(str, argmax))}\n"),
-        ("f", '"%s"', " %s", (f,), phi),
+        lambda: [
+            f"n: {n}\nphi: {phi}\nf:",
+            _blocks(" %s", "", (f,), phi),
+            f"\nargmax: {' '.join(map(str, argmax))}\n",
+        ],
+        lambda: {"f": ["[", _blocks('"%s"', ", ", (f,), phi), "]"]},
     )
     return 0
 
@@ -211,9 +209,15 @@ def cmd_build(args: argparse.Namespace) -> int:
     _emit(
         args,
         lambda: _report("build", {"pi": None}, outputs),
-        lambda: (f"{len(pi)}\n", f"layer_sizes: {_fmt_seq(sizes)}\nphi: {phi}\n"),
-        _edge_items(parent),
-        lambda: {"pi": f"[{_fmt_seq(pi, ', ')}]"},
+        lambda: [
+            f"{len(pi)}\n",
+            _edges(parent, "%d %d\n", ""),
+            f"layer_sizes: {_fmt_seq(sizes)}\nphi: {phi}\n",
+        ],
+        lambda: {
+            "pi": ["[", _fmt_seq(pi, ", "), "]"],
+            "edges": ["[", _edges(parent, "[%d, %d]", ", "), "]"],
+        },
     )
     return 0
 
@@ -247,12 +251,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             args,
             lambda: _report("verify", {"pi": list(pi)}, {**result, "pass": ok}),
             lambda: [
-                f"pi: {_fmt_seq(pi)}",
-                f"iso_classes: {result['iso_classes']}",
-                f"labeled_count: {result['labeled_count']}",
-                f"max_phi: {result['max_phi']}",
-                f"maximizer_count: {result['maximizer_count']}",
-                "PASS" if ok else "FAIL: greedy tree is not the unique maximizer",
+                f"pi: {_fmt_seq(pi)}\n",
+                f"iso_classes: {result['iso_classes']}\n",
+                f"labeled_count: {result['labeled_count']}\n",
+                f"max_phi: {result['max_phi']}\n",
+                f"maximizer_count: {result['maximizer_count']}\n",
+                "PASS\n" if ok else "FAIL: greedy tree is not the unique maximizer\n",
             ],
         )
         return 0 if ok else 4
@@ -265,18 +269,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = [_verify_sequence(pi, census) for pi in sequences]
     all_unique = all(r["greedy_is_unique_max"] for r in results)
     # Strict growth along the majorization order: a sequence that
-    # majorizes another must have the larger extremal count.  The list
-    # descends lexicographically, and a distinct sequence that majorizes
-    # another is lexicographically larger, so a later b never majorizes
-    # an earlier a: the comparable pairs are those where a majorizes b.
-    monotonic_ok = True
-    checked_pairs = 0
-    for i, a in enumerate(sequences):
-        for b in sequences[i + 1 :]:
-            if majorizes(a, b) == "greater":
-                checked_pairs += 1
-                if census[a][1] <= census[b][1]:
-                    monotonic_ok = False
+    # majorizes another must have the larger extremal count.  The keys are
+    # sorted, distinct and of one sum, and the list descends
+    # lexicographically, so a later b never majorizes an earlier a, and a
+    # majorizes a later b exactly when no prefix sum of a is smaller.
+    rows = [(list(itertools.accumulate(pi)), census[pi][1]) for pi in sequences]
+    grows = [
+        phi_a > phi_b
+        for (a, phi_a), (b, phi_b) in itertools.combinations(rows, 2)
+        if all(map(operator.ge, a, b))
+    ]
+    monotonic_ok = all(grows)
     ok = all_unique and monotonic_ok
     _emit(
         args,
@@ -285,7 +288,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             {"all_n": n},
             {
                 "sequences": results,
-                "comparable_pairs": checked_pairs,
+                "comparable_pairs": len(grows),
                 "monotonic_ok": monotonic_ok,
                 "all_unique": all_unique,
                 "pass": ok,
@@ -295,12 +298,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             *(
                 f"pi={_fmt_seq(r['pi'])} classes={r['iso_classes']} "
                 f"max_phi={r['max_phi']} "
-                + ("ok" if r["greedy_is_unique_max"] else "VIOLATION")
+                + ("ok\n" if r["greedy_is_unique_max"] else "VIOLATION\n")
                 for r in results
             ),
-            f"comparable_pairs: {checked_pairs}",
-            f"monotonic_ok: {str(monotonic_ok).lower()}",
-            "PASS" if ok else "FAIL",
+            f"comparable_pairs: {len(grows)}\n",
+            f"monotonic_ok: {str(monotonic_ok).lower()}\n",
+            "PASS\n" if ok else "FAIL\n",
         ],
     )
     return 0 if ok else 4
@@ -318,9 +321,9 @@ def cmd_order(args: argparse.Namespace) -> int:
         args,
         lambda: _report("order", {"a": list(a), "b": list(b)}, {"relation": relation, **found}),
         lambda: [
-            f"relation: {relation}",
-            *([f"chain_length: {len(chain)}"] if chain else []),
-            *(f"{_fmt_seq(pi)} phi={phi}" for pi, phi in zip(chain, phis)),
+            f"relation: {relation}\n",
+            *([f"chain_length: {len(chain)}\n"] if chain else []),
+            *(f"{_fmt_seq(pi)} phi={phi}\n" for pi, phi in zip(chain, phis)),
         ],
     )
     return 0
@@ -346,6 +349,7 @@ def cmd_class(args: argparse.Namespace) -> int:
     answer = _CLASS_FUNCTIONS[args.type](args.n, args.k)
     parent = _greedy_parents(answer.extremal_pi)
     printed = answer.printed_formula_value
+    details = sorted(answer.details.items())
     _emit(
         args,
         lambda: _report(
@@ -360,17 +364,17 @@ def cmd_class(args: argparse.Namespace) -> int:
                 "details": None,
             },
         ),
-        lambda: (
+        lambda: [
             f"type: {args.type}\nn: {args.n}\nk: {args.k}\npi: {_fmt_seq(answer.extremal_pi)}\n",
-            f"phi: {_decimal(answer.phi)}\n"
-            + ("" if printed is None else f"printed_formula: {_decimal(printed)}\n")
-            + f"discrepancy: {str(answer.discrepancy_flag).lower()}\n",
-        ),
-        _edge_items(parent),
+            _edges(parent, "%d %d\n", ""),
+            f"phi: {_decimal(answer.phi)}\n",
+            "" if printed is None else f"printed_formula: {_decimal(printed)}\n",
+            f"discrepancy: {str(answer.discrepancy_flag).lower()}\n",
+        ],
         lambda: {
-            "pi": f"[{_fmt_seq(answer.extremal_pi, ', ')}]",
-            "details": "{%s}"
-            % ", ".join(f'"{k}": {_decimal(answer.details[k])}' for k in sorted(answer.details)),
+            "pi": ["[", _fmt_seq(answer.extremal_pi, ", "), "]"],
+            "edges": ["[", _edges(parent, "[%d, %d]", ", "), "]"],
+            "details": ["{%s}" % ", ".join(f'"{k}": {_decimal(v)}' for k, v in details)],
         },
     )
     return 0
@@ -430,15 +434,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except SubtreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ParseError) else 5 if isinstance(exc, TooLarge) else 3
 
 
 if __name__ == "__main__":

@@ -356,30 +356,30 @@ def reference_class_output(kind: str, n: int, k: int) -> tuple[str, str]:
     return _rendered("class", {"type": kind, "n": n, "k": k}, outputs, lines)
 
 
-def reference_emit(args, report, human, items=None, splice=None) -> None:
-    """``cli._emit`` with the text of the first implementations: each
-    spliced JSON text is decoded with ``json.loads`` and put back in its
-    place in the report, the whole report goes through ``json.dumps``, and
-    the long list is one ``%`` per item, joined by ``str.join`` and spliced
-    around ``"key": null``."""
+def reference_blocks(item: str, sep: str, columns: Sequence, longest) -> Iterator[str]:
+    """``cli._blocks`` as one block: one ``%`` per item, joined by ``str.join``."""
+    yield sep.join(map(item.__mod__, zip(*columns)))
+
+
+def reference_emit(args, report, human, splice=None) -> None:
+    """``cli._emit`` with the text of the first implementations: the pieces
+    are joined with ``str.join``, each spliced JSON value is decoded with
+    ``json.loads`` and put back in its place in the report, and the whole
+    report goes through ``json.dumps``.  Patch ``cli._blocks`` with
+    ``reference_blocks`` too, so that each item has its own ``%``."""
+
+    def joined(pieces) -> str:
+        return "".join(piece if isinstance(piece, str) else "".join(piece) for piece in pieces)
+
+    if not args.json:
+        print(joined(human()), end="")
+        return
     data = report()
-    for key, value in (splice() if splice else {}).items():
+    for key, pieces in (splice() if splice else {}).items():
         for part in (data["inputs"], data["outputs"]):
             if key in part:
-                part[key] = json.loads(value)
-    text = json.dumps(data, sort_keys=True)
-    if items is None:
-        for line in [text] if args.json else human():
-            print(line)
-        return
-    key, json_item, human_item, columns, _ = items
-    rows = list(zip(*columns))
-    if args.json:
-        head, _, tail = text.rpartition(f'"{key}": null')
-        print(head, f'"{key}": [', ", ".join(map(json_item.__mod__, rows)), "]", tail, sep="")
-    else:
-        before, after = human()
-        print(before, "".join(map(human_item.__mod__, rows)), after, sep="", end="")
+                part[key] = json.loads(joined(pieces))
+    print(json.dumps(data, sort_keys=True))
 
 
 def reference_argmax(values: Sequence) -> tuple[int, ...]:

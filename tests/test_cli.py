@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -22,6 +23,7 @@ from helpers import (
     int_digit_limit,
     path,
     random_trees,
+    reference_blocks,
     reference_build_output,
     reference_class_output,
     reference_decimal,
@@ -923,7 +925,8 @@ def test_class_matches_reference_at_10e5(capsys, kind, k):
 
 # ``_emit`` writes the edges of ``build`` and ``class`` and the f values of
 # ``count`` in blocks of about ``cli._BLOCK`` characters, one ``%`` call
-# each; ``reference_emit`` formats one item at a time.  A block of 20
+# each; ``reference_emit``, with ``reference_blocks``, formats one item at
+# a time and runs the whole report through ``json``.  A block of 20
 # characters holds one to three edges, a block of 1 one item.
 CI_BUILD_PI = ",".join(["5"] * 100 + ["2"] * 99598 + ["1"] * 302)
 
@@ -932,6 +935,7 @@ def assert_matches_reference_emit(capsys, monkeypatch, *argv: str) -> None:
     got = both_outputs(capsys, *argv)
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_emit", reference_emit)
+        patch.setattr(cli, "_blocks", reference_blocks)
         want = both_outputs(capsys, *argv)
     assert got == want, argv[:4]
 
@@ -992,6 +996,20 @@ def test_edge_blocks_match_reference_emit_at_10e5(capsys, monkeypatch, tmp_path)
     )
 
 
+def test_verify_and_order_match_reference_emit(capsys, monkeypatch):
+    relations = set()
+    for n in range(1, 9):
+        sequences = [",".join(map(str, pi)) for pi in realizable_sequences(n)]
+        for text in sequences:
+            assert_matches_reference_emit(capsys, monkeypatch, "verify", "--pi", text)
+        if n <= 7:
+            assert_matches_reference_emit(capsys, monkeypatch, "verify", "--all-n", str(n))
+        for a, b in itertools.product(sequences, repeat=2):
+            relations.add(majorizes(parse_degree_sequence(a), parse_degree_sequence(b)))
+            assert_matches_reference_emit(capsys, monkeypatch, "order", "--a", a, "--b", b)
+    assert relations == {"greater", "less", "equal", "incomparable"}
+
+
 def fmt_seq_cases():
     """Every degree sequence of up to 12 vertices and its greedy layer
     sizes, which need not be monotone, the empty and one-entry sequences,
@@ -1013,30 +1031,54 @@ def test_fmt_seq_matches_str_join_and_json():
         assert cli._fmt_seq(seq, ", ") == json.dumps(list(seq))[1:-1], seq[:5]
 
 
-def json_peak(*argv: str) -> int:
-    """The tracemalloc peak of the command with --json, in bytes; the
-    output goes to a digest, so the text is not kept."""
+def output_peak(*argv: str) -> int:
+    """The tracemalloc peak of the command, in bytes; the output goes to
+    a digest, so the text is not kept."""
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(Digest()):  # type: ignore[type-var]
-            assert main([*argv, "--json"]) == 0
+            assert main(list(argv)) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_build_json_memory_at_10e5():
-    # 6.9 MiB, in the edge blocks of the report, with pi and the parent
-    # array alive; the phi DP peaks at 6.1 MiB and the parse of --pi at
-    # 2.3 MiB.  The regex guard of --pi kept one backtracking frame per
-    # entry and peaked at 12.6 MiB.  Margin 0.6 MiB.
-    assert json_peak("build", "--pi", CI_BUILD_PI) < 7.5 * 2**20
+    # 6.1 MiB, in the edge blocks, with the parent array and the JSON text
+    # of pi alive; the phi DP peaks at 6.0 MiB and the parse of --pi at
+    # 2.3 MiB.  Rebuilding the report text once for each spliced key
+    # peaked at 6.9 MiB, and the regex guard of --pi, which kept one
+    # backtracking frame per entry, at 12.6 MiB.  Margin 0.3 MiB.
+    assert output_peak("build", "--pi", CI_BUILD_PI, "--json") < 6.4 * 2**20
+
+
+def test_build_human_memory_at_10e5():
+    # 6.0 MiB, in the phi DP; the edge blocks peak at 5.8 MiB.  Margin 0.6 MiB.
+    assert output_peak("build", "--pi", CI_BUILD_PI) < 6.6 * 2**20
+
+
+CLASS_AT_10E5 = ("class", "--type", "beta", "--n", "100000", "--k", "16041")
 
 
 def test_class_json_memory_at_10e5():
-    # 4.3 MiB; pi through ``json.dumps`` peaked at 7.1 MiB, and one text
-    # for all edges at 10.0 MiB.  Margin 1.2 MiB.
-    assert json_peak("class", "--type", "beta", "--n", "100000", "--k", "16041") < 5.5 * 2**20
+    # 3.6 MiB, in the edge blocks, with the parent array and the JSON text
+    # of pi alive.  Rebuilding the report text once for each spliced key
+    # peaked at 4.3 MiB, pi through ``json.dumps`` at 7.1 MiB, and one
+    # text for all edges at 10.0 MiB.  Margin 0.4 MiB.
+    assert output_peak(*CLASS_AT_10E5, "--json") < 4.0 * 2**20
+
+
+def test_class_human_memory_at_10e5():
+    # 3.5 MiB, in the edge blocks, with the parent array alive.  Margin 0.5 MiB.
+    assert output_peak(*CLASS_AT_10E5) < 4.0 * 2**20
+
+
+def test_count_human_memory_on_a_10e5_path(tmp_path):
+    # 11.0 MB, in the parse of the edge list, as for the report; the f
+    # blocks stay below 9.3 MB.  Margin 1 MB.
+    treefile = tmp_path / "path.txt"
+    treefile.write_text(format_edge_list(path(10**5)))
+    assert output_peak("count", str(treefile)) < 12 * 10**6
 
 
 def test_build_and_class_build_no_tree(capsys, monkeypatch):
