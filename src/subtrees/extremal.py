@@ -15,7 +15,7 @@ from itertools import chain, repeat
 from operator import neg
 from typing import Iterator, Sequence
 
-from .counting import _rerooted_counts, _rooted_counts
+from .counting import _rooted_counts, f_vector
 from .errors import InvalidVertex
 from .trees import (
     Tree,
@@ -168,43 +168,25 @@ def swap_components(
     return tree_from_edges(n, edges)
 
 
-def _branch_tables(tree: Tree) -> tuple[list[int], list[dict[int, int]]]:
-    """f(v) per vertex and ``side[v][w]`` per directed edge, in one rerooting.
-
-    ``side[v][w]`` is the rooted count of w's branch at v (w's component
-    once v is removed, rooted at w): g(w) when w is v's child in the tree
-    rooted at 0, and A(v) = f(parent) // (1 + g(v)) when w is v's parent.
-    The dicts list v's neighbors in adjacency order.
-    """
-    parent, order = _bfs(tree.adjacency, 0)
-    g = _rooted_counts(parent, order)
-    f = _rerooted_counts(parent, order, g.copy())
-    up = [f[parent[v]] // (1 + g[v]) for v in range(tree.n)]
-    side = [{w: g[w] if parent[w] == v else up[v] for w in tree.adjacency[v]} for v in range(tree.n)]
-    return f, side
-
-
-def _root_row(
-    tree: Tree, x: int, f: Sequence[int], side: Sequence[dict[int, int]]
-) -> tuple[list[int], list[int], list[int]]:
-    """``step``, ``back`` and ``both`` for root x, from one BFS.
+def _root_row(tree: Tree, x: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """``step``, ``back``, ``g`` and ``both`` for root x, from one BFS.
 
     ``step[y]`` is x's neighbor toward y, ``back[y]`` y's neighbor toward
-    x (its BFS parent) and ``both[y]`` the number of subtrees containing
-    x and y.  Of the subtrees containing x and a vertex p, a fraction
-    g/(1 + g) also contain p's child w, with g = side(p->w), so
-    both[w] = both[p] * g / (1 + g) exactly, from both[x] = f(x).
+    x (its BFS parent), ``g`` the rooted count from x and ``both[y]`` the
+    number of subtrees containing x and y.  Of the subtrees containing x
+    and a vertex p, a fraction g(w)/(1 + g(w)) also contain p's child w,
+    so both[w] = both[p] * g(w) / (1 + g(w)) exactly, from both[x] = g(x).
     """
     back, order = _bfs(tree.adjacency, x)
+    g = _rooted_counts(back, order)
     step = [x] * tree.n
     both = [0] * tree.n
-    both[x] = f[x]
+    both[x] = g[x]
     for w in order[1:]:
         p = back[w]
         step[w] = w if p == x else step[p]
-        g = side[p][w]
-        both[w] = both[p] * g // (1 + g)
-    return step, back, both
+        both[w] = both[p] * g[w] // (1 + g[w])
+    return step, back, g, both
 
 
 def _scored_moves(tree: Tree) -> Iterator[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]]:
@@ -218,8 +200,9 @@ def _scored_moves(tree: Tree) -> Iterator[tuple[int, int, int, tuple[int, ...], 
     rewirings need no family of their own: each one is a branch
     exchange at (x_k, y_k), as the ``swap_components`` docstring shows.
 
-    The exchange lemma gives delta without building the tree.  With g a
-    branch's rooted count and A (B) the number of subtrees of T - c - d
+    The exchange lemma gives delta without building the tree.  With g the
+    rooted count from x (c and d are children there, so g(c) and g(d) count
+    their branches) and A (B) the number of subtrees of T - c - d
     containing x but not y (y but not x),
 
         delta = (g(c) - g(d)) * (B - A),
@@ -229,28 +212,29 @@ def _scored_moves(tree: Tree) -> Iterator[tuple[int, int, int, tuple[int, ...], 
     (1 + g(c)) and B = (f(y) - both[y]) / (1 + g(d)).  Memory is O(n) and
     each move costs O(1) integer operations.
     """
-    f, side = _branch_tables(tree)
+    f = f_vector(tree).values
     inner = [v for v in range(tree.n) if tree.degree(v) > 1]  # a leaf's branch holds the rest
     for i, x in enumerate(inner):
-        step, back, both = _root_row(tree, x, f, side)
+        step, back, g, both = _root_row(tree, x)
         for y in inner[i + 1 :]:
             only_x, only_y = f[x] - both[y], f[y] - both[y]
-            at_y = [(d, gd, only_y // (1 + gd)) for d, gd in side[y].items() if d != back[y]]
-            for c, gc in side[x].items():
+            at_y = [(d, g[d], only_y // (1 + g[d])) for d in tree.adjacency[y] if d != back[y]]
+            for c in tree.adjacency[x]:
                 if c == step[y]:
                     continue
+                gc = g[c]
                 a = only_x // (1 + gc)
                 for d, gd, b in at_y:
                     yield (gc - gd) * (b - a), x, y, (c,), (d,)
     for x in inner:
-        step, _, both = _root_row(tree, x, f, side)
+        step, _, g, both = _root_row(tree, x)
         for y in range(tree.n):
             if tree.degree(x) != tree.degree(y) + 1:
                 continue
             only_x, only_y = f[x] - both[y], f[y] - both[y]
-            for c, gc in side[x].items():
+            for c in tree.adjacency[x]:
                 if c != step[y]:
-                    yield gc * (only_y - only_x // (1 + gc)), x, y, (c,), ()
+                    yield g[c] * (only_y - only_x // (1 + g[c])), x, y, (c,), ()
 
 
 def local_search_optimize(tree: Tree) -> Tree:

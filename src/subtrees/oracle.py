@@ -37,7 +37,8 @@ __all__ = [
 # Vertex cap for brute-force subtree counting.
 _BRUTEFORCE_LIMIT = 16
 # Vertex cap for the free-tree stream, so for class enumeration and full
-# sweeps: at n = 18 a sweep of all 123,867 classes takes a few seconds.
+# sweeps: at n = 18 the census of all 123,867 classes takes about 0.5 s
+# (Python 3.11.7, 2-CPU x86-64 VM).
 _ENUMERATION_LIMIT = 18
 # Length cap for listing degree sequences, which bounds the output: it grows
 # about 1.2x per vertex, n = 40 gives 26,015 sequences in 0.07-0.11 s and
