@@ -19,7 +19,8 @@ Exit codes: 0 success, 2 unreadable input file, 3 invalid values
 (unrealizable sequence, malformed argument, infeasible class), 4 verified
 claim violated, 5 instance too large (exhaustive verification past 18
 vertices, a class answer past 10^6, an order chain of n * length past
-10^7 entries).
+10^7 entries, a count whose f list of n values of up to digits(phi)
+digits each could pass 2.5 * 10^9 digits).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from decimal import Decimal, localcontext
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from . import __version__
-from .counting import _argmax, _phi_from_parents, _rerooted_counts, _rooted_counts
+from .counting import _argmax, _check_f_size, _phi_from_parents, _rerooted_counts, _rooted_counts
 from .errors import NotRealizable, ParseError, SubtreeError, TooLarge
 from .extremal import _greedy_parents, _layer_sizes
 from .formulas import (
@@ -158,7 +159,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     quadratic (1,500-digit f values of a random 10^4-vertex tree took nine
     times as long to print as ints as the DP took to find them).  phi is
     the int pass's sum either way, printed with ``_decimal``.  The f values
-    are written with ``%s``, linear for a decimal, in 64 KiB blocks.
+    are written with ``%s``, linear for a decimal, in 64 KiB blocks.  A
+    tree whose f list could pass ``counting._F_DIGITS`` digits exits 5
+    after the rooted pass, before any f is computed.
     """
     try:
         with open(args.treefile, encoding="ascii") as fh:
@@ -170,6 +173,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     n = len(parent)
     f = _rooted_counts(parent, order)
     phi = sum(map(f.__getitem__, reversed(order)))
+    _check_f_size(n, phi)
     if phi < 10**_INT_DIGITS:
         _rerooted_counts(parent, order, f)
     else:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .errors import InvalidVertex
+from .errors import InvalidVertex, TooLarge
 from .trees import Tree, _bfs, _iter, _tree, _vertex
 
 __all__ = [
@@ -106,6 +106,27 @@ def _rerooted_counts(parent: Sequence[int], order: Sequence[int], counts: list) 
     return counts
 
 
+# ``f_vector`` and ``count`` refuse a tree whose f list, n counts of up to
+# digits(phi) digits each, could pass this many digits.  ``count`` holds
+# f as exact decimals at about 0.42 bytes per digit: 823 MB of peak RSS
+# for the 1.96e9 digits of a 10^5-vertex random recursive tree (Python
+# 3.11.7), so a tree at the cap peaks near 1.05 GB.
+_F_DIGITS = 25 * 10**8
+
+
+def _check_f_size(n: int, phi: int) -> None:
+    """Raise TooLarge when n counts of up to digits(phi) digits pass ``_F_DIGITS``.
+
+    phi < 2**b for its bit length b, so it has at most b * log10(2) + 1
+    digits; the bound needs no decimal text of phi.
+    """
+    digits = phi.bit_length() * 30103 // 100000 + 1
+    if n * digits > _F_DIGITS:
+        raise TooLarge(
+            f"the f list of {n} counts of up to {digits} digits passes {_F_DIGITS} digits"
+        )
+
+
 def _argmax(values: Sequence[Any]) -> tuple[int, ...]:
     """The positions of the largest value, ascending (at most two, as in f), found in C."""
     best = max(values)
@@ -119,10 +140,13 @@ def f_vector(tree: Tree) -> FVector:
     One rooted DP from vertex 0 gives g and f(0) = g(0); the pass of
     ``_rerooted_counts`` turns each g(c) into f(c) = g(c) * (1 + A(c)),
     where A(c) = f(v) // (1 + g(c)) for c's parent v is exact because
-    f(v) = (1 + g(c)) * A(c).
+    f(v) = (1 + g(c)) * A(c).  Raises TooLarge, before that pass, when the
+    n values could hold more than ``_F_DIGITS`` digits in all.
     """
     parent, order = _bfs(_tree(tree).adjacency, 0)
-    values = tuple(_rerooted_counts(parent, order, _rooted_counts(parent, order)))
+    g = _rooted_counts(parent, order)
+    _check_f_size(len(g), sum(map(g.__getitem__, reversed(order))))
+    values = tuple(_rerooted_counts(parent, order, g))
     return FVector(values=values, argmax=_argmax(values))
 
 

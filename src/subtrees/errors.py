@@ -52,4 +52,4 @@ class InfeasibleConstraint(SubtreeError):
 
 class TooLarge(SubtreeError):
     """Input exceeds a documented size cap (exhaustive work, a sequence listing,
-    a class answer, a path-star bound, a majorization chain)."""
+    a class answer, a path-star bound, a majorization chain, an f list)."""

@@ -193,12 +193,11 @@ def _scored_moves(tree: Tree) -> Iterator[tuple[int, int, int, tuple[int, ...], 
     """Every degree-preserving move with its exact change of phi, in scan order.
 
     Yields (delta, x, y, xc, yc): ``swap_components(tree, x, y, xc, yc)``
-    has phi(tree) + delta subtrees.  First the one-for-one branch
-    exchanges, c at x for d at y, over the pairs x < y; then the
-    single-branch relocations of c from x to a y of one degree less,
-    which leave the degree multiset unchanged.  The paper's path
-    rewirings need no family of their own: each one is a branch
-    exchange at (x_k, y_k), as the ``swap_components`` docstring shows.
+    has phi(tree) + delta subtrees.  One row per inner x, ascending, on one
+    ``_root_row``: x's one-for-one branch exchanges, c at x for d at each
+    later y, then x's single-branch relocations of c to each y of one
+    degree less, ascending, which keep the degree multiset.  The paper's
+    path rewirings are among the exchanges: see ``swap_components``.
 
     The exchange lemma gives delta without building the tree.  With g the
     rooted count from x (c and d are children there, so g(c) and g(d) count
@@ -213,6 +212,9 @@ def _scored_moves(tree: Tree) -> Iterator[tuple[int, int, int, tuple[int, ...], 
     each move costs O(1) integer operations.
     """
     f = f_vector(tree).values
+    by_degree: dict[int, list[int]] = {}
+    for v, d in enumerate(map(len, tree.adjacency)):
+        by_degree.setdefault(d, []).append(v)
     inner = [v for v in range(tree.n) if tree.degree(v) > 1]  # a leaf's branch holds the rest
     for i, x in enumerate(inner):
         step, back, g, both = _root_row(tree, x)
@@ -226,11 +228,7 @@ def _scored_moves(tree: Tree) -> Iterator[tuple[int, int, int, tuple[int, ...], 
                 a = only_x // (1 + gc)
                 for d, gd, b in at_y:
                     yield (gc - gd) * (b - a), x, y, (c,), (d,)
-    for x in inner:
-        step, _, g, both = _root_row(tree, x)
-        for y in range(tree.n):
-            if tree.degree(x) != tree.degree(y) + 1:
-                continue
+        for y in by_degree.get(tree.degree(x) - 1, ()):
             only_x, only_y = f[x] - both[y], f[y] - both[y]
             for c in tree.adjacency[x]:
                 if c != step[y]:
@@ -240,19 +238,23 @@ def _scored_moves(tree: Tree) -> Iterator[tuple[int, int, int, tuple[int, ...], 
 def local_search_optimize(tree: Tree) -> Tree:
     """Greedily apply subtree-increasing exchange moves until none remains.
 
-    Scans ``_scored_moves`` in its fixed order, applies the first move
-    whose delta = (g(c) - g(d)) * (B - A) is positive (g(d) = 0 for a
-    single-branch relocation), building only that tree, through
-    ``swap_components`` with all its checks, and restarts.  phi strictly
-    grows and is bounded, so this terminates; degrees never change.  The
-    search can stop short of the optimum: the two move families do not
+    Scans ``_scored_moves`` and applies the first exchange whose delta =
+    (g(c) - g(d)) * (B - A) is positive or, in a scan with none, the first
+    gaining relocation (g(d) = 0): the move that a scan of all exchanges
+    before all relocations would apply.  It builds only that tree, through
+    ``swap_components`` with all its checks, and restarts; phi strictly
+    grows and is bounded, so this terminates, and degrees never change.
+    The search can stop short of the optimum: the two move families do not
     reach the greedy tree from every tree of its degree sequence.
     """
     current = _tree(tree)
     while True:
+        move = None
         for delta, x, y, xc, yc in _scored_moves(current):
-            if delta > 0:
-                current = swap_components(current, x, y, xc, yc)
-                break
-        else:
+            if delta > 0 and (yc or move is None):
+                move = x, y, xc, yc
+                if yc:
+                    break
+        if move is None:
             return current
+        current = swap_components(current, *move)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import random
 import re
@@ -84,6 +85,16 @@ def random_trees(draw, min_n: int = 1, max_n: int = 12) -> Tree:
         return tree_from_edges(1, [])
     code = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
     return tree_from_prufer(tuple(code), n)
+
+
+class Digest:
+    """A text sink that keeps only the sha256 of what is written to it."""
+
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.sha.update(text.encode())
 
 
 @contextlib.contextmanager

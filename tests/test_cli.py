@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import itertools
 import json
@@ -20,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    Digest,
     int_digit_limit,
     path,
     random_trees,
@@ -36,10 +36,10 @@ from helpers import (
     spider,
     star,
 )
-from subtrees import cli, extremal, trees
+from subtrees import cli, counting, extremal, trees
 from subtrees.cli import main
 from subtrees.counting import count_subtrees, f_vector
-from subtrees.errors import InfeasibleConstraint, ParseError, SubtreeError
+from subtrees.errors import InfeasibleConstraint, ParseError, SubtreeError, TooLarge
 from subtrees.extremal import _greedy_parents, _layer_sizes
 from subtrees.majorization import majorization_chain, majorizes
 from subtrees.oracle import _ENUMERATION_LIMIT, enumerate_trees, realizable_sequences
@@ -474,17 +474,48 @@ def test_count_json_memory_on_a_10e5_path(tmp_path):
     assert count_json_peak(path(10**5), tmp_path / "path.txt") < 12 * 10**6
 
 
+def test_count_refuses_an_f_list_past_the_cap_as_f_vector_does(tmp_path):
+    # Both sides of the cap, in ints and in exact decimals: count exits 5
+    # with f_vector's message, and prints nothing, exactly where f_vector
+    # raises.
+    for t in (path(30), star(700), seeded_tree(2, 300)):
+        treefile = tmp_path / "tree.txt"
+        treefile.write_text(format_edge_list(t))
+        text = sum(len(str(x)) for x in f_vector(t).values)
+        for cap in (text - 1, t.n * (len(str(count_subtrees(t))) + 1)):
+            with unittest.mock.patch.object(counting, "_F_DIGITS", cap):
+                try:
+                    f_vector(t)
+                    expected = (0, "")
+                except TooLarge as exc:
+                    expected = (5, f"error: {exc}\n")
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["count", str(treefile)])
+                assert (code, err.getvalue()) == expected
+                assert (out.getvalue() == "") == (code == 5)
+            assert expected[0] == (5 if cap < text else 0)
+
+
+def test_count_refuses_a_2e5_star_in_bounded_memory(tmp_path):
+    # phi = 2^199999 + 199999 has 60,206 digits, so the f list would hold
+    # 1.2e10 digits, about 5 GB as decimals.  The refusal comes after the
+    # rooted pass, in 1 GiB of address space and well inside the timeout.
+    n = 2 * 10**5
+    treefile = tmp_path / "star.txt"
+    treefile.write_text(f"{n}\n" + "".join(f"0 {v}\n" for v in range(1, n)))
+    script = 'ulimit -v 1048576 && exec "$0" -m subtrees.cli count "$1"'
+    proc = subprocess.run(
+        ["bash", "-c", script, sys.executable, str(treefile)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    message = "the f list of 200000 counts of up to 60207 digits passes 2500000000 digits"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (5, "", f"error: {message}\n")
+
+
 # The decimal counts of ``count`` print as the int API's values do.
-class Digest:
-    """A text sink that keeps only the sha256 of what is written to it."""
-
-    def __init__(self) -> None:
-        self.sha = hashlib.sha256()
-
-    def write(self, text: str) -> None:
-        self.sha.update(text.encode())
-
-
 def expected_count_digests(tree: Tree, treefile: str) -> tuple[bytes, bytes]:
     """Digests of the human and JSON output, from the int counts and ``_decimal``."""
     phi, fv = count_subtrees(tree), f_vector(tree)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 import re
+import unittest.mock
 from decimal import Decimal
 
 import pytest
@@ -10,14 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     path,
+    random_recursive_tree,
     random_trees,
     reference_argmax,
     reference_root,
     reference_rerooted_counts,
     reference_rooted_counts,
+    seeded_tree,
     spider,
     star,
 )
+from subtrees import counting
 from subtrees.counting import (
     _argmax,
     _rooted_counts,
@@ -25,7 +30,7 @@ from subtrees.counting import (
     count_subtrees,
     f_vector,
 )
-from subtrees.errors import InvalidVertex
+from subtrees.errors import InvalidVertex, TooLarge
 from subtrees.extremal import build_greedy_bfs
 from subtrees.oracle import enumerate_trees, realizable_sequences
 from subtrees.trees import Tree, _bfs, tree_from_edges, validate_degree_sequence
@@ -220,3 +225,27 @@ def test_dp_matches_reference_on_paths(n):
     assert_dp_matches_reference(middle)
     assert count_subtrees(middle) == n * (n + 1) // 2
 
+
+def test_f_vector_digit_cap_bounds_the_f_text():
+    # The cap's estimate, n times the digits of phi from its bit length,
+    # is at least the f text and at most one digit per value above n
+    # times phi's digits.
+    trees = [star(60), path(40), spider(3, 5, 7)]
+    trees += [seeded_tree(s, n) for s in range(3) for n in (2, 30, 200)]
+    trees += [random_recursive_tree(random.Random(s), n) for s in range(3) for n in (1, 30, 200)]
+    for t in trees:
+        text = sum(len(str(x)) for x in f_vector(t).values)
+        loose = t.n * (len(str(count_subtrees(t))) + 1)
+        with unittest.mock.patch.object(counting, "_F_DIGITS", loose):
+            f_vector(t)
+        with unittest.mock.patch.object(counting, "_F_DIGITS", text - 1):
+            with pytest.raises(TooLarge, match=f"^the f list of {t.n} counts of up to "):
+                f_vector(t)
+
+
+def test_f_vector_refuses_a_2e5_star():
+    # phi = 2^199999 + 199999 has 60,206 digits: 1.2e10 digits of f.
+    with pytest.raises(TooLarge) as info:
+        f_vector(star(2 * 10**5))
+    message = "the f list of 200000 counts of up to 60207 digits passes 2500000000 digits"
+    assert str(info.value) == message

@@ -25,6 +25,7 @@ from helpers import (
     spider,
     star,
 )
+from subtrees import extremal
 from subtrees.counting import count_containing_all, count_subtrees
 from subtrees.errors import InvalidVertex
 from subtrees.extremal import (
@@ -419,9 +420,17 @@ def test_root_rows_match_paths_and_joint_counts(t):
 
 
 def _assert_scores_match_recounts(t: Tree) -> list[int]:
+    # The scan is row-major in x, each row holding x's exchanges and then
+    # its relocations; within its own family each move keeps the order of
+    # the reference, which lists all exchanges before all relocations.
     phi = count_subtrees(t)
     scored = list(_scored_moves(t))
-    assert [move[1:] for move in scored] == list(reference_moves(t))
+    moves, reference = [move[1:] for move in scored], list(reference_moves(t))
+    assert len(moves) == len(reference)
+    for exchange in (True, False):
+        family = [move for move in moves if bool(move[3]) == exchange]
+        assert family == [move for move in reference if bool(move[3]) == exchange]
+    assert [move[0] for move in moves] == sorted(move[0] for move in moves)
     for delta, x, y, xc, yc in scored:
         assert delta == count_subtrees(swap_components(t, x, y, xc, yc)) - phi
     return [move[0] for move in scored]
@@ -451,6 +460,20 @@ def test_scored_moves_match_recounts_property(t):
     deltas = _assert_scores_match_recounts(t)
     # The search stops exactly where no recount is positive.
     assert (local_search_optimize(t) == t) == all(delta <= 0 for delta in deltas)
+
+
+def test_full_scan_roots_each_inner_vertex_once(monkeypatch):
+    calls = []
+
+    def counted(tree, x):
+        calls.append(x)
+        return _root_row(tree, x)
+
+    monkeypatch.setattr(extremal, "_root_row", counted)
+    for t in (seeded_tree(3, 200), random_recursive_tree(random.Random(2), 50), star(5), path(2)):
+        calls.clear()
+        list(_scored_moves(t))
+        assert calls == [v for v in range(t.n) if t.degree(v) > 1]
 
 
 def test_local_search_matches_reference_on_every_small_class():
