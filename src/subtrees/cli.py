@@ -35,9 +35,9 @@ from decimal import Decimal, localcontext
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from . import __version__
-from .counting import _argmax, _check_f_size, _phi_from_parents, _rerooted_counts, _rooted_counts
+from .counting import _argmax, _check_f_size, _rerooted_counts, _rooted_counts
 from .errors import NotRealizable, ParseError, SubtreeError, TooLarge
-from .extremal import _greedy_parents, _layer_sizes
+from .extremal import _greedy_parents, _greedy_phi, _layer_sizes
 from .formulas import (
     independence_extremal,
     leaves_extremal,
@@ -208,7 +208,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     pi = _sequence_argument(args.pi)
     parent = _greedy_parents(pi)
     sizes = _layer_sizes(parent)
-    phi = _decimal(_phi_from_parents(parent))
+    phi = _decimal(_greedy_phi(pi))
     outputs = {"edges": None, "layer_sizes": list(sizes), "phi": phi}
     _emit(
         args,
@@ -236,7 +236,7 @@ def _verify_sequence(pi: tuple[int, ...], census: Mapping) -> dict:
         "labeled_count": str(labeled_tree_count(pi)),
         "max_phi": str(max_phi),
         "maximizer_count": at_max,
-        "greedy_is_unique_max": at_max == 1 and max_phi == _phi_from_parents(_greedy_parents(pi)),
+        "greedy_is_unique_max": at_max == 1 and max_phi == _greedy_phi(pi),
     }
 
 
@@ -319,7 +319,7 @@ def cmd_order(args: argparse.Namespace) -> int:
     b = _sequence_argument(args.b)
     relation = majorizes(a, b)
     chain = [] if relation == "incomparable" else majorization_chain(a, b)
-    phis = [_decimal(_phi_from_parents(_greedy_parents(pi))) for pi in chain]
+    phis = [_decimal(_greedy_phi(pi)) for pi in chain]
     found = {"chain": chain, "phi_star": phis} if chain else {}
     _emit(
         args,

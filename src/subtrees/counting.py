@@ -66,15 +66,6 @@ def _rooted_counts(parent: Sequence[int], order: Sequence[int], one: Any = 1) ->
     return g
 
 
-def _phi_from_parents(parent: Sequence[int]) -> int:
-    """The subtree count of a parent array whose ids are parents-first.
-
-    Root 0 and parent[v] < v make the ids an order, so no BFS is needed;
-    the sum runs children first, as in ``count_subtrees``.
-    """
-    return sum(reversed(_rooted_counts(parent, range(len(parent)))))
-
-
 def count_subtrees(tree: Tree) -> int:
     """The number of subtrees of the tree.
 

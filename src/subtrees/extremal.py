@@ -55,6 +55,52 @@ def _greedy_parents(pi: Sequence[int]) -> list[int]:
     return parent
 
 
+def _greedy_phi(pi: Sequence[int]) -> int:
+    """The subtree count of the greedy tree of a valid nonincreasing pi, from its runs.
+
+    Vertex v's children are the next pi[v] - 1 unused ids (the root's, the
+    first pi[0]).  With L leaves from id e on and degree-2 ids s..e-1, each
+    degree-2 vertex i has its one child at i + L, so g(i) = 1 + ceil((e - i)
+    / L) and their sum has a closed form; ids s..s+L-1 are the children of
+    the ids below s.  Those, highest first, take their children off the
+    front of a queue of [count, g] runs and join its back as runs of their
+    own: the parents whose children lie in one run cost one power, and a
+    parent whose children straddle runs one product.  So the cost grows
+    with the distinct degrees and the runs per layer, not with n.
+    """
+    n = len(pi)
+    if n < 3:
+        return 2 * n - 1  # a vertex or an edge, whose root is a leaf
+    e = n - pi.count(1)
+    s = bisect_left(pi, -2, 1, e, key=neg)
+    leaves = n - e
+    q, r = divmod(e - s, leaves)
+    phi = leaves + e - s + leaves * q * (q + 1) // 2 + r * (q + 1)
+    runs = [[leaves - r, q + 1], [r, q + 2]]  # ids s..s+L-1, highest first; r may be 0
+    head, hi = 0, s
+    while hi:
+        d = pi[hi - 1]
+        lo = bisect_left(pi, -d, 1, hi, key=neg) if hi > 1 else 0
+        c, left = d - (lo > 0), hi - lo
+        while left:
+            # The next k parents' children lie in the front run, or one parent's straddle runs.
+            k = min(left, runs[head][0] // c) or 1
+            runs[head][0] -= (k - 1) * c
+            g, need = 1, c
+            while need:
+                run = runs[head]
+                t = min(run[0], need)
+                g *= (1 + run[1]) ** t
+                need -= t
+                run[0] -= t
+                head += not run[0]
+            left -= k
+            phi += k * g
+            runs.append([k, g])
+        hi = lo
+    return phi
+
+
 def _layer_sizes(parent: Sequence[int]) -> tuple[int, ...]:
     """Layer sizes of a greedy parent array, root layer first.
 

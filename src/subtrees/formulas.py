@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .counting import _phi_from_parents
 from .errors import InfeasibleConstraint, TooLarge
-from .extremal import _greedy_parents
+from .extremal import _greedy_phi
 from .trees import Tree, _bfs, _decimal, _int, _tree
 
 __all__ = [
@@ -34,10 +33,9 @@ __all__ = [
 ]
 
 # Vertex cap for class answers and path-star bounds, whose sequence, tree
-# and output all grow with n.  At n = 10^6, ``class --json`` took 1.3 to
-# 3.1 s and at most 175 MB; at 3 * 10^6, up to 22 s and 500 MB (alpha and
-# beta, whose phi has ~n/3 digits, are the slow ones; Python 3.11.7, 2-CPU
-# x86-64 VM).
+# and output all grow with n.  At n = 10^6, ``class --json`` took 0.3 to
+# 0.7 s and at most 80 MB as a process; at 3 * 10^6, up to 1.9 s and 190 MB
+# (leaves is the slow one; Python 3.11.7, 2-CPU x86-64 VM).
 _CLASS_LIMIT = 10**6
 
 
@@ -81,7 +79,7 @@ def _check_class(
 
 
 def _answer(details: dict[str, int], pi: tuple[int, ...], printed: int | None) -> ClassAnswer:
-    phi = _phi_from_parents(_greedy_parents(pi))
+    phi = _greedy_phi(pi)
     return ClassAnswer(
         details=details,
         extremal_pi=pi,

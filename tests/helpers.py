@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple, Sequence
 from hypothesis import strategies as st
 
 from subtrees import cli
-from subtrees.counting import _phi_from_parents, count_subtrees, f_vector
+from subtrees.counting import _rooted_counts, count_subtrees, f_vector
 from subtrees.errors import ParseError
 from subtrees.extremal import build_greedy_bfs, swap_components
 from subtrees.majorization import majorizes
@@ -635,7 +635,7 @@ def reference_order_census(n: int) -> dict[tuple[int, ...], tuple[int, int, int]
     buckets: dict[tuple[int, ...], tuple[int, int, int]] = {}
     for parent in reference_free_trees(n):
         key = _degrees(parent)
-        phi = _phi_from_parents(parent)
+        phi = sum(_rooted_counts(parent, range(n)))
         classes, best, at_best = buckets.get(key, (0, phi, 0))
         if phi > best:
             best, at_best = phi, 0

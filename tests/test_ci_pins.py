@@ -49,6 +49,15 @@ CLI_PINS = {
     "dea566312e86d50fcdfd85ef68d3859f3fac78de06185ff20627bdf8e4d25319": [
         "build @scale-build-args.txt",
     ],
+    "209e5a939aac571cd5af20c986a18c37bdb39233a465795e5cd46d981cca9c8d": [
+        "class --type alpha --n 100000 --k 76067 --json",
+    ],
+    "f114f66806d8ac6a88e7fd67133110faff2417a355276429998c26e6c3cbcee4": [
+        "class --type beta --n 100000 --k 16041 --json",
+    ],
+    "96d2ea96db3989b12a05fccf159752240df4be393d6678b1fedd57dfe2af247e": [
+        "order @scale-order-args.txt --json",
+    ],
     "7b021ac1aa7615fb6cda31b2a1064813059d2ace8af7f8cf5c44b1ba7150c1a0": [
         "class --type leaves --n 20000 --k 10000 --json",
         "PYTHONINTMAXSTRDIGITS=640 class --type leaves --n 20000 --k 10000 --json",
@@ -86,6 +95,8 @@ def ci_inputs(tmp_path_factory) -> Path:
     folder = tmp_path_factory.mktemp("ci-inputs")
     pi = ",".join(["5"] * 100 + ["2"] * 99598 + ["1"] * 302)
     (folder / "scale-build-args.txt").write_bytes(f"--pi\n{pi}\n".encode())
+    star_pi, path_pi = ",".join(["999"] + ["1"] * 999), ",".join(["2"] * 998 + ["1"] * 2)
+    (folder / "scale-order-args.txt").write_bytes(f"--a\n{star_pi}\n--b\n{path_pi}\n".encode())
     path = "100000\n" + "".join(f"{v - 1} {v}\n" for v in range(1, 10**5))
     (folder / "scale-path-lf.txt").write_bytes(path.encode())
     (folder / "scale-path-crlf.txt").write_bytes(path.replace("\n", "\r\n").encode())

@@ -38,7 +38,7 @@ from helpers import (
 )
 from subtrees import cli, counting, extremal, trees
 from subtrees.cli import main
-from subtrees.counting import count_subtrees, f_vector
+from subtrees.counting import _rooted_counts, count_subtrees, f_vector
 from subtrees.errors import InfeasibleConstraint, ParseError, SubtreeError, TooLarge
 from subtrees.extremal import _greedy_parents, _layer_sizes
 from subtrees.majorization import majorization_chain, majorizes
@@ -191,10 +191,12 @@ def test_verify_single_sequence(capsys):
 
 
 def test_verify_detects_violation(capsys, monkeypatch):
-    # Substitute a non-optimal realization for the greedy construction: the
-    # parents-first array of spider(1, 1, 3), legs 1, 2 and 3-4-5. The
-    # exhaustive check must notice and exit 4.
-    monkeypatch.setattr(cli, "_greedy_parents", lambda pi: [0, 0, 0, 0, 3, 4])
+    # Substitute a non-optimal realization's count for the greedy tree's: phi
+    # of the parents-first array of spider(1, 1, 3), legs 1, 2 and 3-4-5.
+    # The exhaustive check must notice and exit 4.
+    spider = [0, 0, 0, 0, 3, 4]
+    phi = sum(_rooted_counts(spider, range(6)))
+    monkeypatch.setattr(cli, "_greedy_phi", lambda pi: phi)
     code, out, _ = run(capsys, "verify", "--pi", "3,2,2,1,1,1")
     assert code == 4 and "FAIL" in out
 

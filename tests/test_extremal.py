@@ -28,8 +28,10 @@ from helpers import (
 from subtrees import extremal
 from subtrees.counting import count_containing_all, count_subtrees
 from subtrees.errors import InvalidVertex
+from subtrees.counting import _rooted_counts
 from subtrees.extremal import (
     _greedy_parents,
+    _greedy_phi,
     _root_row,
     _scored_moves,
     build_greedy_bfs,
@@ -134,6 +136,59 @@ def test_greedy_matches_reference_on_random_sequences(rng):
     n = rng.randint(2, 2000)
     code = [rng.randrange(n) for _ in range(n - 2)]
     assert_greedy_matches_reference([1 + code.count(v) for v in range(n)])
+
+
+
+def greedy_dp_phi(pi) -> int:
+    """phi of the greedy tree by the rooted DP over its parent array, ids as the order."""
+    parent = _greedy_parents(pi)
+    return sum(_rooted_counts(parent, range(len(parent))))
+
+
+def test_greedy_phi_matches_the_rooted_dp_on_every_sequence_to_18():
+    for n in range(1, 19):
+        for pi in realizable_sequences(n):
+            assert _greedy_phi(pi) == greedy_dp_phi(pi), pi
+
+
+def test_greedy_phi_matches_the_greedy_tree_count_to_10():
+    for n in range(1, 11):
+        for pi in realizable_sequences(n):
+            assert _greedy_phi(pi) == count_subtrees(build_greedy_bfs(pi)[0]), pi
+
+
+@st.composite
+def greedy_sequences(draw) -> tuple[int, ...]:
+    """Nonincreasing degree sequences of up to about 3,000 vertices: paths,
+    stars, all 3s, many distinct degrees above a chain of 2s, random codes."""
+    n = draw(st.integers(1, 3000))
+    kind = draw(st.sampled_from(["path", "star", "threes", "distinct", "random"]))
+    if n <= 2:
+        return ((0,), (1, 1))[n - 1]
+    if kind == "path":
+        inner = [2] * (n - 2)
+    elif kind == "star":
+        inner = [n - 1]
+    elif kind == "threes":
+        inner = [3] * ((n - 2) // 2) + [2] * (n % 2)
+    elif kind == "distinct":
+        inner = sorted(draw(st.sets(st.integers(3, 80), max_size=35)), reverse=True)
+        inner += [2] * draw(st.integers(0, 200))
+    else:
+        rng = draw(st.randoms(use_true_random=False))
+        code = [rng.randrange(n) for _ in range(n - 2)]
+        return tuple(sorted((1 + code.count(v) for v in range(n)), reverse=True))
+    return tuple(inner) + (1,) * (2 + sum(d - 2 for d in inner))
+
+
+@settings(max_examples=60, deadline=None)
+@given(greedy_sequences())
+@example((0,))
+@example((1, 1))
+@example((2,) * 2998 + (1, 1))
+@example((2999,) + (1,) * 2999)
+def test_greedy_phi_matches_the_rooted_dp_on_random_sequences(pi):
+    assert _greedy_phi(pi) == greedy_dp_phi(pi)
 
 
 def test_bfs_ordering_path_cases():
