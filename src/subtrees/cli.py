@@ -134,8 +134,8 @@ def _emit(
             sys.stdout.write(block)
 
 
-def _parents_first(text: str) -> tuple[list[int], list[int]]:
-    """Parent links and a parents-first order of the tree in an edge-list text.
+def _parents_first(text: str) -> tuple[list[int], list[int], int]:
+    """Parent links, a parents-first order and the leaf count of the tree in an edge-list text.
 
     Leaves are peeled off the flat edge ends, so no ``Tree`` and no
     adjacency list is built; the peel fails only on a non-tree, whose
@@ -161,16 +161,18 @@ def cmd_count(args: argparse.Namespace) -> int:
     the int pass's sum either way, printed with ``_decimal``.  The f values
     are written with ``%s``, linear for a decimal, in 64 KiB blocks.  A
     tree whose f list could pass ``counting._F_DIGITS`` digits exits 5
-    after the rooted pass, before any f is computed.
+    before any f is computed: before the rooted pass if its L leaves
+    already show it, as phi >= 2**L, else after.
     """
     try:
         with open(args.treefile, encoding="ascii") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {args.treefile}: {exc}") from exc
-    parent, order = _parents_first(text)
+    parent, order, leaves = _parents_first(text)
     del text
     n = len(parent)
+    _check_f_size(n, 1 << leaves)
     f = _rooted_counts(parent, order)
     phi = sum(map(f.__getitem__, reversed(order)))
     _check_f_size(n, phi)

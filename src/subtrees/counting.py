@@ -4,8 +4,8 @@ A subtree always means a nonempty connected induced subgraph.  All counts
 are exact Python integers, so nothing overflows for any tree size.  One
 bottom-up DP, ``_rooted_counts``, and one top-down pass that turns its
 counts into f in place run over ``parent`` and parents-first ``order``
-lists (``trees._bfs``, whose siblings are one run, ``trees._peel_leaves``,
-whose leaf siblings are, or the oracle's preorder), in ints or exact
+lists (``trees._bfs``, whose siblings are one run, or
+``trees._peel_leaves``, whose leaf siblings are), in ints or exact
 decimals.  The ``count`` command runs them in ints while phi is short and
 in exact decimals, whose text is linear in their digits, when it is long.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -109,7 +110,9 @@ def _check_f_size(n: int, phi: int) -> None:
     """Raise TooLarge when n counts of up to digits(phi) digits pass ``_F_DIGITS``.
 
     phi < 2**b for its bit length b, so it has at most b * log10(2) + 1
-    digits; the bound needs no decimal text of phi.
+    digits; the bound needs no decimal text of phi.  It grows with phi, so
+    a lower bound on phi, such as 2**L for a tree with L leaves, raises
+    only where phi would.
     """
     digits = phi.bit_length() * 30103 // 100000 + 1
     if n * digits > _F_DIGITS:
@@ -132,9 +135,13 @@ def f_vector(tree: Tree) -> FVector:
     ``_rerooted_counts`` turns each g(c) into f(c) = g(c) * (1 + A(c)),
     where A(c) = f(v) // (1 + g(c)) for c's parent v is exact because
     f(v) = (1 + g(c)) * A(c).  Raises TooLarge, before that pass, when the
-    n values could hold more than ``_F_DIGITS`` digits in all.
+    n values could hold more than ``_F_DIGITS`` digits in all, and before
+    the DP when 2**L does for the L leaves: each set of leaves joins the
+    subtree of the other vertices, so phi >= 2**L for n >= 3.
     """
-    parent, order = _bfs(_tree(tree).adjacency, 0)
+    adjacency = _tree(tree).adjacency
+    _check_f_size(tree.n, 1 << list(map(len, adjacency)).count(1))
+    parent, order = _bfs(adjacency, 0)
     g = _rooted_counts(parent, order)
     _check_f_size(len(g), sum(map(g.__getitem__, reversed(order))))
     values = tuple(_rerooted_counts(parent, order, g))
@@ -150,10 +157,10 @@ def count_containing_all(tree: Tree, vertices: Sequence[int]) -> int:
     taking parents, and any such subtree is S plus an independent choice,
     for every child branch hanging off S, of one of its rooted subtrees
     or nothing.  Hence the product of (1 + g(c)) over hanging children c:
-    the vertices outside S whose parent is in S.  The root is its own
-    parent, so the walk up from each target stops at a vertex of S; for
-    one target v the hanging children are v's children and the product
-    is f(v).
+    the vertices outside S whose parent is in S, with one power per
+    distinct factor.  The root is its own parent, so the walk up from each
+    target stops at a vertex of S; for one target v the hanging children
+    are v's children and the product is f(v).
 
     Raises InvalidVertex for an empty or non-iterable selection and for an
     id that is not an integer in 0..n-1.
@@ -169,6 +176,5 @@ def count_containing_all(tree: Tree, vertices: Sequence[int]) -> int:
         while not in_steiner[w]:
             in_steiner[w] = 1
             w = parent[w]
-    return math.prod(
-        1 + g[c] for c in range(n) if not in_steiner[c] and in_steiner[parent[c]]
-    )
+    factors = Counter(1 + g[c] for c in range(n) if not in_steiner[c] and in_steiner[parent[c]])
+    return math.prod(factor**times for factor, times in factors.items())

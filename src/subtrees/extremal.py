@@ -239,11 +239,13 @@ def _scored_moves(tree: Tree) -> Iterator[tuple[int, int, int, tuple[int, ...], 
     """Every degree-preserving move with its exact change of phi, in scan order.
 
     Yields (delta, x, y, xc, yc): ``swap_components(tree, x, y, xc, yc)``
-    has phi(tree) + delta subtrees.  One row per inner x, ascending, on one
-    ``_root_row``: x's one-for-one branch exchanges, c at x for d at each
-    later y, then x's single-branch relocations of c to each y of one
-    degree less, ascending, which keep the degree multiset.  The paper's
-    path rewirings are among the exchanges: see ``swap_components``.
+    has phi(tree) + delta subtrees.  The scan is row-major, one row per
+    inner x, ascending, on one ``_root_row``: x's one-for-one branch
+    exchanges, c at x for d at each later inner y, then x's single-branch
+    relocations of c to each y of one degree less, ascending, which keep
+    the degree multiset.  The search applies the first gaining move of
+    this order.  The paper's path rewirings are among the exchanges: see
+    ``swap_components``.
 
     The exchange lemma gives delta without building the tree.  With g the
     rooted count from x (c and d are children there, so g(c) and g(d) count
@@ -284,23 +286,16 @@ def _scored_moves(tree: Tree) -> Iterator[tuple[int, int, int, tuple[int, ...], 
 def local_search_optimize(tree: Tree) -> Tree:
     """Greedily apply subtree-increasing exchange moves until none remains.
 
-    Scans ``_scored_moves`` and applies the first exchange whose delta =
-    (g(c) - g(d)) * (B - A) is positive or, in a scan with none, the first
-    gaining relocation (g(d) = 0): the move that a scan of all exchanges
-    before all relocations would apply.  It builds only that tree, through
-    ``swap_components`` with all its checks, and restarts; phi strictly
-    grows and is bounded, so this terminates, and degrees never change.
-    The search can stop short of the optimum: the two move families do not
-    reach the greedy tree from every tree of its degree sequence.
+    Applies the first move of ``_scored_moves`` whose delta is positive,
+    building only that tree, through ``swap_components`` with all its
+    checks, and restarts; phi strictly grows and is bounded, so this
+    terminates, and degrees never change.  The search can stop short of
+    the optimum: the two move families do not reach the greedy tree from
+    every tree of its degree sequence.
     """
     current = _tree(tree)
     while True:
-        move = None
-        for delta, x, y, xc, yc in _scored_moves(current):
-            if delta > 0 and (yc or move is None):
-                move = x, y, xc, yc
-                if yc:
-                    break
+        move = next((m[1:] for m in _scored_moves(current) if m[0] > 0), None)
         if move is None:
             return current
         current = swap_components(current, *move)

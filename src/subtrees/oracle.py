@@ -18,6 +18,7 @@ process.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -293,22 +294,36 @@ def connected_subsets(tree: Tree) -> Iterator[frozenset[int]]:
     Sets are grouped by their smallest vertex, in increasing order: for each
     a, the sets whose minimum is a are grown by include/exclude branching
     over the neighbors above a, kept on an explicit stack of (chosen,
-    frontier) pairs.
+    frontier) pairs.  Both are linked cells that the pairs share, chosen as
+    (v, rest) and the frontier as (v, the chosen neighbor that put v on it,
+    rest), so a pair costs O(1) memory and the set is built when yielded.
     """
     for a in range(_tree(tree).n):
-        stack = [(frozenset((a,)), tuple(w for w in tree.adjacency[a] if w > a))]
+        start = None
+        for w in tree.adjacency[a]:
+            if w > a:
+                start = (w, a, start)
+        stack = [((a, None), start)]
         while stack:
             chosen, frontier = stack.pop()
-            if not frontier:
-                yield chosen
+            if frontier is None:
+                members = []
+                while chosen:
+                    v, chosen = chosen
+                    members.append(v)
+                yield frozenset(members)
                 continue
-            v, rest = frontier[-1], frontier[:-1]
+            v, via, rest = frontier
             # Excluding v is final: in a tree no other chosen vertex can ever
-            # be adjacent to v again without closing a cycle.  The exclude
-            # branch is pushed last so it is explored first.
-            grown = chosen | {v}
-            extended = rest + tuple(w for w in tree.adjacency[v] if w > a and w not in grown)
-            stack.append((grown, extended))
+            # be adjacent to v again without closing a cycle, and for the
+            # same reason via is v's only neighbor that is chosen, excluded
+            # or on the frontier.  The exclude branch is pushed last so it
+            # is explored first.
+            extended = rest
+            for w in tree.adjacency[v]:
+                if w > a and w != via:
+                    extended = (w, v, extended)
+            stack.append(((v, chosen), extended))
             stack.append((chosen, rest))
 
 
@@ -324,18 +339,16 @@ def labeled_tree_count(pi: Sequence[int]) -> int:
     """The number of labeled trees with degree sequence pi.
 
     Pruefer's correspondence makes this the multinomial
-    (n-2)! / prod (pi[v] - 1)!.
+    (n-2)! / prod (pi[v] - 1)!, divided once by one power per distinct
+    degree.
     """
-    from math import factorial
+    from math import factorial, prod
 
     pi = validate_degree_sequence(pi)
     n = len(pi)
     if n == 1:
         return 1
-    total = factorial(n - 2)
-    for d in pi:
-        total //= factorial(d - 1)
-    return total
+    return factorial(n - 2) // prod(factorial(d - 1) ** c for d, c in Counter(pi).items())
 
 
 def realizable_sequences(n: int) -> list[tuple[int, ...]]:

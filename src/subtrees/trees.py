@@ -225,11 +225,12 @@ def _bfs(adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], list
     return parent, order
 
 
-def _peel_leaves(n: int, ends: list[int]) -> tuple[list[int], list[int]] | None:
-    """``_bfs``'s lists for the tree with flat edge ends ``ends`` in 0..n-1
-    (emptied once read), else None.  ``link[v]``, the XOR of v's unpeeled
-    neighbours, is a leaf's parent.  n - 1 peels of a leaf prove a tree, and
-    the vertex left is the root.  Leaves go by parent, so leaf siblings are one run."""
+def _peel_leaves(n: int, ends: list[int]) -> tuple[list[int], list[int], int] | None:
+    """``_bfs``'s lists and the leaf count of the tree with flat edge ends
+    ``ends`` in 0..n-1 (emptied once read), else None.  ``link[v]``, the XOR
+    of v's unpeeled neighbours, is a leaf's parent.  n - 1 peels of a leaf
+    prove a tree, and the vertex left is the root.  Leaves go by parent, so
+    leaf siblings are one run; n = 1's one vertex counts as a leaf."""
     deg, link = [0] * n, [0] * n
     pairs = iter(ends)
     for u, v in zip(pairs, pairs):
@@ -240,6 +241,7 @@ def _peel_leaves(n: int, ends: list[int]) -> tuple[list[int], list[int]] | None:
     ends.clear()
     # Degree 0 only for n = 1, or for an isolated vertex of a non-tree.
     order = sorted((v for v, d in enumerate(deg) if d < 2), key=link.__getitem__)
+    leaves = len(order)
     for v in itertools.islice(order, n - 1):
         if deg[v] != 1:
             return None
@@ -252,7 +254,7 @@ def _peel_leaves(n: int, ends: list[int]) -> tuple[list[int], list[int]] | None:
         return None
     order.reverse()
     link[order[0]] = order[0]
-    return link, order
+    return link, order, leaves
 
 
 def path_between(tree: Tree, u: int, v: int) -> tuple[int, ...]:
@@ -312,7 +314,7 @@ def canonical_code(tree: Tree) -> bytes:
     edge c-t between the two centers.  The code is n with the keys of that
     rooting's ``_branch_labels`` (n tells P4 split so from P5, same shape).
     """
-    parent, order = _peel_leaves(_tree(tree).n, list(itertools.chain.from_iterable(tree.edges)))
+    parent, order, _ = _peel_leaves(_tree(tree).n, list(itertools.chain.from_iterable(tree.edges)))
     c, height = order[0], _heights(parent, order)
     tall = [v for v, p in enumerate(parent) if p == c and height[v] == height[c] - 1]
     if len(tall) == 1:  # tall[0] is the second center

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import random
 import re
 import sys
@@ -46,6 +47,12 @@ def path(n: int) -> Tree:
 
 def star(n: int) -> Tree:
     return tree_from_edges(n, [(0, i) for i in range(1, n)])
+
+
+def comb(n: int) -> Tree:
+    """A spine 0..n/2 - 1 with leaf n/2 + i on spine vertex i; n is even."""
+    half = n // 2
+    return tree_from_edges(n, [(i, i + 1) for i in range(half - 1)] + [(i, half + i) for i in range(half)])
 
 
 def spider(*legs: int) -> Tree:
@@ -172,9 +179,10 @@ def reference_edge_ends(text: str) -> tuple[int, list[int]]:
     return reference_line_ends(text)
 
 
-def reference_tree_bfs(text: str) -> tuple[list[int], list[int]]:
+def reference_tree_bfs(text: str) -> tuple[list[int], list[int], int]:
     """The first rooting of ``count``: adjacency lists from the edge ends of
-    the text and one BFS from vertex 0, else ``parse_edge_list``'s error."""
+    the text and one BFS from vertex 0, with the count of vertices of degree
+    below 2, else ``parse_edge_list``'s error."""
     n, ends = _edge_ends(text)
     if max(ends, default=0) < n:
         adjacency: list[list[int]] = [[] for _ in range(n)]
@@ -184,8 +192,9 @@ def reference_tree_bfs(text: str) -> tuple[list[int], list[int]]:
             adjacency[v].append(u)
         parent, order = _bfs(adjacency, 0)
         if len(order) == n:
-            return parent, order
-    return _bfs(parse_edge_list(text).adjacency, 0)
+            return parent, order, sum(len(a) < 2 for a in adjacency)
+    parse_edge_list(text)
+    raise AssertionError("parse_edge_list accepted a text that is not a tree")
 
 
 def reference_decimal(x: int) -> str:
@@ -244,6 +253,24 @@ def reference_root(
                 children[v].append(w)
                 order.append(w)
     return parent, children, height, order
+
+
+def reference_count_containing_all(tree: Tree, vertices: Sequence[int]) -> int:
+    """The first joint count: one product 1 + g(c) per child c hanging off
+    the span of ``vertices``, rooted at the smallest of them."""
+    targets = sorted(set(vertices))
+    parent, _, _, order = reference_root(tree, targets[0])
+    g = reference_rooted_counts(parent, order)
+    span: set[int | None] = set()
+    for w in targets:
+        while w not in span and w is not None:
+            span.add(w)
+            w = parent[w]
+    total = 1
+    for c in range(tree.n):
+        if c not in span and parent[c] in span:
+            total *= 1 + g[c]
+    return total
 
 
 def reference_rooted_counts(parent: Sequence[int | None], order: Sequence[int]) -> list[int]:
@@ -684,23 +711,50 @@ def reference_verify_outputs(n: int) -> dict:
     }
 
 
+def reference_connected_subsets(tree: Tree) -> Iterator[frozenset[int]]:
+    """The first connected-set enumeration, in its order: each stack entry
+    holds its own frontier tuple and chosen frozenset."""
+    for a in range(tree.n):
+        stack = [(frozenset((a,)), tuple(w for w in tree.adjacency[a] if w > a))]
+        while stack:
+            chosen, frontier = stack.pop()
+            if not frontier:
+                yield chosen
+                continue
+            v, rest = frontier[-1], frontier[:-1]
+            grown = chosen | {v}
+            extended = rest + tuple(w for w in tree.adjacency[v] if w > a and w not in grown)
+            stack.append((grown, extended))
+            stack.append((chosen, rest))
+
+
+def reference_labeled_tree_count(pi: Sequence[int]) -> int:
+    """The first multinomial (n-2)! / prod (pi[v] - 1)!: one division per entry."""
+    if len(pi) == 1:
+        return 1
+    total = math.factorial(len(pi) - 2)
+    for d in pi:
+        total //= math.factorial(d - 1)
+    return total
+
+
 def reference_moves(tree: Tree) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
     """The local search's moves as ``swap_components`` arguments, in scan order.
 
-    One-for-one branch exchanges over the pairs x < y, then single-branch
-    relocations from x to every y of one degree less; a branch holding the
-    other endpoint never moves.  Each pair walks its path again.
+    Row-major in x: x's one-for-one branch exchanges with each y > x, then
+    x's single-branch relocations to every y of one degree less; a branch
+    holding the other endpoint never moves.  Each pair walks its path again.
     """
     n = tree.n
-    for x, y in combinations(range(n), 2):
-        p = path_between(tree, x, y)
-        for c in tree.adjacency[x]:
-            if c == p[1]:
-                continue
-            for d in tree.adjacency[y]:
-                if d != p[-2]:
-                    yield x, y, (c,), (d,)
     for x in range(n):
+        for y in range(x + 1, n):
+            p = path_between(tree, x, y)
+            for c in tree.adjacency[x]:
+                if c == p[1]:
+                    continue
+                for d in tree.adjacency[y]:
+                    if d != p[-2]:
+                        yield x, y, (c,), (d,)
         for y in range(n):
             if x == y or tree.degree(x) != tree.degree(y) + 1:
                 continue

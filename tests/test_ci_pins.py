@@ -78,15 +78,15 @@ CLI_PINS = {
 
 LISTING_DIGEST = "ae68f95ea8dd0ab8ae76f25d3e733cfd811ce22f5853fd536a94912d5429b29a"
 
-# CI searches 30 trees, n = 50, 100 and 200 for seeds 1..5, in about 8 s
-# a run, too long for this suite.  Here the ten n = 50 trees and the
-# three larger ones that the search stops short on (recursive seed 2 at
-# n = 100 and 200, seed 5 at 200) print the same lines under their own
-# digest, taken with the two-pass scan that preceded the row-major one.
-FULL_SEARCH_DIGEST = "22bea776025776c3cefd7fc20238c6351eba867292e66be519f73f1b5f8264e4"
-SEARCH_DIGEST = "61f697d9b921974639d99fe9b43eeb485d7e7f3df2a92947f8e6cf68ad37d518"
+# CI searches 30 trees, n = 50, 100 and 200 for seeds 1..5, in about 7 s
+# a run, too long for this suite.  Here the ten n = 50 trees and the four
+# larger ones that the search stops short on (recursive seed 2 at n = 100
+# and 200, seeds 3 and 5 at 200) print the same lines under their own
+# digest.
+FULL_SEARCH_DIGEST = "1fada278806d156b6315dff096fb65525b57175054f574c766b6a850d3065683"
+SEARCH_DIGEST = "96b7a694c3fcb77553117383b5310e0f3c0884f620318515e3a7b895b3aebd43"
 SEARCH_TREES = [(kind, s, 50) for s in range(1, 6) for kind in ("seeded", "recursive")]
-SEARCH_TREES += [("recursive", 2, 100), ("recursive", 2, 200), ("recursive", 5, 200)]
+SEARCH_TREES += [("recursive", 2, 100), ("recursive", 2, 200), ("recursive", 3, 200), ("recursive", 5, 200)]
 
 
 @pytest.fixture(scope="module")

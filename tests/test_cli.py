@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     Digest,
+    comb,
     int_digit_limit,
     path,
     random_trees,
@@ -517,6 +518,46 @@ def test_count_refuses_a_2e5_star_in_bounded_memory(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (5, "", f"error: {message}\n")
 
 
+def test_count_refuses_by_its_leaves_before_the_rooted_pass_as_f_vector_does(tmp_path, monkeypatch):
+    # phi >= 2^L for L leaves, so a cap below n times the digit estimate of
+    # 2^L refuses before any count is taken, with f_vector's message.
+    for t in (comb(40), star(50), seeded_tree(2, 300)):
+        treefile = tmp_path / "tree.txt"
+        treefile.write_text(format_edge_list(t))
+        leaves = sum(t.degree(v) == 1 for v in range(t.n))
+        monkeypatch.setattr(counting, "_F_DIGITS", t.n * ((leaves + 1) * 30103 // 100000 + 1) - 1)
+        monkeypatch.setattr(counting, "_rooted_counts", None)
+        monkeypatch.setattr(cli, "_rooted_counts", None)
+        with pytest.raises(TooLarge) as info:
+            f_vector(t)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["count", str(treefile)])
+        assert (code, out.getvalue(), err.getvalue()) == (5, "", f"error: {info.value}\n")
+        monkeypatch.undo()
+
+
+def test_count_refuses_a_10e6_comb_in_bounded_memory(tmp_path):
+    # A spine of 500,000 vertices with one leaf on each: g grows one bit
+    # per spine vertex toward the root, so the rooted pass alone would
+    # hold about 8 GB (3.3 GB of RSS already at 640,000 vertices).  The
+    # 500,000 leaves show phi >= 2^500000 before it, in 1 GiB of address
+    # space.
+    n, half = 10**6, 5 * 10**5
+    treefile = tmp_path / "comb.txt"
+    spine = "".join(f"{i} {i + 1}\n" for i in range(half - 1))
+    treefile.write_text(f"{n}\n" + spine + "".join(f"{i} {half + i}\n" for i in range(half)))
+    script = 'ulimit -v 1048576 && exec "$0" -m subtrees.cli count "$1"'
+    proc = subprocess.run(
+        ["bash", "-c", script, sys.executable, str(treefile)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    message = "the f list of 1000000 counts of up to 150516 digits passes 2500000000 digits"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (5, "", f"error: {message}\n")
+
+
 # The decimal counts of ``count`` print as the int API's values do.
 def expected_count_digests(tree: Tree, treefile: str) -> tuple[bytes, bytes]:
     """Digests of the human and JSON output, from the int counts and ``_decimal``."""
@@ -681,9 +722,15 @@ def assert_count_matches_bfs_route(text: str, treefile) -> None:
         assert got == count_outputs(treefile), text[:200]
 
 
-def assert_rooting(n: int, edges, parent: list[int], order: list[int]) -> None:
+def assert_rooting(n: int, edges, parent: list[int], order: list[int], leaves: int) -> None:
     """``parent`` and ``order`` root a tree with exactly these edges, parents
-    first, and the leaf children of each vertex form one run of ``order``."""
+    first, the leaf children of each vertex form one run of ``order``, and
+    ``leaves`` counts the vertices of degree below 2."""
+    degree = [0] * n
+    for e in edges:
+        for v in e:
+            degree[v] += 1
+    assert leaves == sum(d < 2 for d in degree)
     position = {v: i for i, v in enumerate(order)}
     assert sorted(order) == list(range(n)) and parent[order[0]] == order[0]
     assert all(position[parent[v]] < position[v] for v in order[1:])
@@ -745,9 +792,9 @@ def test_peel_matches_bfs_route(tmp_path_factory, graph):
 @pytest.mark.parametrize(
     "n, edges, rooted",
     [
-        (1, [], ([0], [0])),
-        (2, [(0, 1)], ([0, 0], [0, 1])),
-        (2, [(1, 0)], ([0, 0], [0, 1])),
+        (1, [], ([0], [0], 1)),
+        (2, [(0, 1)], ([0, 0], [0, 1], 2)),
+        (2, [(1, 0)], ([0, 0], [0, 1], 2)),
         (2, [(0, 0)], None),
         (2, [(1, 1)], None),
     ],
@@ -782,8 +829,9 @@ def test_peel_keeps_leaf_children_in_one_run():
     # in id order would alternate the two centres' leaves.
     n = 1001
     edges = interleaved_double_star(n)
-    parent, order = _peel_leaves(*_edge_ends(edge_text(n, edges)))
-    assert_rooting(n, edges, parent, order)
+    rooted = _peel_leaves(*_edge_ends(edge_text(n, edges)))
+    assert_rooting(n, edges, *rooted)
+    parent, order, _ = rooted
     assert sorted(order[:2]) == [0, 1]
     leaves = [parent[v] for v in order[2:]]
     assert leaves in (sorted(leaves), sorted(leaves, reverse=True))

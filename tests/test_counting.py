@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    comb,
     path,
     random_recursive_tree,
     random_trees,
     reference_argmax,
+    reference_count_containing_all,
     reference_root,
     reference_rerooted_counts,
     reference_rooted_counts,
@@ -249,3 +251,24 @@ def test_f_vector_refuses_a_2e5_star():
         f_vector(star(2 * 10**5))
     message = "the f list of 200000 counts of up to 60207 digits passes 2500000000 digits"
     assert str(info.value) == message
+
+
+def test_count_containing_all_matches_reference_on_every_small_class():
+    # Every single vertex, pair and the whole vertex set of every class.
+    for n in range(1, 13):
+        for pi in realizable_sequences(n):
+            for t in enumerate_trees(pi):
+                for u in range(n):
+                    for v in range(u, n):
+                        assert count_containing_all(t, [u, v]) == reference_count_containing_all(t, [u, v])
+                assert count_containing_all(t, range(n)) == 1
+
+
+def test_f_vector_refuses_a_comb_before_the_dp(monkeypatch):
+    # phi >= 2^L for the L = 80,000 leaves, so the f list would hold at
+    # least 160,000 counts of 24,083 digits: 3.9e9.  The rooted pass would
+    # hold 80,000 counts of up to 80,000 bits.
+    monkeypatch.setattr(counting, "_rooted_counts", None)
+    with pytest.raises(TooLarge) as info:
+        f_vector(comb(160_000))
+    assert str(info.value) == "the f list of 160000 counts of up to 24083 digits passes 2500000000 digits"
