@@ -105,28 +105,33 @@ def _edges(parent: Sequence[int], item: str, sep: str) -> Iterator[str]:
     return _blocks(item, sep, (parent[1:], range(1, len(parent))), len(parent))
 
 
+class _Raw:
+    """A report value that ``_emit`` writes as the JSON text of its pieces."""
+
+    def __init__(self, *pieces: str | Iterator[str]) -> None:
+        self.pieces = pieces
+
+
 def _emit(
     args: argparse.Namespace,
     report: Callable[[], dict],
     human: Callable[[], Sequence[str | Iterator[str]]],
-    splice: Callable[[], Mapping[str, Sequence[str | Iterator[str]]]] | None = None,
 ) -> None:
     """Print the JSON report or the human text, building only the one printed.
 
     Both are written as pieces, each a str or a ``_blocks`` iterator, in
-    turn and never joined.  ``human`` gives the pieces of the human text.
-    The report holds None at each key that ``splice`` maps to the pieces
-    of its JSON value, and its JSON is cut once at each ``"key": null``,
-    in the order of the text; ``json`` escapes the quotes inside strings,
-    so no string can hold that.
+    turn and never joined.  ``json`` hands each ``_Raw`` of the report to
+    ``default`` in the order of the text, and writes the "\\0" it returns
+    as ``"\\u0000"``; no other string of a report is exactly "\\0", so the
+    text is cut there and each value's pieces are written in its place.
     """
     if args.json:
-        text = json.dumps(report(), sort_keys=True)
-        pieces, values = [], splice() if splice else {}
-        for key in sorted(values, key=lambda key: text.index(f'"{key}": null')):
-            head, _, text = text.partition(f'"{key}": null')
-            pieces += [head, f'"{key}": ', *values[key]]
-        pieces += [text, "\n"]
+        raws: list[_Raw] = []
+        text = json.dumps(report(), sort_keys=True, default=lambda raw: raws.append(raw) or "\0")
+        head, *tails = f"{text}\n".split('"\\u0000"')
+        pieces = [head]
+        for raw, tail in zip(raws, tails):
+            pieces += [*raw.pieces, tail]
     else:
         pieces = human()
     for piece in pieces:
@@ -186,7 +191,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     phi = _decimal(phi)
     argmax = list(_argmax(f))
     # The f texts are plain digits and need no escaping.
-    outputs = {"phi": phi, "f": None, "argmax": argmax}
+    outputs = {"phi": phi, "f": _Raw("[", _blocks('"%s"', ", ", (f,), phi), "]"), "argmax": argmax}
     _emit(
         args,
         lambda: _report("count", {"treefile": args.treefile, "n": n}, outputs),
@@ -195,7 +200,6 @@ def cmd_count(args: argparse.Namespace) -> int:
             _blocks(" %s", "", (f,), phi),
             f"\nargmax: {' '.join(map(str, argmax))}\n",
         ],
-        lambda: {"f": ["[", _blocks('"%s"', ", ", (f,), phi), "]"]},
     )
     return 0
 
@@ -211,19 +215,19 @@ def cmd_build(args: argparse.Namespace) -> int:
     parent = _greedy_parents(pi)
     sizes = _layer_sizes(parent)
     phi = _decimal(_greedy_phi(pi))
-    outputs = {"edges": None, "layer_sizes": list(sizes), "phi": phi}
+    outputs = {"layer_sizes": list(sizes), "phi": phi}
     _emit(
         args,
-        lambda: _report("build", {"pi": None}, outputs),
+        lambda: _report(
+            "build",
+            {"pi": _Raw("[", _fmt_seq(pi, ", "), "]")},
+            {"edges": _Raw("[", _edges(parent, "[%d, %d]", ", "), "]"), **outputs},
+        ),
         lambda: [
             f"{len(pi)}\n",
             _edges(parent, "%d %d\n", ""),
             f"layer_sizes: {_fmt_seq(sizes)}\nphi: {phi}\n",
         ],
-        lambda: {
-            "pi": ["[", _fmt_seq(pi, ", "), "]"],
-            "edges": ["[", _edges(parent, "[%d, %d]", ", "), "]"],
-        },
     )
     return 0
 
@@ -322,7 +326,8 @@ def cmd_order(args: argparse.Namespace) -> int:
     relation = majorizes(a, b)
     chain = [] if relation == "incomparable" else majorization_chain(a, b)
     phis = [_decimal(_greedy_phi(pi)) for pi in chain]
-    found = {"chain": chain, "phi_star": phis} if chain else {}
+    rows = (f"{', ' if i else ''}[{_fmt_seq(pi, ', ')}]" for i, pi in enumerate(chain))
+    found = {"chain": _Raw("[", rows, "]"), "phi_star": phis} if chain else {}
     _emit(
         args,
         lambda: _report("order", {"a": list(a), "b": list(b)}, {"relation": relation, **found}),
@@ -349,25 +354,24 @@ def cmd_class(args: argparse.Namespace) -> int:
     The edges print from the greedy parent array of the answer's sequence,
     so the answer's ``Tree`` is never built; ``_emit`` writes them in
     blocks.  The ``details`` values are ints, such as the leaves class's
-    exact spider count, so they are spliced in as JSON numbers written by
+    exact spider count, so each is written as a raw JSON number by
     ``_decimal``, which has no int-digit limit.
     """
     answer = _CLASS_FUNCTIONS[args.type](args.n, args.k)
     parent = _greedy_parents(answer.extremal_pi)
     printed = answer.printed_formula_value
-    details = sorted(answer.details.items())
     _emit(
         args,
         lambda: _report(
             "class",
             {"type": args.type, "n": args.n, "k": args.k},
             {
-                "pi": None,
-                "edges": None,
+                "pi": _Raw("[", _fmt_seq(answer.extremal_pi, ", "), "]"),
+                "edges": _Raw("[", _edges(parent, "[%d, %d]", ", "), "]"),
                 "phi": _decimal(answer.phi),
                 "printed_formula_value": None if printed is None else _decimal(printed),
                 "discrepancy_flag": answer.discrepancy_flag,
-                "details": None,
+                "details": {k: _Raw(_decimal(v)) for k, v in answer.details.items()},
             },
         ),
         lambda: [
@@ -377,11 +381,6 @@ def cmd_class(args: argparse.Namespace) -> int:
             "" if printed is None else f"printed_formula: {_decimal(printed)}\n",
             f"discrepancy: {str(answer.discrepancy_flag).lower()}\n",
         ],
-        lambda: {
-            "pi": ["[", _fmt_seq(answer.extremal_pi, ", "), "]"],
-            "edges": ["[", _edges(parent, "[%d, %d]", ", "), "]"],
-            "details": ["{%s}" % ", ".join(f'"{k}": {_decimal(v)}' for k, v in details)],
-        },
     )
     return 0
 

@@ -17,7 +17,7 @@ __all__ = ["majorizes", "majorization_chain"]
 
 # Cap on the entries of a majorization chain, n times its length, which is
 # known before the walk.  Path to star at n = 3,000 (9.0 * 10^6 entries)
-# took 1.3-1.4 s and 171 MB as ``order --json`` (Python 3.11.7, 2-CPU
+# took 0.7-1.0 s and 95 MB as ``order --json`` (Python 3.11.7, 2-CPU
 # x86-64 VM), the output growing with the entries.
 _CHAIN_LIMIT = 10**7
 

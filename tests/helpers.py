@@ -399,25 +399,27 @@ def reference_blocks(item: str, sep: str, columns: Sequence, longest) -> Iterato
     yield sep.join(map(item.__mod__, zip(*columns)))
 
 
-def reference_emit(args, report, human, splice=None) -> None:
+def reference_emit(args, report, human) -> None:
     """``cli._emit`` with the text of the first implementations: the pieces
-    are joined with ``str.join``, each spliced JSON value is decoded with
-    ``json.loads`` and put back in its place in the report, and the whole
-    report goes through ``json.dumps``.  Patch ``cli._blocks`` with
+    are joined with ``str.join``, each ``cli._Raw`` value of the report is
+    replaced by ``json.loads`` of its joined pieces, and the whole report
+    goes through ``json.dumps``.  Patch ``cli._blocks`` with
     ``reference_blocks`` too, so that each item has its own ``%``."""
 
     def joined(pieces) -> str:
         return "".join(piece if isinstance(piece, str) else "".join(piece) for piece in pieces)
 
+    def decoded(value):
+        if isinstance(value, cli._Raw):
+            return json.loads(joined(value.pieces))
+        if isinstance(value, dict):
+            return {key: decoded(item) for key, item in value.items()}
+        return value
+
     if not args.json:
         print(joined(human()), end="")
         return
-    data = report()
-    for key, pieces in (splice() if splice else {}).items():
-        for part in (data["inputs"], data["outputs"]):
-            if key in part:
-                part[key] = json.loads(joined(pieces))
-    print(json.dumps(data, sort_keys=True))
+    print(json.dumps(decoded(report()), sort_keys=True))
 
 
 def reference_argmax(values: Sequence) -> tuple[int, ...]:

@@ -58,6 +58,9 @@ CLI_PINS = {
     "96d2ea96db3989b12a05fccf159752240df4be393d6678b1fedd57dfe2af247e": [
         "order @scale-order-args.txt --json",
     ],
+    "dd6a2ce34ab2948f2ad38e5f548d401ac9db015fdca3a6afc8aba6bee2767a95": [
+        "order @scale-order-3000-args.txt --json",
+    ],
     "7b021ac1aa7615fb6cda31b2a1064813059d2ace8af7f8cf5c44b1ba7150c1a0": [
         "class --type leaves --n 20000 --k 10000 --json",
         "PYTHONINTMAXSTRDIGITS=640 class --type leaves --n 20000 --k 10000 --json",
@@ -95,8 +98,10 @@ def ci_inputs(tmp_path_factory) -> Path:
     folder = tmp_path_factory.mktemp("ci-inputs")
     pi = ",".join(["5"] * 100 + ["2"] * 99598 + ["1"] * 302)
     (folder / "scale-build-args.txt").write_bytes(f"--pi\n{pi}\n".encode())
-    star_pi, path_pi = ",".join(["999"] + ["1"] * 999), ",".join(["2"] * 998 + ["1"] * 2)
-    (folder / "scale-order-args.txt").write_bytes(f"--a\n{star_pi}\n--b\n{path_pi}\n".encode())
+    for n, name in ((1000, "scale-order-args.txt"), (3000, "scale-order-3000-args.txt")):
+        star_pi = ",".join([str(n - 1)] + ["1"] * (n - 1))
+        path_pi = ",".join(["2"] * (n - 2) + ["1"] * 2)
+        (folder / name).write_bytes(f"--a\n{star_pi}\n--b\n{path_pi}\n".encode())
     path = "100000\n" + "".join(f"{v - 1} {v}\n" for v in range(1, 10**5))
     (folder / "scale-path-lf.txt").write_bytes(path.encode())
     (folder / "scale-path-crlf.txt").write_bytes(path.replace("\n", "\r\n").encode())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -1091,6 +1092,25 @@ def test_verify_and_order_match_reference_emit(capsys, monkeypatch):
     assert relations == {"greater", "less", "equal", "incomparable"}
 
 
+def test_emit_writes_each_raw_value_in_its_place(capsys):
+    # The same key in inputs and in outputs, and raw values nested in a
+    # dict, each written where the report holds it; strings that hold a
+    # NUL or the text of its escape are not cut.
+    report = cli._report(
+        "test",
+        {"pi": cli._Raw("[", iter(["1, ", "2"]), "]"), "name": "\0x"},
+        {"pi": cli._Raw("[3]"), "details": {"b": cli._Raw("5"), "a": cli._Raw("4")}, "z": "\\u0000"},
+    )
+    cli._emit(argparse.Namespace(json=True), lambda: report, list)
+    out = capsys.readouterr().out
+    assert out == (
+        '{"command": "test", "inputs": {"name": "\\u0000x", "pi": [1, 2]}, '
+        '"outputs": {"details": {"a": 4, "b": 5}, "pi": [3], "z": "\\\\u0000"}, '
+        f'"timing": null, "version": "{cli.__version__}"}}\n'
+    )
+    assert json.loads(out)["outputs"]["z"] == "\\u0000"
+
+
 def fmt_seq_cases():
     """Every degree sequence of up to 12 vertices and its greedy layer
     sizes, which need not be monotone, the empty and one-entry sequences,
@@ -1127,8 +1147,8 @@ def output_peak(*argv: str) -> int:
 def test_build_json_memory_at_10e5():
     # 6.1 MiB, in the edge blocks, with the parent array and the JSON text
     # of pi alive; the phi DP peaks at 6.0 MiB and the parse of --pi at
-    # 2.3 MiB.  Rebuilding the report text once for each spliced key
-    # peaked at 6.9 MiB, and the regex guard of --pi, which kept one
+    # 2.3 MiB.  Rebuilding the report text once for each key written from
+    # pieces peaked at 6.9 MiB, and the regex guard of --pi, which kept one
     # backtracking frame per entry, at 12.6 MiB.  Margin 0.3 MiB.
     assert output_peak("build", "--pi", CI_BUILD_PI, "--json") < 6.4 * 2**20
 
@@ -1143,15 +1163,23 @@ CLASS_AT_10E5 = ("class", "--type", "beta", "--n", "100000", "--k", "16041")
 
 def test_class_json_memory_at_10e5():
     # 3.6 MiB, in the edge blocks, with the parent array and the JSON text
-    # of pi alive.  Rebuilding the report text once for each spliced key
-    # peaked at 4.3 MiB, pi through ``json.dumps`` at 7.1 MiB, and one
-    # text for all edges at 10.0 MiB.  Margin 0.4 MiB.
+    # of pi alive.  Rebuilding the report text once for each key written
+    # from pieces peaked at 4.3 MiB, pi through ``json.dumps`` at 7.1 MiB,
+    # and one text for all edges at 10.0 MiB.  Margin 0.4 MiB.
     assert output_peak(*CLASS_AT_10E5, "--json") < 4.0 * 2**20
 
 
 def test_class_human_memory_at_10e5():
     # 3.5 MiB, in the edge blocks, with the parent array alive.  Margin 0.5 MiB.
     assert output_peak(*CLASS_AT_10E5) < 4.0 * 2**20
+
+
+def test_order_json_memory_from_star_to_path_at_1000():
+    # 8.6 MiB, most of it the 998 chain tuples of 1,000 entries each; the
+    # rows are written one at a time.  The chain through ``json.dumps``
+    # peaked at 14.2 MiB.  Margin 2.4 MiB.
+    a, b = ",".join(["999"] + ["1"] * 999), ",".join(["2"] * 998 + ["1"] * 2)
+    assert output_peak("order", "--a", a, "--b", b, "--json") < 11 * 2**20
 
 
 def test_count_human_memory_on_a_10e5_path(tmp_path):
