@@ -44,7 +44,7 @@ from .formulas import (
     matching_extremal,
     max_degree_extremal,
 )
-from .majorization import majorization_chain, majorizes
+from .majorization import _chain, majorizes
 from .oracle import _order_census, labeled_tree_count
 from .trees import _EXACT, _decimal, _edge_ends, _peel_leaves
 from .trees import parse_degree_sequence, parse_edge_list
@@ -320,21 +320,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_order(args: argparse.Namespace) -> int:
-    """Compare two degree sequences and walk the chain between them."""
+    """Compare two degree sequences and write the chain between them as it is walked."""
     a = _sequence_argument(args.a)
     b = _sequence_argument(args.b)
     relation = majorizes(a, b)
-    chain = [] if relation == "incomparable" else majorization_chain(a, b)
-    phis = [_decimal(_greedy_phi(pi)) for pi in chain]
+    length, steps = (0, ()) if relation == "incomparable" else _chain(a, b)
+    phis: list[str] = []
+    chain = (phis.append(_decimal(_greedy_phi(pi))) or pi for pi in steps)
     rows = (f"{', ' if i else ''}[{_fmt_seq(pi, ', ')}]" for i, pi in enumerate(chain))
-    found = {"chain": _Raw("[", rows, "]"), "phi_star": phis} if chain else {}
+    # sort_keys writes "phi_star" after "chain", so the rows have filled phis.
+    phi_star = _Raw(map(json.dumps, [phis]))
+    found = {"chain": _Raw("[", rows, "]"), "phi_star": phi_star} if length else {}
     _emit(
         args,
         lambda: _report("order", {"a": list(a), "b": list(b)}, {"relation": relation, **found}),
         lambda: [
             f"relation: {relation}\n",
-            *([f"chain_length: {len(chain)}\n"] if chain else []),
-            *(f"{_fmt_seq(pi)} phi={phi}\n" for pi, phi in zip(chain, phis)),
+            f"chain_length: {length}\n" if length else "",
+            (f"{_fmt_seq(pi)} phi={phis[-1]}\n" for pi in chain),
         ],
     )
     return 0

@@ -18,7 +18,6 @@ from subtrees import cli
 from subtrees.counting import _rooted_counts, count_subtrees, f_vector
 from subtrees.errors import ParseError
 from subtrees.extremal import build_greedy_bfs, swap_components
-from subtrees.majorization import majorizes
 from subtrees.oracle import (
     _degrees,
     _edges_from_prufer,
@@ -327,6 +326,49 @@ def reference_greedy_bfs(pi: Sequence[int]) -> tuple[list[tuple[int, int]], tupl
         sizes.append(len(nxt))
         layer = nxt
     return edges, tuple(sizes)
+
+
+def reference_relation(a: Sequence[int], b: Sequence[int]) -> str:
+    """The majorization relation of a to b, sorted nonincreasing, of equal
+    lengths and sums, by the signs of their prefix-sum differences."""
+    seen_pos = seen_neg = False
+    run_a = run_b = 0
+    for x, y in zip(sorted(a, reverse=True), sorted(b, reverse=True)):
+        run_a += x
+        run_b += y
+        if run_a > run_b:
+            seen_pos = True
+        elif run_a < run_b:
+            seen_neg = True
+    if seen_pos and seen_neg:
+        return "incomparable"
+    if seen_pos:
+        return "greater"
+    if seen_neg:
+        return "less"
+    return "equal"
+
+
+def reference_chain(low: Sequence[int], high: Sequence[int]) -> list[tuple[int, ...]]:
+    """The unit-transfer chain from low up to high, which majorizes it: each
+    step scans the prefix-sum deficit D for the first index j with D >= 1
+    and the first index k > j where D returns to 0, and moves a unit from k
+    to j."""
+    current, high = sorted(low, reverse=True), sorted(high, reverse=True)
+    chain = [tuple(current)]
+    while current != high:
+        deficit = 0
+        j = -1
+        for i in range(len(current)):
+            deficit += high[i] - current[i]
+            if j < 0 and deficit >= 1:
+                j = i
+            elif j >= 0 and deficit == 0:
+                break
+        current[j] += 1
+        current[i] -= 1
+        chain.append(tuple(current))
+    return chain
 
 
 def reference_phi_star(chain: Sequence[Sequence[int]]) -> list[str]:
@@ -697,7 +739,7 @@ def reference_verify_outputs(n: int) -> dict:
     pairs = 0
     monotonic_ok = True
     for i, j in combinations(range(len(sequences)), 2):
-        relation = majorizes(sequences[i], sequences[j])
+        relation = reference_relation(sequences[i], sequences[j])
         if relation != "incomparable":
             pairs += 1
             bigger = int(results[i]["max_phi"]) > int(results[j]["max_phi"])

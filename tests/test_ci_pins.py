@@ -58,6 +58,9 @@ CLI_PINS = {
     "96d2ea96db3989b12a05fccf159752240df4be393d6678b1fedd57dfe2af247e": [
         "order @scale-order-args.txt --json",
     ],
+    "e7a2667614aabf4fff1afcc9adc21cd5ecf2ea491155fbe1ee4566f351912b7b": [
+        "order @scale-order-args.txt",
+    ],
     "dd6a2ce34ab2948f2ad38e5f548d401ac9db015fdca3a6afc8aba6bee2767a95": [
         "order @scale-order-3000-args.txt --json",
     ],

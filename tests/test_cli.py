@@ -27,11 +27,13 @@ from helpers import (
     random_trees,
     reference_blocks,
     reference_build_output,
+    reference_chain,
     reference_class_output,
     reference_decimal,
     reference_emit,
     reference_parse_edge_list,
     reference_phi_star,
+    reference_relation,
     reference_tree_bfs,
     reference_verify_outputs,
     seeded_tree,
@@ -43,7 +45,7 @@ from subtrees.cli import main
 from subtrees.counting import _rooted_counts, count_subtrees, f_vector
 from subtrees.errors import InfeasibleConstraint, ParseError, SubtreeError, TooLarge
 from subtrees.extremal import _greedy_parents, _layer_sizes
-from subtrees.majorization import majorization_chain, majorizes
+from subtrees.majorization import majorizes
 from subtrees.oracle import _ENUMERATION_LIMIT, enumerate_trees, realizable_sequences
 from subtrees.trees import Tree, _edge_ends, _peel_leaves, format_edge_list, parse_degree_sequence
 from subtrees.trees import tree_from_edges
@@ -946,8 +948,9 @@ def test_order_json_matches_build_and_count(capsys):
     for a_text, b_text in chain_ends:
         code, out, _ = run(capsys, "order", "--a", a_text, "--b", b_text, "--json")
         a, b = parse_degree_sequence(a_text), parse_degree_sequence(b_text)
-        relation = majorizes(a, b)
-        chain = [] if relation == "incomparable" else majorization_chain(a, b)
+        relation = reference_relation(a, b)
+        low, high = (a, b) if relation == "less" else (b, a)
+        chain = [] if relation == "incomparable" else reference_chain(low, high)
         found = {"chain": chain, "phi_star": reference_phi_star(chain)} if chain else {}
         want = cli._report("order", {"a": list(a), "b": list(b)}, {"relation": relation, **found})
         assert code == 0 and out == json.dumps(want, sort_keys=True) + "\n", (a_text, b_text)
@@ -1174,12 +1177,24 @@ def test_class_human_memory_at_10e5():
     assert output_peak(*CLASS_AT_10E5) < 4.0 * 2**20
 
 
+def star_to_path(n: int) -> tuple[str, ...]:
+    """The ``order`` arguments from the star to the path on n vertices."""
+    a, b = ",".join([str(n - 1)] + ["1"] * (n - 1)), ",".join(["2"] * (n - 2) + ["1"] * 2)
+    return ("order", "--a", a, "--b", b)
+
+
 def test_order_json_memory_from_star_to_path_at_1000():
-    # 8.6 MiB, most of it the 998 chain tuples of 1,000 entries each; the
-    # rows are written one at a time.  The chain through ``json.dumps``
-    # peaked at 14.2 MiB.  Margin 2.4 MiB.
-    a, b = ",".join(["999"] + ["1"] * 999), ",".join(["2"] * 998 + ["1"] * 2)
-    assert output_peak("order", "--a", a, "--b", b, "--json") < 11 * 2**20
+    # 0.8 MiB, most of it the phi_star list and its JSON text; the walk
+    # holds one sequence, written as it comes.  Holding the 998 chain
+    # tuples of 1,000 entries each peaked at 8.6 MiB, and the chain through
+    # ``json.dumps`` at 14.2 MiB.  Margin 1.2 MiB.
+    assert output_peak(*star_to_path(1000), "--json") < 2 * 2**20
+
+
+def test_order_human_memory_from_star_to_path_at_2000():
+    # 1.0 MiB, most of it the 1,998 phi texts; holding the chain of 1,998
+    # tuples of 2,000 entries each peaked at 40.2 MiB.  Margin 1 MiB.
+    assert output_peak(*star_to_path(2000)) < 2 * 2**20
 
 
 def test_count_human_memory_on_a_10e5_path(tmp_path):

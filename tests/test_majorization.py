@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import reference_chain, reference_relation
 from subtrees.counting import count_subtrees
 from subtrees import majorization
 from subtrees.errors import InfeasibleConstraint, NotComparable, TooLarge
@@ -76,6 +78,58 @@ def test_chain_cap(monkeypatch):
     monkeypatch.setattr(majorization, "_CHAIN_LIMIT", 14)
     with pytest.raises(TooLarge, match=re.escape("chains capped at 14 entries, got 15")):
         majorization_chain(star5, path5)
+
+
+def test_equal_pairs_obey_the_chain_cap(monkeypatch):
+    monkeypatch.setattr(majorization, "_CHAIN_LIMIT", 4)
+    with pytest.raises(TooLarge, match=re.escape("chains capped at 4 entries, got 5")):
+        majorization_chain((2, 2, 2, 1, 1), (1, 2, 1, 2, 2))
+    assert majorization_chain((2, 2, 1, 1), (1, 2, 1, 2)) == [(2, 2, 1, 1)]
+
+
+def matches_references(a, b) -> bool:
+    """Whether ``majorizes`` and ``majorization_chain`` agree with the
+    sign loop and the deficit scan on a and b; True when comparable."""
+    relation = reference_relation(a, b)
+    assert majorizes(a, b) == relation, (a, b)
+    if relation == "incomparable":
+        with pytest.raises(NotComparable):
+            majorization_chain(a, b)
+        return False
+    low, high = (a, b) if relation == "less" else (b, a)
+    want = reference_chain(low, high)
+    # At most one step past the reference's end, so a walk that never ends fails.
+    length, walk = majorization._chain(a, b)
+    assert (length, list(itertools.islice(walk, length + 1))) == (len(want), want), (a, b)
+    assert majorization_chain(a, b) == want, (a, b)
+    return True
+
+
+def test_order_matches_references_on_every_small_pair():
+    comparable = 0
+    for n in range(1, 13):
+        sequences = realizable_sequences(n)
+        comparable += sum(matches_references(a, b) for a in sequences for b in sequences)
+    assert comparable == 3302  # ordered pairs, the equal ones included
+
+
+@st.composite
+def equal_sum_pairs(draw) -> tuple[list[int], list[int]]:
+    """Two lists of positive ints with one length and one sum: the second
+    is the first after random unit transfers, shuffled."""
+    a = draw(st.lists(st.integers(1, 9), min_size=1, max_size=14))
+    b = list(a)
+    index = st.integers(0, len(a) - 1)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=40)):
+        if b[i] > 1:
+            b[i] -= 1
+            b[j] += 1
+    return a, draw(st.permutations(b))
+
+
+@given(equal_sum_pairs())
+def test_order_matches_references_on_random_pairs(pair):
+    matches_references(*pair)
 
 
 @given(st.sampled_from(realizable_sequences(8)), st.sampled_from(realizable_sequences(8)))
