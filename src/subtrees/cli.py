@@ -328,7 +328,7 @@ def cmd_order(args: argparse.Namespace) -> int:
     phis: list[str] = []
     chain = (phis.append(_decimal(_greedy_phi(pi))) or pi for pi in steps)
     rows = (f"{', ' if i else ''}[{_fmt_seq(pi, ', ')}]" for i, pi in enumerate(chain))
-    # sort_keys writes "phi_star" after "chain", so the rows have filled phis.
+    # JSON only: sort_keys writes "phi_star" after "chain", so the rows have filled phis.
     phi_star = _Raw(map(json.dumps, [phis]))
     found = {"chain": _Raw("[", rows, "]"), "phi_star": phi_star} if length else {}
     _emit(
@@ -337,7 +337,7 @@ def cmd_order(args: argparse.Namespace) -> int:
         lambda: [
             f"relation: {relation}\n",
             f"chain_length: {length}\n" if length else "",
-            (f"{_fmt_seq(pi)} phi={phis[-1]}\n" for pi in chain),
+            (f"{_fmt_seq(pi)} phi={_decimal(_greedy_phi(pi))}\n" for pi in steps),
         ],
     )
     return 0

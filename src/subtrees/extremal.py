@@ -10,12 +10,12 @@ of which the paper's path rewirings are a special case.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from itertools import chain, repeat
 from operator import neg
 from typing import Iterator, Sequence
 
-from .counting import _rooted_counts, f_vector
+from .counting import _check_f_size, _rerooted_counts, _rooted_counts
 from .errors import InvalidVertex
 from .trees import (
     Tree,
@@ -214,29 +214,32 @@ def swap_components(
     return tree_from_edges(n, edges)
 
 
-def _root_row(tree: Tree, x: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    """``step``, ``back``, ``g`` and ``both`` for root x, from one BFS.
+def _root_row(adjacency: Sequence[Sequence[int]], x: int) -> tuple[list[int], ...]:
+    """``step``, ``back``, ``g``, ``both`` and the BFS ``order`` for root x, from one BFS.
 
-    ``step[y]`` is x's neighbor toward y, ``back[y]`` y's neighbor toward
-    x (its BFS parent), ``g`` the rooted count from x and ``both[y]`` the
+    ``adjacency[v]`` lists v's neighbors ascending, as a ``Tree``'s does.
+    ``step[y]`` is x's neighbor toward y, ``back[y]`` y's neighbor toward x
+    (its BFS parent), ``g`` the rooted count from x and ``both[y]`` the
     number of subtrees containing x and y.  Of the subtrees containing x
-    and a vertex p, a fraction g(w)/(1 + g(w)) also contain p's child w,
-    so both[w] = both[p] * g(w) / (1 + g(w)) exactly, from both[x] = g(x).
+    and a vertex p, a fraction g(w)/(1 + g(w)) also contain p's child w, so
+    both[w] = both[p] * g(w) / (1 + g(w)) exactly, from both[x] = g(x).
     """
-    back, order = _bfs(tree.adjacency, x)
+    back, order = _bfs(adjacency, x)
     g = _rooted_counts(back, order)
-    step = [x] * tree.n
-    both = [0] * tree.n
+    step = [x] * len(adjacency)
+    both = [0] * len(adjacency)
     both[x] = g[x]
     for w in order[1:]:
         p = back[w]
         step[w] = w if p == x else step[p]
         both[w] = both[p] * g[w] // (1 + g[w])
-    return step, back, g, both
+    return step, back, g, both, order
 
 
-def _scored_moves(tree: Tree) -> Iterator[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]]:
-    """Every degree-preserving move with its exact change of phi, in scan order.
+def _scored_moves(
+    adjacency: Sequence[Sequence[int]],
+) -> Iterator[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]]:
+    """Every degree-preserving move of a tree's adjacency with its exact phi change, in scan order.
 
     Yields (delta, x, y, xc, yc): ``swap_components(tree, x, y, xc, yc)``
     has phi(tree) + delta subtrees.  The scan is row-major, one row per
@@ -245,7 +248,8 @@ def _scored_moves(tree: Tree) -> Iterator[tuple[int, int, int, tuple[int, ...], 
     relocations of c to each y of one degree less, ascending, which keep
     the degree multiset.  The search applies the first gaining move of
     this order.  The paper's path rewirings are among the exchanges: see
-    ``swap_components``.
+    ``swap_components``.  f is the first row's g rerooted, checked by
+    ``_check_f_size`` as ``f_vector`` checks it, so a scan roots once per row.
 
     The exchange lemma gives delta without building the tree.  With g the
     rooted count from x (c and d are children there, so g(c) and g(d) count
@@ -259,43 +263,56 @@ def _scored_moves(tree: Tree) -> Iterator[tuple[int, int, int, tuple[int, ...], 
     (1 + g(c)) and B = (f(y) - both[y]) / (1 + g(d)).  Memory is O(n) and
     each move costs O(1) integer operations.
     """
-    f = f_vector(tree).values
+    n = len(adjacency)
+    degree = list(map(len, adjacency))
     by_degree: dict[int, list[int]] = {}
-    for v, d in enumerate(map(len, tree.adjacency)):
+    for v, d in enumerate(degree):
         by_degree.setdefault(d, []).append(v)
-    inner = [v for v in range(tree.n) if tree.degree(v) > 1]  # a leaf's branch holds the rest
+    inner = [v for v, d in enumerate(degree) if d > 1]  # a leaf's branch holds the rest
+    _check_f_size(n, 1 << degree.count(1))
     for i, x in enumerate(inner):
-        step, back, g, both = _root_row(tree, x)
+        step, back, g, both, order = _root_row(adjacency, x)
+        if not i:
+            _check_f_size(n, sum(map(g.__getitem__, reversed(order))))
+            f = _rerooted_counts(back, order, g[:])
         for y in inner[i + 1 :]:
             only_x, only_y = f[x] - both[y], f[y] - both[y]
-            at_y = [(d, g[d], only_y // (1 + g[d])) for d in tree.adjacency[y] if d != back[y]]
-            for c in tree.adjacency[x]:
+            at_y = [(d, g[d], only_y // (1 + g[d])) for d in adjacency[y] if d != back[y]]
+            for c in adjacency[x]:
                 if c == step[y]:
                     continue
                 gc = g[c]
                 a = only_x // (1 + gc)
                 for d, gd, b in at_y:
                     yield (gc - gd) * (b - a), x, y, (c,), (d,)
-        for y in by_degree.get(tree.degree(x) - 1, ()):
+        for y in by_degree.get(degree[x] - 1, ()):
             only_x, only_y = f[x] - both[y], f[y] - both[y]
-            for c in tree.adjacency[x]:
+            for c in adjacency[x]:
                 if c != step[y]:
                     yield g[c] * (only_y - only_x // (1 + g[c])), x, y, (c,), ()
+
+
+def _move_branches(adj: list[list[int]], x: int, y: int, xc: Sequence[int], yc: Sequence[int]) -> None:
+    """``swap_components``'s move in place on ascending lists, unchecked: for scored moves only."""
+    for a, b, roots in ((x, y, xc), (y, x, yc)):
+        for c in roots:
+            adj[a].remove(c)
+            adj[c].remove(a)
+            insort(adj[b], c)
+            insort(adj[c], b)
 
 
 def local_search_optimize(tree: Tree) -> Tree:
     """Greedily apply subtree-increasing exchange moves until none remains.
 
-    Applies the first move of ``_scored_moves`` whose delta is positive,
-    building only that tree, through ``swap_components`` with all its
-    checks, and restarts; phi strictly grows and is bounded, so this
-    terminates, and degrees never change.  The search can stop short of
-    the optimum: the two move families do not reach the greedy tree from
-    every tree of its degree sequence.
+    Applies the first move of ``_scored_moves`` whose delta is positive to
+    one adjacency, in place, and rescans; phi strictly grows and is
+    bounded, so this terminates, and degrees never change.  The result is
+    built and checked once, by ``tree_from_edges``.  The search can stop
+    short of the optimum: the two move families do not reach the greedy
+    tree from every tree of its degree sequence.
     """
-    current = _tree(tree)
-    while True:
-        move = next((m[1:] for m in _scored_moves(current) if m[0] > 0), None)
-        if move is None:
-            return current
-        current = swap_components(current, *move)
+    adj = list(map(list, _tree(tree).adjacency))
+    while move := next((m[1:] for m in _scored_moves(adj) if m[0] > 0), None):
+        _move_branches(adj, *move)
+    return tree_from_edges(tree.n, zip(_bfs(adj, 0)[0][1:], range(1, tree.n)))  # BFS parent edges

@@ -25,13 +25,14 @@ from helpers import (
     spider,
     star,
 )
-from subtrees import extremal
-from subtrees.counting import count_containing_all, count_subtrees
-from subtrees.errors import InvalidVertex
+from subtrees import counting, extremal, trees
+from subtrees.counting import count_containing_all, count_subtrees, f_vector
+from subtrees.errors import InvalidVertex, TooLarge
 from subtrees.counting import _rooted_counts
 from subtrees.extremal import (
     _greedy_parents,
     _greedy_phi,
+    _move_branches,
     _root_row,
     _scored_moves,
     build_greedy_bfs,
@@ -464,8 +465,9 @@ def _every_class_tree(max_n: int):
 def test_root_rows_match_paths_and_joint_counts(t):
     for x in range(t.n):
         parent, _, _, order = reference_root(t, x)
-        step, back, g, both = _root_row(t, x)
+        step, back, g, both, bfs = _root_row(t.adjacency, x)
         assert g == reference_rooted_counts(parent, order)
+        assert bfs == trees._bfs(t.adjacency, x)[1]
         assert both[x] == count_containing_all(t, [x])
         for y in range(t.n):
             if y != x:
@@ -476,7 +478,7 @@ def test_root_rows_match_paths_and_joint_counts(t):
 
 def _assert_scores_match_recounts(t: Tree) -> list[int]:
     phi = count_subtrees(t)
-    scored = list(_scored_moves(t))
+    scored = list(_scored_moves(t.adjacency))
     assert [move[1:] for move in scored] == list(reference_moves(t))
     for delta, x, y, xc, yc in scored:
         assert delta == count_subtrees(swap_components(t, x, y, xc, yc)) - phi
@@ -512,17 +514,70 @@ def test_scored_moves_match_recounts_property(t):
 
 
 def test_full_scan_roots_each_inner_vertex_once(monkeypatch):
-    calls = []
+    # One BFS per row and none besides: f comes from the first row.
+    rows, roots = [], []
+    bfs = trees._bfs
 
-    def counted(tree, x):
-        calls.append(x)
-        return _root_row(tree, x)
+    def counted(adjacency, x):
+        rows.append(x)
+        return _root_row(adjacency, x)
+
+    def counted_bfs(adjacency, root):
+        roots.append(root)
+        return bfs(adjacency, root)
 
     monkeypatch.setattr(extremal, "_root_row", counted)
+    for module in (trees, counting, extremal):
+        monkeypatch.setattr(module, "_bfs", counted_bfs)
     for t in (seeded_tree(3, 200), random_recursive_tree(random.Random(2), 50), star(5), path(2)):
-        calls.clear()
-        list(_scored_moves(t))
-        assert calls == [v for v in range(t.n) if t.degree(v) > 1]
+        rows.clear()
+        roots.clear()
+        list(_scored_moves(t.adjacency))
+        inner = [v for v in range(t.n) if t.degree(v) > 1]
+        assert rows == inner and roots == inner
+
+
+def _assert_edits_match_swaps(t: Tree) -> None:
+    for _, x, y, xc, yc in _scored_moves(t.adjacency):
+        adj = [list(a) for a in t.adjacency]
+        _move_branches(adj, x, y, xc, yc)
+        assert tuple(map(tuple, adj)) == swap_components(t, x, y, xc, yc).adjacency
+
+
+def test_in_place_moves_match_swap_components():
+    # The search edits one adjacency in place; each scored move must leave
+    # exactly the adjacency, ascending lists included, that the checked move
+    # builds.
+    for t in _every_class_tree(9):
+        _assert_edits_match_swaps(t)
+    _assert_edits_match_swaps(_RECURSIVE_31)
+
+
+def test_scorer_refuses_where_f_vector_does(monkeypatch):
+    # star(60)'s 59 leaves bound phi below by 2^59, 19 digits for each of
+    # 60 counts: 1,140, so a cap of 1,139 refuses it before any row.
+    # path(40) passes its leaf bound (40) and is refused after its first
+    # row on phi = 820, 4 digits each: 160.
+    rows = []
+
+    def counted(adjacency, x):
+        rows.append(x)
+        return _root_row(adjacency, x)
+
+    monkeypatch.setattr(extremal, "_root_row", counted)
+    for t, cap, rooted in ((star(60), 1139, 0), (path(40), 159, 1)):
+        monkeypatch.setattr(counting, "_F_DIGITS", cap)
+        with pytest.raises(TooLarge) as expected:
+            f_vector(t)
+        rows.clear()
+        with pytest.raises(TooLarge) as info:
+            next(_scored_moves(t.adjacency))
+        assert len(rows) == rooted and str(info.value) == str(expected.value)
+        with pytest.raises(TooLarge) as info:
+            local_search_optimize(t)
+        assert str(info.value) == str(expected.value)
+        monkeypatch.setattr(counting, "_F_DIGITS", cap + 1)
+        list(_scored_moves(t.adjacency))
 
 
 def test_local_search_matches_reference_on_every_small_class():
@@ -570,7 +625,7 @@ def test_first_scored_move_needs_linear_memory():
     # about 0.1 MiB each, 1.56 MiB in all.  The bound refuses a dict of
     # branch counts per vertex, which peaks at 2.83 MiB.
     t = seeded_tree(7, 3000)
-    assert traced_peak(lambda: next(_scored_moves(t))) < 2.2 * 2**20
+    assert traced_peak(lambda: next(_scored_moves(t.adjacency))) < 2.2 * 2**20
 
 
 def test_local_search_fixed_point():
